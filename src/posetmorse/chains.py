@@ -51,9 +51,6 @@ class MaximalChain:
     def steps(self) -> int:
         return len(self.labels)
 
-    def element_set(self) -> frozenset:
-        return frozenset(self.elements)
-
     def open_indices(self) -> range:
         """Indices of the elements strictly between top and bottom."""
         return range(1, len(self.labels))

@@ -16,7 +16,6 @@ import sys
 from . import render
 from .bijection import perm_to_word, verify_isomorphism, word_to_perm
 from .chains import maximal_chains
-from .closed_form import mobius_factor, mobius_pattern
 from .crosscheck import crosscheck_json, crosscheck_text, run_crosscheck
 from .isosearch import iso_search_json, iso_search_text, run_iso_search
 from .morse import morse_report
@@ -79,17 +78,21 @@ def _emit(args, text_fn, json_obj) -> None:
         sys.stdout.write(text_fn())
 
 
-def cmd_mobius(args) -> int:
+def parse_interval(args):
+    """The poset, bottom and top of an interval subcommand, with the top
+    checked against the size guardrail."""
     poset = make_poset(args)
     bottom = poset.parse(args.bottom)
     top = poset.parse(args.top)
     poset.check_top(top)
+    return poset, bottom, top
+
+
+def cmd_mobius(args) -> int:
+    poset, bottom, top = parse_interval(args)
     cache = make_cache(args)
     try:
-        if poset.kind == "pattern":
-            closed = mobius_pattern(bottom, top)
-        else:
-            closed = mobius_factor(bottom, top)
+        closed = poset.mobius_closed_form(bottom, top)
         report = morse_report(poset, bottom, top)
         brute = mobius_bruteforce(poset, bottom, top, cache)
     finally:
@@ -120,9 +123,7 @@ def cmd_mobius(args) -> int:
         return "\n".join(lines) + "\n"
 
     _emit(args, text, {
-        "poset": poset.tag,
-        "bottom": poset.format(bottom),
-        "top": poset.format(top),
+        **render.interval_json(poset, bottom, top),
         "rank_gap": gap,
         "methods": methods,
         "agree": agree,
@@ -132,10 +133,7 @@ def cmd_mobius(args) -> int:
 
 
 def cmd_chains(args) -> int:
-    poset = make_poset(args)
-    bottom = poset.parse(args.bottom)
-    top = poset.parse(args.top)
-    poset.check_top(top)
+    poset, bottom, top = parse_interval(args)
     chains = maximal_chains(poset, bottom, top)
 
     def text() -> str:
@@ -148,10 +146,7 @@ def cmd_chains(args) -> int:
 
 
 def cmd_morse_report(args) -> int:
-    poset = make_poset(args)
-    bottom = poset.parse(args.bottom)
-    top = poset.parse(args.top)
-    poset.check_top(top)
+    poset, bottom, top = parse_interval(args)
     report = morse_report(poset, bottom, top)
     _emit(args, lambda: render.morse_report_text(poset, report),
           render.morse_report_json(poset, report))
@@ -159,17 +154,12 @@ def cmd_morse_report(args) -> int:
 
 
 def cmd_homotopy(args) -> int:
-    poset = make_poset(args)
-    bottom = poset.parse(args.bottom)
-    top = poset.parse(args.top)
-    poset.check_top(top)
+    poset, bottom, top = parse_interval(args)
     report = morse_report(poset, bottom, top)
     if report.homotopy is None:
         raise ValueError("degenerate interval: rank gap below two")
     _emit(args, lambda: f"{report.homotopy}\n", {
-        "poset": poset.tag,
-        "bottom": poset.format(bottom),
-        "top": poset.format(top),
+        **render.interval_json(poset, bottom, top),
         "homotopy": str(report.homotopy),
         "mobius": report.mobius,
     })
@@ -232,7 +222,7 @@ def cmd_crosscheck(args) -> int:
     finally:
         cache.close()
     _emit(args, lambda: crosscheck_text(report),
-          crosscheck_json(report, include_records=False))
+          crosscheck_json(report))
     return 0 if report.ok else 1
 
 
@@ -263,30 +253,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "force.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("mobius", help="Mobius value by every method")
-    p.add_argument("bottom")
-    p.add_argument("top")
-    _common_flags(p)
-    p.set_defaults(func=cmd_mobius)
-
-    p = sub.add_parser("chains", help="maximal chains with labels")
-    p.add_argument("bottom")
-    p.add_argument("top")
-    _common_flags(p)
-    p.set_defaults(func=cmd_chains)
-
-    p = sub.add_parser("morse-report",
-                       help="chains, skipped intervals, critical cells")
-    p.add_argument("bottom")
-    p.add_argument("top")
-    _common_flags(p)
-    p.set_defaults(func=cmd_morse_report)
-
-    p = sub.add_parser("homotopy", help="homotopy type of the open interval")
-    p.add_argument("bottom")
-    p.add_argument("top")
-    _common_flags(p)
-    p.set_defaults(func=cmd_homotopy)
+    for name, func, help_text in (
+            ("mobius", cmd_mobius, "Mobius value by every method"),
+            ("chains", cmd_chains, "maximal chains with labels"),
+            ("morse-report", cmd_morse_report,
+             "chains, skipped intervals, critical cells"),
+            ("homotopy", cmd_homotopy, "homotopy type of the open interval")):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("bottom")
+        p.add_argument("top")
+        _common_flags(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("bijection",
                        help="factor order vs pattern containment on "

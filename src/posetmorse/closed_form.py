@@ -1,9 +1,13 @@
 """
-Closed-form Mobius recursions for both posets.
+Closed-form Mobius recursion, one body for both posets.
 
-Each formula bottoms out within two ranks of the top and otherwise either
-jumps to the exterior (outer word) or returns zero, so evaluation touches
-a chain of at most |top| subproblems.
+The consecutive pattern poset and factor order obey the same recursion:
+exterior, interior and monotone for permutations play the roles of outer
+word, inner word and flat for words (Bernini, Ferrari & Steingrimsson for
+patterns, Bjorner for factor order).  Each entry point hands its poset's
+four operators to the shared body.  It bottoms out within two ranks of
+the top and otherwise either jumps to the exterior (outer word) or
+returns zero, so evaluation touches a chain of at most |top| subproblems.
 """
 
 from __future__ import annotations
@@ -11,6 +15,22 @@ from __future__ import annotations
 from .perms import exterior, interior, is_monotone, leq_consecutive
 from .posets import IncomparableError
 from .words import inner_word, is_factor, is_flat, outer_word
+
+
+def _mobius(bottom, top, leq, outer, inner, single) -> int:
+    """mu(bottom, top) for comparable bottom <= top, given the poset's
+    order test, exterior, interior and single-cover test."""
+    while len(top) - len(bottom) > 2:
+        x = outer(top)
+        if not leq(bottom, x) or leq(x, inner(top)):
+            return 0
+        top = x
+    gap = len(top) - len(bottom)
+    if gap == 2:
+        if not single(top) and bottom in (inner(top), outer(top)):
+            return 1
+        return 0
+    return -1 if gap == 1 else 1
 
 
 def mobius_pattern(sigma: tuple[int, ...], tau: tuple[int, ...]) -> int:
@@ -26,17 +46,7 @@ def mobius_pattern(sigma: tuple[int, ...], tau: tuple[int, ...]) -> int:
     """
     if not leq_consecutive(sigma, tau):
         raise IncomparableError("sigma is not a consecutive pattern of tau")
-    gap = len(tau) - len(sigma)
-    if gap > 2:
-        x = exterior(tau)
-        if leq_consecutive(sigma, x) and not leq_consecutive(x, interior(tau)):
-            return mobius_pattern(sigma, x)
-        return 0
-    if gap == 2:
-        if not is_monotone(tau) and sigma in (interior(tau), exterior(tau)):
-            return 1
-        return 0
-    return -1 if gap == 1 else 1
+    return _mobius(sigma, tau, leq_consecutive, exterior, interior, is_monotone)
 
 
 def mobius_factor(u: tuple, w: tuple) -> int:
@@ -52,14 +62,4 @@ def mobius_factor(u: tuple, w: tuple) -> int:
     """
     if not is_factor(u, w):
         raise IncomparableError("u is not a factor of w")
-    gap = len(w) - len(u)
-    if gap > 2:
-        o = outer_word(w)
-        if is_factor(u, o) and not is_factor(o, inner_word(w)):
-            return mobius_factor(u, o)
-        return 0
-    if gap == 2:
-        if not is_flat(w) and u in (inner_word(w), outer_word(w)):
-            return 1
-        return 0
-    return -1 if gap == 1 else 1
+    return _mobius(u, w, is_factor, outer_word, inner_word, is_flat)

@@ -20,7 +20,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .chains import StepClass, classify_steps, is_poset_lex
-from .closed_form import mobius_factor, mobius_pattern
 from .morse import morse_report, msis_fast_pattern
 from .posets import MobiusCache, euler_characteristic, mobius_bruteforce
 
@@ -83,10 +82,7 @@ def check_interval(poset, bottom, top, cache: MobiusCache | None = None) -> Inte
     report = morse_report(poset, bottom, top)
     mu_morse = report.mobius
     mu_brute = mobius_bruteforce(poset, bottom, top, cache)
-    if poset.kind == "pattern":
-        mu_closed = mobius_pattern(bottom, top)
-    else:
-        mu_closed = mobius_factor(bottom, top)
+    mu_closed = poset.mobius_closed_form(bottom, top)
     euler = euler_characteristic(poset, bottom, top) if gap >= 2 else None
 
     if mu_closed not in (-1, 0, 1):
@@ -199,18 +195,22 @@ def _worker(args) -> list[IntervalRecord]:
 
 
 def run_crosscheck(poset, max_size: int, cache: MobiusCache | None = None,
-                   jobs: int | None = 1,
-                   keep_records: bool = True) -> CrosscheckReport:
+                   jobs: int | None = 1) -> CrosscheckReport:
     """
     Check every interval [bottom, top] with rank(top) <= max_size.  The
-    unit of parallel work is all intervals under one top.
+    unit of parallel work is all intervals under one top.  At most one
+    worker process runs per CPU; jobs=None asks for one per CPU.
     """
+    cpus = os.cpu_count() or 1
+    if jobs is None:
+        jobs = cpus
+    elif jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    jobs = min(jobs, cpus)
     tops = [
         e for d in range(poset.min_rank, max_size + 1)
         for e in poset.elements_of_rank(d)
     ]
-    if jobs is None:
-        jobs = os.cpu_count() or 1
     if jobs > 1 and len(tops) > 1:
         chunks = [tops[i::jobs] for i in range(jobs)]
         chunks = [c for c in chunks if c]
@@ -224,39 +224,22 @@ def run_crosscheck(poset, max_size: int, cache: MobiusCache | None = None,
 
     report = CrosscheckReport(poset_tag=poset.tag, max_size=max_size)
     report.total = len(records)
+    report.records = records
     for rec in records:
         report.mu_histogram[rec.mu_brute] = report.mu_histogram.get(rec.mu_brute, 0) + 1
         for problem in rec.problems:
             report.mismatches.append(f"[{rec.bottom}, {rec.top}] {problem}")
-    if keep_records:
-        report.records = records
     return report
 
 
-def crosscheck_json(report: CrosscheckReport, include_records: bool = True) -> dict:
-    out = {
+def crosscheck_json(report: CrosscheckReport) -> dict:
+    return {
         "poset": report.poset_tag,
         "max_size": report.max_size,
         "intervals": report.total,
         "mu_histogram": {str(k): v for k, v in sorted(report.mu_histogram.items())},
         "mismatches": list(report.mismatches),
     }
-    if include_records:
-        out["records"] = [
-            {
-                "bottom": r.bottom,
-                "top": r.top,
-                "rank_gap": r.rank_gap,
-                "mu": r.mu_brute,
-                "euler": r.euler,
-                "chain_count": r.chain_count,
-                "critical_count": r.critical_count,
-                "homotopy": r.homotopy,
-                "problems": list(r.problems),
-            }
-            for r in report.records
-        ]
-    return out
 
 
 def crosscheck_text(report: CrosscheckReport) -> str:

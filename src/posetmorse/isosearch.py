@@ -44,23 +44,12 @@ def interval_structure(poset, bottom, top) -> IntervalStructure:
 
 def certificate(s: IntervalStructure) -> tuple:
     """Isomorphism-invariant summary by iterated neighborhood refinement."""
-    labels = [(len(s.ups[i]), len(s.downs[i])) for i in range(s.size)]
-    for _round in range(s.size):
-        refined = [
-            (labels[i],
-             tuple(sorted(labels[j] for j in s.ups[i])),
-             tuple(sorted(labels[j] for j in s.downs[i])))
-            for i in range(s.size)
-        ]
-        canon = {v: k for k, v in enumerate(sorted(set(refined)))}
-        new = [canon[r] for r in refined]
-        if new == labels:
-            break
-        labels = new
-    return (s.size, tuple(sorted(labels)))
+    return (s.size, tuple(sorted(_refined_labels(s))))
 
 
 def _refined_labels(s: IntervalStructure) -> list:
+    """Per-element colours, refined from (up-degree, down-degree) by the
+    colours above and below until the partition stops splitting."""
     labels = [(len(s.ups[i]), len(s.downs[i])) for i in range(s.size)]
     for _round in range(s.size):
         refined = [

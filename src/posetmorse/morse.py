@@ -90,11 +90,11 @@ def disjoint_family(msis: list[Span]) -> list[Span]:
     return chosen
 
 
-def _covers_open_part(family: list[Span], chain: MaximalChain) -> bool:
-    covered: set[int] = set()
-    for a, b in family:
-        covered.update(range(a, b + 1))
-    return covered == set(chain.open_indices())
+def _criticality(family: list[Span], chain: MaximalChain) -> tuple[bool, int | None]:
+    covered = {k for a, b in family for k in range(a, b + 1)}
+    if covered == set(chain.open_indices()):
+        return True, len(family) - 1
+    return False, None
 
 
 def critical_data(chain: MaximalChain,
@@ -104,9 +104,7 @@ def critical_data(chain: MaximalChain,
     dimension (family size minus one) when it does.
     """
     family = disjoint_family(minimal_skipped_intervals(chain, earlier))
-    if _covers_open_part(family, chain):
-        return True, len(family) - 1
-    return False, None
+    return _criticality(family, chain)
 
 
 def msis_fast_pattern(chain: MaximalChain) -> list[Span]:
@@ -185,8 +183,7 @@ def morse_report(poset, bottom, top) -> MorseReport:
     for idx, chain in enumerate(all_chains):
         msis = minimal_skipped_intervals(chain, all_chains[:idx])
         family = disjoint_family(msis)
-        critical = _covers_open_part(family, chain)
-        dim = len(family) - 1 if critical else None
+        critical, dim = _criticality(family, chain)
         data.append(ChainMorseData(chain, tuple(msis), tuple(family), critical, dim))
     if gap == 0:
         mobius = 1  # a single element: no machinery to run
@@ -223,9 +220,7 @@ def homotopy_type(poset, bottom, top) -> HomotopyType:
     Homotopy type of the open interval; needs rank gap at least two
     (shorter intervals have an empty or undefined complex).
     """
-    gap = poset.rank(top) - poset.rank(bottom)
-    if poset.leq(bottom, top) and gap < 2:
-        raise ValueError("degenerate interval: rank gap below two")
     report = morse_report(poset, bottom, top)
-    assert report.homotopy is not None
+    if report.homotopy is None:
+        raise ValueError("degenerate interval: rank gap below two")
     return report.homotopy

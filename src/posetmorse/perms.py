@@ -18,9 +18,6 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-PREFIX = "prefix"
-SUFFIX = "suffix"
-
 
 def standardize(seq: Sequence[int]) -> tuple[int, ...]:
     """
@@ -139,24 +136,6 @@ def down_covers(tau: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
     return [(standardize(tau[:-1]), len(tau)), (standardize(tau[1:]), 1)]
 
 
-def affix(tau: tuple[int, ...], k: int, side: str) -> tuple[int, ...]:
-    """
-    The standard form of the length-k prefix or suffix of tau.
-
-    >>> affix((5, 3, 4, 1, 2), 4, PREFIX)
-    (4, 2, 3, 1)
-    >>> affix((2, 1, 3, 5, 4, 6), 3, SUFFIX)
-    (2, 1, 3)
-    """
-    if not 1 <= k <= len(tau):
-        raise ValueError(f"affix length {k} out of range for length {len(tau)}")
-    if side == PREFIX:
-        return standardize(tau[:k])
-    if side == SUFFIX:
-        return standardize(tau[-k:])
-    raise ValueError(f"side must be {PREFIX!r} or {SUFFIX!r}, got {side!r}")
-
-
 def interior(tau: tuple[int, ...]) -> tuple[int, ...]:
     """
     The standard form of tau with both end letters removed.
@@ -196,22 +175,17 @@ def exterior(tau: tuple[int, ...]) -> tuple[int, ...]:
 
 def format_permutation(p: tuple[int, ...]) -> str:
     """
+    Text form of a permutation, or of an expansion (zeros outside the
+    occupied window).
+
     >>> format_permutation((2, 1, 3, 5, 4, 6))
     '213546'
+    >>> format_permutation((0, 0, 0, 2, 1, 3))
+    '000213'
     """
     if len(p) <= 9:
         return "".join(str(v) for v in p)
     return ",".join(str(v) for v in p)
-
-
-def format_expansion(eta: tuple[int, ...]) -> str:
-    """
-    >>> format_expansion((0, 0, 0, 2, 1, 3))
-    '000213'
-    """
-    if len(eta) <= 9:
-        return "".join(str(v) for v in eta)
-    return ",".join(str(v) for v in eta)
 
 
 def parse_permutation(text: str) -> tuple[int, ...]:

@@ -33,25 +33,29 @@ class SizeLimitError(RuntimeError):
     """A top element exceeds the configured enumeration guardrail."""
 
 
-@dataclass(frozen=True)
-class PatternPoset:
-    """Consecutive pattern order on permutations.
+class _LengthGraded:
+    """What both posets share: rank is length, and max_top bounds the
+    length of interval tops accepted for enumeration (None lifts it)."""
 
-    max_top bounds the length of interval tops accepted for enumeration;
-    pass None to lift the guardrail.
-    """
+    def rank(self, e) -> int:
+        return len(e)
+
+    def check_top(self, e) -> None:
+        if self.max_top is not None and len(e) > self.max_top:
+            raise SizeLimitError(f"top of length {len(e)} exceeds the "
+                                 f"{self.limit_name} limit {self.max_top}")
+
+
+@dataclass(frozen=True)
+class PatternPoset(_LengthGraded):
+    """Consecutive pattern order on permutations."""
 
     max_top: int | None = 9
 
     kind = "pattern"
+    tag = "pattern"
+    limit_name = "pattern"
     min_rank = 1
-
-    @property
-    def tag(self) -> str:
-        return "pattern"
-
-    def rank(self, e) -> int:
-        return len(e)
 
     def leq(self, x, y) -> bool:
         return perms.leq_consecutive(x, y)
@@ -77,33 +81,30 @@ class PatternPoset:
     def expansion_text(self, element, window: tuple[int, int], top_len: int) -> str:
         lo, hi = window
         eta = (0,) * lo + tuple(element[:hi - lo]) + (0,) * (top_len - hi)
-        return perms.format_expansion(eta)
+        return perms.format_permutation(eta)
+
+    def mobius_closed_form(self, bottom, top) -> int:
+        from . import closed_form
+        return closed_form.mobius_pattern(bottom, top)
 
     def elements_of_rank(self, d: int) -> Iterator:
         return itertools.permutations(range(1, d + 1))
 
-    def check_top(self, e) -> None:
-        if self.max_top is not None and len(e) > self.max_top:
-            raise SizeLimitError(
-                f"top of length {len(e)} exceeds the pattern limit {self.max_top}")
-
 
 @dataclass(frozen=True)
-class FactorPoset:
+class FactorPoset(_LengthGraded):
     """Factor order on words over a fixed ordered alphabet."""
 
     alphabet: tuple[str, ...] = ("a", "b")
     max_top: int | None = 12
 
     kind = "factor"
+    limit_name = "factor-order"
     min_rank = 0
 
     @property
     def tag(self) -> str:
         return "factor:" + ",".join(self.alphabet)
-
-    def rank(self, e) -> int:
-        return len(e)
 
     def leq(self, x, y) -> bool:
         if len(x) > len(y):
@@ -135,13 +136,12 @@ class FactorPoset:
             return ",".join(symbols)
         return "".join(symbols)
 
+    def mobius_closed_form(self, bottom, top) -> int:
+        from . import closed_form
+        return closed_form.mobius_factor(bottom, top)
+
     def elements_of_rank(self, d: int) -> Iterator:
         return itertools.product(self.alphabet, repeat=d)
-
-    def check_top(self, e) -> None:
-        if self.max_top is not None and len(e) > self.max_top:
-            raise SizeLimitError(
-                f"top of length {len(e)} exceeds the factor-order limit {self.max_top}")
 
 
 def interval_elements(poset, bottom, top) -> frozenset:
@@ -234,7 +234,9 @@ class MobiusCache:
     Cross-call Mobius cache keyed by (poset tag, bottom text, top text),
     optionally persisted one record per line: tag TAB bottom TAB top TAB mu.
     Reads are lock-free; writes serialize behind a lock and append each
-    record with a single write call.
+    record with a single write call.  A final line without its newline is
+    a record torn by an interrupted append: loading skips it, and the first
+    append cuts it off so that the new record starts on a line of its own.
     """
 
     def __init__(self, path: str | None = None):
@@ -242,13 +244,18 @@ class MobiusCache:
         self._data: dict[tuple[str, str, str], int] = {}
         self._lock = threading.Lock()
         self._handle = None
+        self._clean_size: int | None = None
         if path is not None and os.path.exists(path):
             self._load(path)
 
     def _load(self, path: str) -> None:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
+        clean = 0
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                if not raw.endswith(b"\n"):
+                    break
+                clean += len(raw)
+                line = raw.decode("utf-8").rstrip("\n")
                 if not line:
                     continue
                 parts = line.split("\t")
@@ -256,6 +263,8 @@ class MobiusCache:
                     raise ValueError(f"{path}:{lineno}: bad cache record {line!r}")
                 tag, bottom, top, mu = parts
                 self._data[(tag, bottom, top)] = int(mu)
+            if clean < fh.tell():
+                self._clean_size = clean
 
     def get(self, tag: str, bottom: str, top: str) -> int | None:
         return self._data.get((tag, bottom, top))
@@ -268,6 +277,8 @@ class MobiusCache:
             self._data[key] = value
             if self.path is not None:
                 if self._handle is None:
+                    if self._clean_size is not None:
+                        os.truncate(self.path, self._clean_size)
                     self._handle = open(self.path, "a", encoding="utf-8")
                 self._handle.write(f"{tag}\t{bottom}\t{top}\t{value}\n")
                 self._handle.flush()

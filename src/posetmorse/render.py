@@ -60,29 +60,31 @@ def render_columns(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
-def _table_header(steps: int) -> list[str]:
-    header = ["chain id", "e0"]
-    for i in range(1, steps + 1):
-        header.extend([f"l{i}", f"e{i}"])
-    return header
-
-
 def chain_table(poset, chains: list[MaximalChain],
                 spans_per_chain: list[tuple[Span, ...]] | None = None) -> str:
     steps = chains[0].steps if chains else 0
+    header = ["chain id", "e0"]
+    for i in range(1, steps + 1):
+        header.extend([f"l{i}", f"e{i}"])
     rows = []
     for idx, chain in enumerate(chains):
         spans = spans_per_chain[idx] if spans_per_chain is not None else ()
         rows.append(_chain_cells(poset, chain, spans))
-    return render_columns(_table_header(steps), rows)
+    return render_columns(header, rows)
 
 
 def interval_label(poset, bottom, top) -> str:
     return f"[{poset.format(bottom)}, {poset.format(top)}]"
 
 
-def morse_report_text(poset, report: MorseReport) -> str:
-    """Two bracketed tables plus a summary block."""
+def interval_json(poset, bottom, top) -> dict:
+    """The keys that name an interval in every JSON output."""
+    return {"poset": poset.tag, "bottom": poset.format(bottom),
+            "top": poset.format(top)}
+
+
+def _family_tables(poset, report: MorseReport) -> list[str]:
+    """The minimal skipped-interval table and the disjoint-family table."""
     label = interval_label(poset, report.bottom, report.top)
     chains = [d.chain for d in report.chains]
     out = [f"minimal skipped intervals for {label}", ""]
@@ -98,6 +100,12 @@ def morse_report_text(poset, report: MorseReport) -> str:
     else:
         out.append("disjoint interval family: equal to the minimal family "
                    "on every chain")
+    return out
+
+
+def morse_report_text(poset, report: MorseReport) -> str:
+    """Two bracketed tables plus a summary block."""
+    out = _family_tables(poset, report)
     out.append("")
     out.append(f"chains: {len(report.chains)}")
     crit = [d for d in report.chains if d.critical]
@@ -126,18 +134,7 @@ def table1_text() -> str:
 
     poset = PatternPoset()
     report = morse_report(poset, (1,), (2, 1, 3, 5, 4, 6))
-    label = interval_label(poset, report.bottom, report.top)
-    chains = [d.chain for d in report.chains]
-    out = [f"minimal skipped intervals for {label}", ""]
-    out.append(chain_table(poset, chains, [d.msis for d in report.chains]))
-    out.append("")
-    differing = [d for d in report.chains if d.family != d.msis]
-    out.append(f"disjoint interval family for {label} "
-               "(chains where it differs from the minimal family)")
-    out.append("")
-    out.append(chain_table(poset, [d.chain for d in differing],
-                           [d.family for d in differing]))
-    return "\n".join(out) + "\n"
+    return "\n".join(_family_tables(poset, report)) + "\n"
 
 
 def dump_json(obj) -> str:
@@ -160,9 +157,7 @@ def chain_json(poset, chain: MaximalChain) -> dict:
 
 def chains_json(poset, bottom, top, chains: list[MaximalChain]) -> dict:
     return {
-        "poset": poset.tag,
-        "bottom": poset.format(bottom),
-        "top": poset.format(top),
+        **interval_json(poset, bottom, top),
         "count": len(chains),
         "chains": [chain_json(poset, c) for c in chains],
     }
@@ -170,9 +165,7 @@ def chains_json(poset, bottom, top, chains: list[MaximalChain]) -> dict:
 
 def morse_report_json(poset, report: MorseReport) -> dict:
     return {
-        "poset": report.poset_tag,
-        "bottom": poset.format(report.bottom),
-        "top": poset.format(report.top),
+        **interval_json(poset, report.bottom, report.top),
         "rank_gap": report.rank_gap,
         "mobius": report.mobius,
         "critical_count": report.critical_count,

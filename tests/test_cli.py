@@ -6,6 +6,7 @@ import json
 import pathlib
 
 import posetmorse.cli as cli
+import posetmorse.closed_form as closed_form
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -45,7 +46,7 @@ def test_mobius_json(capsys):
 
 
 def test_mobius_disagreement_exits_nonzero(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "mobius_pattern", lambda b, t: 99)
+    monkeypatch.setattr(closed_form, "mobius_pattern", lambda b, t: 99)
     code, out, _ = run_cli(capsys, "mobius", "1", "123")
     assert code == 1
     assert "mismatch: methods disagree" in out
@@ -144,6 +145,34 @@ def test_cache_flag_writes_file(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "mobius", "1", "1234",
                            "--cache", str(path))
     assert code == 0 and "mobius: 0" in out
+
+
+def test_cache_with_torn_final_line(capsys, tmp_path):
+    path = tmp_path / "mu.cache"
+    path.write_text("pattern\t1\t12\t-1\npattern\t1\t213")
+    code, out, _ = run_cli(capsys, "mobius", "1", "213546", "--cache",
+                           str(path), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["mobius"] == 1
+    lines = path.read_text().split("\n")
+    assert lines[-1] == ""
+    assert all(len(line.split("\t")) == 4 for line in lines[:-1])
+    assert "pattern\t1\t12\t-1" in lines
+
+
+def test_cache_with_corrupt_middle_line(capsys, tmp_path):
+    path = tmp_path / "mu.cache"
+    path.write_text("pattern\t1\t12\t-1\npattern\t1\nfactor:a,b\t\ta\t-1\n")
+    code, _, err = run_cli(capsys, "mobius", "1", "12", "--cache", str(path))
+    assert code == 3
+    assert "bad cache record" in err
+
+
+def test_crosscheck_rejects_jobs_below_one(capsys):
+    code, out, err = run_cli(capsys, "crosscheck", "--max-size", "3",
+                             "--jobs", "0")
+    assert code == 3
+    assert out == "" and "jobs" in err
 
 
 def test_cache_env_var(capsys, tmp_path, monkeypatch):

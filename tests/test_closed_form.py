@@ -64,3 +64,19 @@ def test_values_stay_in_range():
         for top in itertools.permutations(range(1, n + 1)):
             for bottom in sorted(p.down_set(top)):
                 assert mobius_pattern(bottom, top) in (-1, 0, 1)
+
+
+def test_both_posets_agree_through_the_bijection():
+    # word_to_perm is an order isomorphism from factor order on {a,b}* onto
+    # the {213,231}-avoiders, so mu must agree on every image interval.
+    from posetmorse.bijection import word_to_perm
+    from posetmorse.words import _factor_set
+
+    pairs = 0
+    for n in range(0, 8):
+        for w in itertools.product(("a", "b"), repeat=n):
+            for u in _factor_set(w):
+                pairs += 1
+                assert mobius_factor(u, w) == mobius_pattern(
+                    word_to_perm(u), word_to_perm(w)), (u, w)
+    assert pairs == 4093

@@ -1,0 +1,60 @@
+"""Worker bounds of the crosscheck harness."""
+
+from __future__ import annotations
+
+import os
+
+import pytest
+
+import posetmorse.crosscheck as crosscheck
+from posetmorse.posets import PatternPoset
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and runs the
+    chunks in this process, so no real pool is ever started."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        RecordingPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.fixture
+def pool(monkeypatch):
+    RecordingPool.sizes = []
+    monkeypatch.setattr(crosscheck, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    return RecordingPool
+
+
+def test_jobs_are_clamped_to_the_cpu_count(pool):
+    report = crosscheck.run_crosscheck(PatternPoset(), 4, jobs=1000)
+    assert pool.sizes == [3]
+    assert report.ok and report.total == 167
+
+
+def test_jobs_none_means_one_per_cpu(pool):
+    crosscheck.run_crosscheck(PatternPoset(), 3, jobs=None)
+    assert pool.sizes == [3]
+
+
+def test_jobs_within_the_cpu_count_are_kept(pool):
+    crosscheck.run_crosscheck(PatternPoset(), 3, jobs=2)
+    assert pool.sizes == [2]
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_jobs_below_one_are_rejected(pool, jobs):
+    with pytest.raises(ValueError):
+        crosscheck.run_crosscheck(PatternPoset(), 3, jobs=jobs)
+    assert pool.sizes == []

@@ -6,10 +6,10 @@ import itertools
 
 import pytest
 
-from posetmorse.perms import (affix, as_permutation, down_covers, exterior,
-                              format_expansion, format_permutation, interior,
-                              is_monotone, leq_consecutive, occurrences,
-                              parse_permutation, standardize)
+from posetmorse.perms import (as_permutation, down_covers, exterior,
+                              format_permutation, interior, is_monotone,
+                              leq_consecutive, occurrences, parse_permutation,
+                              standardize)
 
 
 def test_standardize_values():
@@ -70,7 +70,7 @@ def test_leq_consecutive_is_reflexive_and_length_gated():
 def test_occurrences_positions_and_expansions():
     occ = occurrences((2, 1), (2, 1, 3, 5, 4, 6))
     assert occ == [(2, 1, 0, 0, 0, 0), (0, 0, 0, 2, 1, 0)]
-    assert [format_expansion(e) for e in occ] == ["210000", "000210"]
+    assert [format_permutation(e) for e in occ] == ["210000", "000210"]
     assert occurrences((1, 2, 3), (3, 2, 1)) == []
     # every window of length 1 standardizes to (1)
     assert len(occurrences((1,), (2, 1, 3))) == 3
@@ -87,8 +87,6 @@ def test_down_covers_shape():
 
 def test_affix_interior_exterior():
     tau = (2, 1, 3, 5, 4, 6)
-    assert affix(tau, 3, "prefix") == (2, 1, 3)
-    assert affix(tau, 3, "suffix") == (2, 1, 3)
     assert interior(tau) == (1, 2, 4, 3)
     assert exterior(tau) == (2, 1, 3)
     assert exterior((1, 2, 3)) == (1, 2)

@@ -134,6 +134,18 @@ def test_mobius_cache_round_trip(tmp_path):
     again.close()
 
 
+def test_mobius_cache_skips_and_cuts_a_torn_final_line(tmp_path):
+    path = tmp_path / "mu.cache"
+    path.write_text("pattern\t1\t12\t-1\npattern\t1\t2")
+    cache = MobiusCache(str(path))
+    assert len(cache) == 1
+    assert cache.get("pattern", "1", "12") == -1
+    assert path.read_text().endswith("\t2")  # loading alone writes nothing
+    cache.put("pattern", "1", "21", -1)
+    cache.close()
+    assert path.read_text() == "pattern\t1\t12\t-1\npattern\t1\t21\t-1\n"
+
+
 def test_mobius_cache_in_memory():
     cache = MobiusCache()
     assert cache.get("pattern", "1", "12") is None
