@@ -23,9 +23,10 @@ from .morse import (ChainMorseData, HomotopyType, MorseReport, critical_data,
                     skipped_intervals)
 from .perms import (exterior, interior, is_monotone, leq_consecutive,
                     occurrences, standardize)
-from .posets import (FactorPoset, IncomparableError, MobiusCache,
-                     PatternPoset, SizeLimitError, euler_characteristic,
-                     interval_elements, mobius_bruteforce)
+from .posets import (FactorPoset, IncomparableError, IntervalStructure,
+                     MobiusCache, PatternPoset, SizeLimitError,
+                     euler_characteristic, interval_elements,
+                     interval_structure, mobius_bruteforce)
 from .words import inner_word, is_factor, is_flat, outer_word
 
 __version__ = "0.1.0"
@@ -37,6 +38,7 @@ __all__ = [
     "HomotopyType",
     "IncomparableError",
     "IntervalRecord",
+    "IntervalStructure",
     "IsoSearchReport",
     "IsomorphismReport",
     "MaximalChain",
@@ -57,6 +59,7 @@ __all__ = [
     "inner_word",
     "interior",
     "interval_elements",
+    "interval_structure",
     "is_factor",
     "is_flat",
     "is_monotone",

@@ -2,7 +2,8 @@
 Command-line front end.
 
 Exit codes: 0 success, 1 invariant mismatch, 2 incomparable input,
-3 parse error, 4 size guardrail exceeded (pass --force to lift it).
+3 parse error or usage error, 4 size guardrail exceeded (pass --force to
+lift it).
 The environment variable POSET_MORSE_CACHE names a default cache file
 for brute-force Mobius values; --cache overrides it.
 """
@@ -10,8 +11,10 @@ for brute-force Mobius values; --cache overrides it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
+from dataclasses import replace
 
 from . import render
 from .bijection import perm_to_word, verify_isomorphism, word_to_perm
@@ -21,27 +24,36 @@ from .isosearch import iso_search_json, iso_search_text, run_iso_search
 from .morse import morse_report
 from .posets import (FactorPoset, IncomparableError, MobiusCache,
                      PatternPoset, SizeLimitError, euler_characteristic,
-                     mobius_bruteforce)
+                     interval_structure, mobius_bruteforce)
 from .perms import format_permutation, parse_permutation
 from .words import format_word, parse_word
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--poset", choices=("pattern", "factor"),
-                        default="pattern", help="which poset to work in")
-    parser.add_argument("--alphabet", default="ab",
-                        help="letters for factor order (string or comma list)")
-    parser.add_argument("--max-size", type=int, default=None, metavar="N",
-                        help="size cap (top rank) for this run")
-    parser.add_argument("--format", choices=("text", "table", "json"),
-                        default="text", dest="fmt",
-                        help="output format (table is an alias for text)")
-    parser.add_argument("--cache", default=None, metavar="PATH",
-                        help="brute-force Mobius cache file")
-    parser.add_argument("--jobs", type=int, default=None, metavar="J",
-                        help="worker processes for crosscheck")
-    parser.add_argument("--force", action="store_true",
-                        help="lift the size guardrails")
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 3, like every other parse error."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
+_FLAGS = {
+    "--poset": dict(choices=("pattern", "factor"), default="pattern",
+                    help="which poset to work in"),
+    "--alphabet": dict(default="ab",
+                       help="letters for factor order (string or comma list)"),
+    "--max-size": dict(type=int, default=5, metavar="N", help="largest top rank"),
+    "--format": dict(choices=("text", "table", "json"), default="text", dest="fmt",
+                     help="output format (table is an alias for text)"),
+    "--cache": dict(metavar="PATH", help="brute-force Mobius cache file"),
+    "--jobs": dict(type=int, metavar="J", help="worker processes"),
+    "--force": dict(action="store_true", help="lift the size guardrails"),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        parser.add_argument(flag, **_FLAGS[flag])
 
 
 def parse_alphabet(text: str) -> tuple[str, ...]:
@@ -55,20 +67,16 @@ def parse_alphabet(text: str) -> tuple[str, ...]:
 
 
 def make_poset(args):
-    if args.force:
-        cap = None
-    elif args.max_size is not None:
-        cap = args.max_size
-    else:
-        cap = PatternPoset.max_top if args.poset == "pattern" else FactorPoset.max_top
     if args.poset == "pattern":
-        return PatternPoset(max_top=cap)
-    return FactorPoset(alphabet=parse_alphabet(args.alphabet), max_top=cap)
+        return PatternPoset()
+    return FactorPoset(alphabet=parse_alphabet(args.alphabet))
 
 
-def make_cache(args) -> MobiusCache:
-    path = args.cache or os.environ.get("POSET_MORSE_CACHE") or None
-    return MobiusCache(path)
+def make_cache(args):
+    """A context manager for the cache file named by --cache or
+    POSET_MORSE_CACHE; it yields None when no file is named."""
+    path = args.cache or os.environ.get("POSET_MORSE_CACHE")
+    return contextlib.closing(MobiusCache(path)) if path else contextlib.nullcontext()
 
 
 def _emit(args, text_fn, json_obj) -> None:
@@ -82,6 +90,8 @@ def parse_interval(args):
     """The poset, bottom and top of an interval subcommand, with the top
     checked against the size guardrail."""
     poset = make_poset(args)
+    if args.force:
+        poset = replace(poset, max_top=None)
     bottom = poset.parse(args.bottom)
     top = poset.parse(args.top)
     poset.check_top(top)
@@ -90,15 +100,15 @@ def parse_interval(args):
 
 def cmd_mobius(args) -> int:
     poset, bottom, top = parse_interval(args)
-    cache = make_cache(args)
-    try:
+    with make_cache(args) as cache:
         closed = poset.mobius_closed_form(bottom, top)
         report = morse_report(poset, bottom, top)
-        brute = mobius_bruteforce(poset, bottom, top, cache)
-    finally:
-        cache.close()
+        interval = interval_structure(poset, bottom, top)
+        cached = cache is not None and cache.get(
+            poset.tag, poset.format(bottom), poset.format(top)) is not None
+        brute = mobius_bruteforce(poset, interval, cache)
     gap = poset.rank(top) - poset.rank(bottom)
-    euler = euler_characteristic(poset, bottom, top) if gap >= 1 else None
+    euler = euler_characteristic(poset, interval) if gap >= 1 else None
     methods = {
         "closed_form": closed,
         "morse": report.mobius,
@@ -129,6 +139,9 @@ def cmd_mobius(args) -> int:
         "agree": agree,
         "mobius": closed if agree else None,
     })
+    if cached and not agree:
+        print(f"note: the brute-force value {brute} was read from the cache "
+              f"file {cache.path}", file=sys.stderr)
     return 0 if agree else 1
 
 
@@ -214,13 +227,10 @@ def cmd_bijection(args) -> int:
 
 
 def cmd_crosscheck(args) -> int:
-    poset = make_poset(args)
-    max_size = args.max_size if args.max_size is not None else 5
-    cache = make_cache(args)
-    try:
-        report = run_crosscheck(poset, max_size, cache, jobs=args.jobs)
-    finally:
-        cache.close()
+    # --max-size bounds the tops, so the poset needs no guardrail of its own
+    poset = replace(make_poset(args), max_top=None)
+    with make_cache(args) as cache:
+        report = run_crosscheck(poset, args.max_size, cache, jobs=args.jobs)
     _emit(args, lambda: crosscheck_text(report),
           crosscheck_json(report))
     return 0 if report.ok else 1
@@ -245,7 +255,7 @@ def cmd_iso_search(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="posetmorse",
         description="Mobius functions and homotopy types of intervals in "
                     "the consecutive pattern poset and in factor order, "
@@ -262,34 +272,30 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("bottom")
         p.add_argument("top")
-        _common_flags(p)
+        _add_flags(p, "--poset", "--alphabet", "--format", "--force")
         p.set_defaults(func=func)
+    _add_flags(sub.choices["mobius"], "--cache")
 
     p = sub.add_parser("bijection",
                        help="factor order vs pattern containment on "
                             "{213,231}-avoiders")
+    p.set_defaults(func=cmd_bijection)
     bsub = p.add_subparsers(dest="mode", required=True)
-    pm = bsub.add_parser("map", help="word over {a,b} to permutation")
-    pm.add_argument("word")
-    _common_flags(pm)
-    pm.set_defaults(func=cmd_bijection, mode="map")
-    pu = bsub.add_parser("unmap", help="avoiding permutation to word")
-    pu.add_argument("perm")
-    _common_flags(pu)
-    pu.set_defaults(func=cmd_bijection, mode="unmap")
-    pv = bsub.add_parser("verify", help="exhaustive order-isomorphism check")
-    pv.add_argument("--max-length", type=int, default=6, metavar="N")
-    _common_flags(pv)
-    pv.set_defaults(func=cmd_bijection, mode="verify")
+    bsub.add_parser("map", help="word over {a,b} to permutation").add_argument("word")
+    bsub.add_parser("unmap", help="avoiding permutation to word").add_argument("perm")
+    bsub.add_parser("verify", help="exhaustive order-isomorphism check").add_argument(
+        "--max-length", type=int, default=6, metavar="N")
+    for mode_parser in bsub.choices.values():
+        _add_flags(mode_parser, "--format")
 
     p = sub.add_parser("crosscheck",
                        help="run every method on every interval up to a cap")
-    _common_flags(p)
+    _add_flags(p, "--poset", "--alphabet", "--max-size", "--format", "--cache",
+               "--jobs")
     p.set_defaults(func=cmd_crosscheck)
 
     p = sub.add_parser("table1",
                        help="reference table for the interval [1, 213546]")
-    _common_flags(p)
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("iso-search",
@@ -297,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "pattern intervals")
     p.add_argument("--pattern-cap", type=int, default=4, metavar="N")
     p.add_argument("--word-cap", type=int, default=4, metavar="N")
-    _common_flags(p)
+    _add_flags(p, "--alphabet", "--format", "--force")
     p.set_defaults(func=cmd_iso_search)
 
     return parser

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 from .chains import StepClass, classify_steps, is_poset_lex
 from .morse import morse_report, msis_fast_pattern
-from .posets import MobiusCache, euler_characteristic, mobius_bruteforce
+from .posets import (MobiusCache, euler_characteristic, interval_structure,
+                     mobius_bruteforce)
 
 
 @dataclass(frozen=True)
@@ -75,21 +76,23 @@ def naive_chain_count(poset, bottom, top, elems: frozenset) -> int:
 
 def check_interval(poset, bottom, top, cache: MobiusCache | None = None) -> IntervalRecord:
     """Run every route and invariant suite on one interval."""
-    from .posets import interval_elements
-
     problems: list[str] = []
     gap = poset.rank(top) - poset.rank(bottom)
     report = morse_report(poset, bottom, top)
     mu_morse = report.mobius
-    mu_brute = mobius_bruteforce(poset, bottom, top, cache)
+    interval = interval_structure(poset, bottom, top)
+    cached = cache is not None and cache.get(
+        poset.tag, poset.format(bottom), poset.format(top)) is not None
+    mu_brute = mobius_bruteforce(poset, interval, cache)
     mu_closed = poset.mobius_closed_form(bottom, top)
-    euler = euler_characteristic(poset, bottom, top) if gap >= 2 else None
+    euler = euler_characteristic(poset, interval) if gap >= 2 else None
 
     if mu_closed not in (-1, 0, 1):
         problems.append(f"mu-range: closed form returned {mu_closed}")
     if not (mu_closed == mu_morse == mu_brute):
         problems.append(
-            f"mu-disagreement: closed={mu_closed} morse={mu_morse} brute={mu_brute}")
+            f"mu-disagreement: closed={mu_closed} morse={mu_morse} brute={mu_brute}"
+            + (f" (brute read from cache file {cache.path})" if cached else ""))
     if euler is not None and euler != mu_brute:
         problems.append(f"mu-euler: euler={euler} brute={mu_brute}")
 
@@ -99,8 +102,7 @@ def check_interval(poset, bottom, top, cache: MobiusCache | None = None) -> Inte
         problems.append("chains: duplicate label sequences")
     if ids != sorted(ids):
         problems.append("chains: not sorted by label sequence")
-    elems = interval_elements(poset, bottom, top)
-    expect = naive_chain_count(poset, bottom, top, elems)
+    expect = naive_chain_count(poset, bottom, top, frozenset(interval.elements))
     if len(chains) != expect:
         problems.append(f"chains: found {len(chains)}, naive descent gives {expect}")
     if not is_poset_lex(chains):
@@ -191,7 +193,7 @@ def _interval_records(poset, tops, cache: MobiusCache | None) -> list[IntervalRe
 
 def _worker(args) -> list[IntervalRecord]:
     poset, tops = args
-    return _interval_records(poset, tops, MobiusCache())
+    return _interval_records(poset, tops, None)
 
 
 def run_crosscheck(poset, max_size: int, cache: MobiusCache | None = None,
@@ -219,8 +221,7 @@ def run_crosscheck(poset, max_size: int, cache: MobiusCache | None = None,
         records = [r for part in parts for r in part]
         records.sort(key=lambda r: (len(r.top), r.top, len(r.bottom), r.bottom))
     else:
-        own_cache = cache if cache is not None else MobiusCache()
-        records = _interval_records(poset, tops, own_cache)
+        records = _interval_records(poset, tops, cache)
 
     report = CrosscheckReport(poset_tag=poset.tag, max_size=max_size)
     report.total = len(records)

@@ -15,31 +15,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .posets import FactorPoset, PatternPoset, interval_elements
-
-
-@dataclass(frozen=True)
-class IntervalStructure:
-    """An interval poset, abstracted to index sets: ups[i] holds the
-    indices strictly above element i."""
-
-    size: int
-    ups: tuple[frozenset, ...]
-    downs: tuple[frozenset, ...]
-
-
-def interval_structure(poset, bottom, top) -> IntervalStructure:
-    elems = sorted(interval_elements(poset, bottom, top),
-                   key=lambda e: (poset.rank(e), poset.format(e)))
-    n = len(elems)
-    ups = []
-    for i, x in enumerate(elems):
-        up = frozenset(
-            j for j, y in enumerate(elems)
-            if poset.rank(y) > poset.rank(x) and poset.leq(x, y))
-        ups.append(up)
-    downs = [frozenset(j for j in range(n) if i in ups[j]) for i in range(n)]
-    return IntervalStructure(n, tuple(ups), tuple(downs))
+from .posets import (FactorPoset, IntervalStructure, PatternPoset,
+                     interval_structure)
 
 
 def certificate(s: IntervalStructure) -> tuple:
@@ -72,8 +49,6 @@ def find_isomorphism(a: IntervalStructure, b: IntervalStructure) -> list[int] | 
     order relation both ways, or None.  Backtracking with refinement labels
     pruning the candidate sets.
     """
-    if a.size != b.size:
-        return None
     la, lb = _refined_labels(a), _refined_labels(b)
     if sorted(la) != sorted(lb):
         return None

@@ -7,11 +7,11 @@ deletes one letter from an end of a contiguous window.  PatternPoset is
 the consecutive pattern order on permutations; FactorPoset is factor order
 on words over a fixed alphabet, empty word included.
 
-mobius_bruteforce recurses over a full interval and is the reference
-implementation everything else is checked against.  euler_characteristic
-counts chains of the open interval directly, which gives a second
-independent route to the same number on intervals of rank gap at least
-two.
+interval_structure enumerates an interval once, with its order relation.
+mobius_bruteforce recurses over that structure and is the reference
+implementation everything else is checked against; euler_characteristic
+counts chains of its open interval, a second independent route to the
+same number on intervals of rank gap at least two.
 """
 
 from __future__ import annotations
@@ -145,86 +145,84 @@ class FactorPoset(_LengthGraded):
 
 
 def interval_elements(poset, bottom, top) -> frozenset:
-    """
-    Every element z with bottom <= z <= top: downward closure from the top
-    intersected with comparability to the bottom.
-    """
+    """Every z with bottom <= z <= top, read off the down-set of the top."""
     poset.check_top(top)
     if not poset.leq(bottom, top):
         raise IncomparableError(
             f"{poset.format(bottom)!r} is not below {poset.format(top)!r}")
-    lo_rank = poset.rank(bottom)
-    seen = {top}
-    stack = [top]
-    while stack:
-        e = stack.pop()
-        if poset.rank(e) > lo_rank:
-            for child, _pos in poset.down_covers(e):
-                if child not in seen:
-                    seen.add(child)
-                    stack.append(child)
-    return frozenset(e for e in seen if poset.leq(bottom, e))
+    return frozenset(e for e in poset.down_set(top) if poset.leq(bottom, e))
 
 
-def mobius_bruteforce(poset, bottom, top, cache: "MobiusCache | None" = None) -> int:
+@dataclass(frozen=True)
+class IntervalStructure:
+    """An interval as a finite poset: its elements sorted by (rank, text),
+    so the bottom is first and the top last, and the strict order as index
+    sets: ups[i] holds the indices above element i, downs[i] those below."""
+
+    elements: tuple
+    ups: tuple[frozenset, ...]
+    downs: tuple[frozenset, ...]
+
+    @property
+    def size(self) -> int:
+        return len(self.elements)
+
+
+def interval_structure(poset, bottom, top) -> IntervalStructure:
+    """Enumerate [bottom, top] once, with its order relation.  Elements of
+    equal rank are incomparable, so only later ones can lie above."""
+    elems = tuple(sorted(interval_elements(poset, bottom, top),
+                         key=lambda e: (poset.rank(e), poset.format(e))))
+    n = len(elems)
+    ups = tuple(frozenset(j for j in range(i + 1, n) if poset.leq(x, elems[j]))
+                for i, x in enumerate(elems))
+    downs = tuple(frozenset(i for i in range(j) if j in ups[i]) for j in range(n))
+    return IntervalStructure(elems, ups, downs)
+
+
+def mobius_bruteforce(poset, interval: IntervalStructure,
+                      cache: "MobiusCache | None" = None) -> int:
     """
     Mobius function by the defining recursion: mu(bottom, bottom) = 1 and
     mu(bottom, y) = -sum of mu(bottom, z) over bottom <= z < y.
     """
-    bt = poset.format(bottom)
+    elems = interval.elements
+    bt = poset.format(elems[0])
     if cache is not None:
-        hit = cache.get(poset.tag, bt, poset.format(top))
+        hit = cache.get(poset.tag, bt, poset.format(elems[-1]))
         if hit is not None:
             return hit
-    elems = interval_elements(poset, bottom, top)
-    order = sorted(elems, key=lambda e: (poset.rank(e), poset.format(e)))
-    mu: dict = {}
-    for y in order:
-        if y == bottom:
-            mu[y] = 1
-            continue
-        y_rank = poset.rank(y)
-        total = 0
-        for z in order:
-            if poset.rank(z) >= y_rank:
-                break
-            if poset.leq(z, y):
-                total += mu[z]
-        mu[y] = -total
+    mu = [1]
+    for below in interval.downs[1:]:
+        mu.append(-sum(mu[z] for z in below))
     if cache is not None:
-        for z, value in mu.items():
+        for z, value in zip(elems, mu):
             cache.put(poset.tag, bt, poset.format(z), value)
-    return mu[top]
+    return mu[-1]
 
 
-def euler_characteristic(poset, bottom, top) -> int:
+def euler_characteristic(poset, interval: IntervalStructure) -> int:
     """
     Reduced Euler characteristic of the order complex of the open interval,
     by explicit chain enumeration.  Needs rank gap at least one; a gap of
     exactly one has an empty complex and returns -1 (degenerate but equal
     to the Mobius value there too).
     """
-    elems = interval_elements(poset, bottom, top)
-    gap = poset.rank(top) - poset.rank(bottom)
-    if gap < 1:
+    elems = interval.elements
+    if poset.rank(elems[-1]) - poset.rank(elems[0]) < 1:
         raise ValueError("the open interval of a single element is undefined")
-    open_elems = sorted(
-        (e for e in elems if e != bottom and e != top),
-        key=lambda e: (poset.rank(e), poset.format(e)))
-    above = {
-        x: [y for y in open_elems if poset.rank(y) > poset.rank(x) and poset.leq(x, y)]
-        for x in open_elems
-    }
+    top = len(elems) - 1
     counts: list[int] = []  # counts[k] = chains with k+1 elements
 
-    def walk(x, depth: int) -> None:
+    def walk(x: int, depth: int) -> None:
         if depth == len(counts):
             counts.append(0)
         counts[depth] += 1
-        for y in above[x]:
-            walk(y, depth + 1)
+        for y in interval.ups[x]:
+            if y != top:
+                walk(y, depth + 1)
 
-    for x in open_elems:
+    for x in range(1, top):
         walk(x, 0)
     return sum(c if k % 2 == 0 else -c for k, c in enumerate(counts)) - 1
 

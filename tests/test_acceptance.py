@@ -17,7 +17,8 @@ from posetmorse.bijection import avoids_213_231, perm_to_word, word_to_perm
 from posetmorse.closed_form import mobius_factor, mobius_pattern
 from posetmorse.crosscheck import run_crosscheck
 from posetmorse.morse import homotopy_type, mobius_morse, morse_report
-from posetmorse.posets import FactorPoset, PatternPoset, mobius_bruteforce
+from posetmorse.posets import (FactorPoset, PatternPoset, interval_structure,
+                               mobius_bruteforce)
 from posetmorse.render import table1_text
 from posetmorse.bijection import verify_isomorphism
 
@@ -130,19 +131,19 @@ def test_criterion_06_point_values():
     p = PatternPoset()
     f = FactorPoset()
     checks = [
-        (mobius_bruteforce(p, (1,), (2, 1, 3, 5, 4, 6)), 1),
+        (mobius_bruteforce(p, interval_structure(p, (1,), (2, 1, 3, 5, 4, 6))), 1),
         (mobius_pattern((1,), (2, 1, 3, 5, 4, 6)), 1),
         (mobius_morse(p, (1,), (2, 1, 3, 5, 4, 6)), 1),
         (str(homotopy_type(p, (1,), (2, 1, 3, 5, 4, 6))), "sphere(2)"),
-        (mobius_bruteforce(p, (1, 2, 3), (2, 1, 3, 5, 4)), 1),
+        (mobius_bruteforce(p, interval_structure(p, (1, 2, 3), (2, 1, 3, 5, 4))), 1),
         (str(homotopy_type(p, (1, 2, 3), (2, 1, 3, 5, 4))), "sphere(0)"),
-        (mobius_bruteforce(p, (1, 2), (1, 2, 3, 4)), 0),
+        (mobius_bruteforce(p, interval_structure(p, (1, 2), (1, 2, 3, 4))), 0),
         (str(homotopy_type(p, (1, 2), (1, 2, 3, 4))), "contractible"),
-        (mobius_bruteforce(f, ("b",), tuple("abb")), 1),
+        (mobius_bruteforce(f, interval_structure(f, ("b",), tuple("abb"))), 1),
         (mobius_factor(("b",), tuple("abb")), 1),
-        (mobius_bruteforce(f, ("b",), tuple("aabb")), 0),
+        (mobius_bruteforce(f, interval_structure(f, ("b",), tuple("aabb"))), 0),
         (mobius_factor(("b",), tuple("aabb")), 0),
-        (mobius_bruteforce(f, ("a",), tuple("aaa")), 0),
+        (mobius_bruteforce(f, interval_structure(f, ("a",), tuple("aaa"))), 0),
         (mobius_factor(("a",), tuple("aaa")), 0),
     ]
     bad = [f"got {got!r}, want {want!r}" for got, want in checks

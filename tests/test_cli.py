@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import pathlib
 
+import pytest
+
 import posetmorse.cli as cli
 import posetmorse.closed_form as closed_form
 
@@ -204,3 +206,79 @@ def test_alphabet_flag(capsys):
     code, _, err = run_cli(capsys, "mobius", "a", "ab", "--poset", "factor",
                            "--alphabet", "aa")
     assert code == 3
+
+
+def test_poisoned_cache_is_named_in_the_mismatch(capsys, tmp_path):
+    path = tmp_path / "poisoned.cache"
+    path.write_text("pattern\t1\t12\t5\n")
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(capsys, "mobius", "1", "12", "--cache",
+                                 str(path), "--format", fmt)
+        assert code == 1
+        assert ("brute force: 5" in out if fmt == "text"
+                else json.loads(out)["methods"]["bruteforce"] == 5)
+        assert "read from the cache file" in err and str(path) in err
+    code, out, _ = run_cli(capsys, "crosscheck", "--max-size", "2", "--jobs",
+                           "1", "--cache", str(path), "--format", "json")
+    assert code == 1
+    [problem] = json.loads(out)["mismatches"]
+    assert problem.startswith("[1, 12] mu-disagreement:")
+    assert f"cache file {path}" in problem
+
+
+def test_agreeing_cache_hit_prints_no_note(capsys, tmp_path):
+    path = tmp_path / "mu.cache"
+    path.write_text("pattern\t1\t12\t-1\n")
+    code, _, err = run_cli(capsys, "mobius", "1", "12", "--cache", str(path))
+    assert code == 0 and err == ""
+
+
+def _exit_code(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    return exc.value.code, capsys.readouterr().err
+
+
+def test_usage_errors_exit_three(capsys):
+    for argv in (("table1", "--format", "json"),
+                 ("chains", "123", "21354", "--jobs", "2"),
+                 ("iso-search", "--max-size", "3"),
+                 ("bijection", "map", "ab", "--poset", "factor"),
+                 ("mobius", "1")):
+        code, err = _exit_code(capsys, *argv)
+        assert code == 3, argv
+        assert err.startswith("usage: posetmorse") and "error:" in err
+    assert _exit_code(capsys, "mobius", "--help")[0] == 0
+    assert run_cli(capsys, "mobius", "12", "21")[0] == 2
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    interval = {"--poset", "--alphabet", "--format", "--force"}
+    want = {
+        "mobius": interval | {"--cache"},
+        "chains": interval,
+        "morse-report": interval,
+        "homotopy": interval,
+        "bijection map": {"--format"},
+        "bijection unmap": {"--format"},
+        "bijection verify": {"--format"},
+        "crosscheck": {"--poset", "--alphabet", "--max-size", "--format",
+                       "--cache", "--jobs"},
+        "table1": set(),
+        "iso-search": {"--alphabet", "--format", "--force"},
+    }
+    got = {}
+
+    def collect(parser, name):
+        subs = [a for a in parser._actions if a.choices and
+                isinstance(a.choices, dict)]
+        if not subs:
+            got[name] = {flag for a in parser._actions
+                         for flag in a.option_strings if flag in cli._FLAGS}
+        for action in subs:
+            for child, sub in action.choices.items():
+                collect(sub, f"{name} {child}".strip())
+
+    collect(cli.build_parser(), "")
+    assert got == want
+    assert sum(len(flags) for flags in got.values()) == 29

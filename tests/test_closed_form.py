@@ -8,7 +8,7 @@ import pytest
 
 from posetmorse.closed_form import mobius_factor, mobius_pattern
 from posetmorse.posets import (FactorPoset, IncomparableError, PatternPoset,
-                               MobiusCache, mobius_bruteforce)
+                               interval_structure, mobius_bruteforce)
 
 
 def test_pattern_point_values():
@@ -40,22 +40,20 @@ def test_incomparable_raises():
 
 def test_pattern_matches_bruteforce_exhaustively():
     p = PatternPoset()
-    cache = MobiusCache()
     for n in range(1, 6):
         for top in itertools.permutations(range(1, n + 1)):
             for bottom in sorted(p.down_set(top)):
                 assert mobius_pattern(bottom, top) == mobius_bruteforce(
-                    p, bottom, top, cache)
+                    p, interval_structure(p, bottom, top))
 
 
 def test_factor_matches_bruteforce_exhaustively():
     f = FactorPoset()
-    cache = MobiusCache()
     for n in range(0, 6):
         for top in itertools.product(("a", "b"), repeat=n):
             for bottom in sorted(f.down_set(top), key=len):
                 assert mobius_factor(bottom, top) == mobius_bruteforce(
-                    f, bottom, top, cache)
+                    f, interval_structure(f, bottom, top))
 
 
 def test_values_stay_in_range():

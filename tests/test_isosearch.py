@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from posetmorse.isosearch import (_canonical_words, certificate,
-                                  find_isomorphism, interval_structure,
-                                  run_iso_search)
-from posetmorse.posets import FactorPoset, PatternPoset
+                                  find_isomorphism, run_iso_search)
+from posetmorse.posets import FactorPoset, PatternPoset, interval_structure
 
 
 def test_interval_structure_sizes():

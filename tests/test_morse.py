@@ -11,7 +11,8 @@ from posetmorse.morse import (critical_data, disjoint_family, homotopy_type,
                               minimal_skipped_intervals, mobius_morse,
                               morse_report, msis_fast_pattern,
                               skipped_intervals)
-from posetmorse.posets import FactorPoset, PatternPoset, mobius_bruteforce
+from posetmorse.posets import (FactorPoset, PatternPoset, interval_structure,
+                               mobius_bruteforce)
 
 # per-chain minimal skipped intervals of [1, 213546], in chain id order
 TABLE_MSIS = [
@@ -118,8 +119,9 @@ def test_overlapping_msis_on_words():
     assert list(last.family) == [(1, 2), (3, 3), (5, 5)]
     assert not last.critical
     assert report.mobius == 0
-    assert mobius_bruteforce(f, (), top) == 0
-    assert mobius_morse(f, ("a",), top) == mobius_bruteforce(f, ("a",), top)
+    assert mobius_bruteforce(f, interval_structure(f, (), top)) == 0
+    assert mobius_morse(f, ("a",), top) == mobius_bruteforce(
+        f, interval_structure(f, ("a",), top))
 
 
 def test_homotopy_types():

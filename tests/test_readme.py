@@ -1,0 +1,75 @@
+"""The README's command lines parse and its examples print what they say."""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+import shlex
+
+import pytest
+
+import posetmorse.cli as cli
+import posetmorse.crosscheck as crosscheck
+
+README = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+
+
+def _block(heading: str, fence: str) -> str:
+    section = README[README.index(heading):]
+    start = section.index(fence) + len(fence)
+    return section[start:section.index("```", start)]
+
+
+def _command_lines() -> list[tuple[list[str], str | None]]:
+    out = []
+    for line in _block("## Command line", "```\n").strip().splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)
+        assert argv[0] == "posetmorse"
+        out.append((argv[1:], comment.strip() or None))
+    return out
+
+
+@pytest.fixture(autouse=True)
+def no_process_pool(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a README example started a process pool")
+
+    monkeypatch.setattr(crosscheck, "ProcessPoolExecutor", refuse)
+
+
+def test_every_command_line_parses():
+    parser = cli.build_parser()
+    lines = _command_lines()
+    assert len(lines) == 12
+    for argv, _comment in lines:
+        assert callable(parser.parse_args(argv).func)
+
+
+def test_commented_results_are_printed(capsys):
+    expected = {
+        ("homotopy", "1", "213546"): "sphere(2)",
+        ("bijection", "map", "abbab"): "165243",
+        ("bijection", "unmap", "15234"): "abaa",
+    }
+    for argv, comment in _command_lines():
+        if tuple(argv) in expected:
+            assert comment == expected[tuple(argv)]
+            assert cli.main(argv) == 0
+            assert capsys.readouterr().out == comment + "\n"
+
+
+def test_library_block_runs():
+    code = _block("## Library", "```python\n")
+    namespace: dict = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    checked = 0
+    for line in code.splitlines():
+        expr, _, comment = line.partition("#")
+        try:
+            want = ast.literal_eval(comment.strip())
+        except (ValueError, SyntaxError):
+            continue
+        assert eval(expr, namespace) == want, line
+        checked += 1
+    assert checked == 7
