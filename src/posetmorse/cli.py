@@ -19,12 +19,12 @@ from dataclasses import replace
 from . import render
 from .bijection import perm_to_word, verify_isomorphism, word_to_perm
 from .chains import maximal_chains
-from .crosscheck import crosscheck_json, crosscheck_text, run_crosscheck
+from .crosscheck import (crosscheck_json, crosscheck_text, evaluate,
+                         run_crosscheck)
 from .isosearch import iso_search_json, iso_search_text, run_iso_search
 from .morse import morse_report
 from .posets import (FactorPoset, IncomparableError, MobiusCache,
-                     PatternPoset, SizeLimitError, euler_characteristic,
-                     interval_structure, mobius_bruteforce)
+                     PatternPoset, SizeLimitError)
 from .perms import format_permutation, parse_permutation
 from .words import format_word, parse_word
 
@@ -101,17 +101,15 @@ def parse_interval(args):
 def cmd_mobius(args) -> int:
     poset, bottom, top = parse_interval(args)
     with make_cache(args) as cache:
-        closed = poset.mobius_closed_form(bottom, top)
-        report = morse_report(poset, bottom, top)
-        interval = interval_structure(poset, bottom, top)
-        cached = cache is not None and cache.get(
-            poset.tag, poset.format(bottom), poset.format(top)) is not None
-        brute = mobius_bruteforce(poset, interval, cache)
+        routes = evaluate(poset, bottom, top, cache)
+        if cache is not None:
+            cache.put(poset.tag, poset.format(bottom), poset.format(top),
+                      routes.brute)
+    closed, brute, euler = routes.closed, routes.brute, routes.euler
     gap = poset.rank(top) - poset.rank(bottom)
-    euler = euler_characteristic(poset, interval) if gap >= 1 else None
     methods = {
         "closed_form": closed,
-        "morse": report.mobius,
+        "morse": routes.report.mobius,
         "bruteforce": brute,
         "euler": euler,
     }
@@ -122,7 +120,7 @@ def cmd_mobius(args) -> int:
         lines = [f"interval {render.interval_label(poset, bottom, top)} "
                  f"in the {poset.kind} poset"]
         lines.append(f"  closed form: {closed}")
-        lines.append(f"  morse sum:   {report.mobius}")
+        lines.append(f"  morse sum:   {routes.report.mobius}")
         lines.append(f"  brute force: {brute}")
         if euler is not None:
             lines.append(f"  euler char:  {euler}")
@@ -139,7 +137,7 @@ def cmd_mobius(args) -> int:
         "agree": agree,
         "mobius": closed if agree else None,
     })
-    if cached and not agree:
+    if routes.cached and not agree:
         print(f"note: the brute-force value {brute} was read from the cache "
               f"file {cache.path}", file=sys.stderr)
     return 0 if agree else 1

@@ -3,14 +3,17 @@ The exhaustive cross-check harness: every interval of a poset up to a size
 cap, every Mobius route, and every structural invariant the machinery is
 supposed to satisfy.
 
-Per interval it verifies that the closed form, the critical-chain count,
-and the brute-force recursion agree (plus the reduced Euler characteristic
-when the rank gap is at least two), that the chain listing is poset
-lexicographic with consistent labels, that the fast skipped-interval
-characterization matches the definition (pattern poset), the descent and
-ascent laws, the disjoint-family laws, and that at most one chain, the
-lexicographically last one, is ever critical, with the homotopy type
-matching the Mobius value.
+evaluate runs every Mobius route on one interval, for this harness and for
+the mobius subcommand alike, and is the only reader of the cache file.
+
+Per interval the harness verifies that the closed form, the critical-chain
+count, and the brute-force recursion agree (plus the reduced Euler
+characteristic when the rank gap is at least two), that the chain listing
+is poset lexicographic with consistent labels, that the fast
+skipped-interval characterization matches the definition (pattern poset),
+the descent and ascent laws, the disjoint-family laws, and that at most
+one chain, the lexicographically last one, is ever critical, with the
+homotopy type matching the Mobius value.
 """
 
 from __future__ import annotations
@@ -20,9 +23,39 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .chains import StepClass, classify_steps, is_poset_lex
-from .morse import morse_report, msis_fast_pattern
-from .posets import (MobiusCache, euler_characteristic, interval_structure,
-                     mobius_bruteforce)
+from .morse import MorseReport, morse_report, msis_fast_pattern
+from .posets import (IntervalStructure, MobiusCache, euler_characteristic,
+                     interval_structure, mobius_bruteforce)
+
+
+@dataclass(frozen=True)
+class Routes:
+    """Every Mobius route on one interval; cached says the brute-force
+    value was read from the cache file instead of computed."""
+
+    closed: int
+    report: MorseReport
+    interval: IntervalStructure
+    brute: int
+    euler: int | None
+    cached: bool
+
+
+def evaluate(poset, bottom, top, cache: MobiusCache | None) -> Routes:
+    """
+    The closed form first (it rejects an incomparable pair), then the Morse
+    report, the interval structure, brute force unless the cache holds the
+    value, and the Euler characteristic when the rank gap is at least one.
+    """
+    closed = poset.mobius_closed_form(bottom, top)
+    report = morse_report(poset, bottom, top)
+    interval = interval_structure(poset, bottom, top)
+    hit = None if cache is None else cache.get(
+        poset.tag, poset.format(bottom), poset.format(top))
+    brute = mobius_bruteforce(poset, interval) if hit is None else hit
+    gap = poset.rank(top) - poset.rank(bottom)
+    euler = euler_characteristic(poset, interval) if gap >= 1 else None
+    return Routes(closed, report, interval, brute, euler, hit is not None)
 
 
 @dataclass(frozen=True)
@@ -78,21 +111,19 @@ def check_interval(poset, bottom, top, cache: MobiusCache | None = None) -> Inte
     """Run every route and invariant suite on one interval."""
     problems: list[str] = []
     gap = poset.rank(top) - poset.rank(bottom)
-    report = morse_report(poset, bottom, top)
-    mu_morse = report.mobius
-    interval = interval_structure(poset, bottom, top)
-    cached = cache is not None and cache.get(
-        poset.tag, poset.format(bottom), poset.format(top)) is not None
-    mu_brute = mobius_bruteforce(poset, interval, cache)
-    mu_closed = poset.mobius_closed_form(bottom, top)
-    euler = euler_characteristic(poset, interval) if gap >= 2 else None
+    routes = evaluate(poset, bottom, top, cache)
+    report = routes.report
+    mu_closed, mu_morse, mu_brute = routes.closed, report.mobius, routes.brute
+    # at rank gap one the open interval is empty: Euler reads -1 and checks nothing
+    euler = routes.euler if gap >= 2 else None
 
     if mu_closed not in (-1, 0, 1):
         problems.append(f"mu-range: closed form returned {mu_closed}")
     if not (mu_closed == mu_morse == mu_brute):
         problems.append(
             f"mu-disagreement: closed={mu_closed} morse={mu_morse} brute={mu_brute}"
-            + (f" (brute read from cache file {cache.path})" if cached else ""))
+            + (f" (brute read from cache file {cache.path})"
+               if routes.cached else ""))
     if euler is not None and euler != mu_brute:
         problems.append(f"mu-euler: euler={euler} brute={mu_brute}")
 
@@ -102,7 +133,7 @@ def check_interval(poset, bottom, top, cache: MobiusCache | None = None) -> Inte
         problems.append("chains: duplicate label sequences")
     if ids != sorted(ids):
         problems.append("chains: not sorted by label sequence")
-    expect = naive_chain_count(poset, bottom, top, frozenset(interval.elements))
+    expect = naive_chain_count(poset, bottom, top, frozenset(routes.interval.elements))
     if len(chains) != expect:
         problems.append(f"chains: found {len(chains)}, naive descent gives {expect}")
     if not is_poset_lex(chains):
@@ -192,8 +223,11 @@ def _interval_records(poset, tops, cache: MobiusCache | None) -> list[IntervalRe
 
 
 def _worker(args) -> list[IntervalRecord]:
-    poset, tops = args
-    return _interval_records(poset, tops, None)
+    """One pool chunk; it reads the cache file, if one is named, and never
+    writes it."""
+    poset, tops, cache_path = args
+    return _interval_records(poset, tops,
+                             MobiusCache(cache_path) if cache_path else None)
 
 
 def run_crosscheck(poset, max_size: int, cache: MobiusCache | None = None,
@@ -201,7 +235,9 @@ def run_crosscheck(poset, max_size: int, cache: MobiusCache | None = None,
     """
     Check every interval [bottom, top] with rank(top) <= max_size.  The
     unit of parallel work is all intervals under one top.  At most one
-    worker process runs per CPU; jobs=None asks for one per CPU.
+    worker process runs per CPU; jobs=None asks for one per CPU.  Every
+    job looks values up in the cache; after the sweep each checked
+    interval's brute-force value is appended to it, in sweep order.
     """
     cpus = os.cpu_count() or 1
     if jobs is None:
@@ -216,12 +252,17 @@ def run_crosscheck(poset, max_size: int, cache: MobiusCache | None = None,
     if jobs > 1 and len(tops) > 1:
         chunks = [tops[i::jobs] for i in range(jobs)]
         chunks = [c for c in chunks if c]
+        path = cache.path if cache is not None else None
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(_worker, [(poset, chunk) for chunk in chunks]))
-        records = [r for part in parts for r in part]
-        records.sort(key=lambda r: (len(r.top), r.top, len(r.bottom), r.bottom))
+            parts = list(pool.map(_worker, [(poset, chunk, path) for chunk in chunks]))
+        position = {poset.format(t): k for k, t in enumerate(tops)}
+        records = sorted((r for part in parts for r in part),
+                         key=lambda r: position[r.top])
     else:
         records = _interval_records(poset, tops, cache)
+    if cache is not None:
+        for rec in records:
+            cache.put(poset.tag, rec.bottom, rec.top, rec.mu_brute)
 
     report = CrosscheckReport(poset_tag=poset.tag, max_size=max_size)
     report.total = len(records)

@@ -90,23 +90,6 @@ def disjoint_family(msis: list[Span]) -> list[Span]:
     return chosen
 
 
-def _criticality(family: list[Span], chain: MaximalChain) -> tuple[bool, int | None]:
-    covered = {k for a, b in family for k in range(a, b + 1)}
-    if covered == set(chain.open_indices()):
-        return True, len(family) - 1
-    return False, None
-
-
-def critical_data(chain: MaximalChain,
-                  earlier: list[MaximalChain]) -> tuple[bool, int | None]:
-    """
-    Whether the disjoint family covers all of the chain's interior, and the
-    dimension (family size minus one) when it does.
-    """
-    family = disjoint_family(minimal_skipped_intervals(chain, earlier))
-    return _criticality(family, chain)
-
-
 def msis_fast_pattern(chain: MaximalChain) -> list[Span]:
     """
     Minimal skipped intervals of a pattern-poset chain without looking at
@@ -183,8 +166,11 @@ def morse_report(poset, bottom, top) -> MorseReport:
     for idx, chain in enumerate(all_chains):
         msis = minimal_skipped_intervals(chain, all_chains[:idx])
         family = disjoint_family(msis)
-        critical, dim = _criticality(family, chain)
-        data.append(ChainMorseData(chain, tuple(msis), tuple(family), critical, dim))
+        # critical when the family covers the whole interior of the chain
+        covered = {k for a, b in family for k in range(a, b + 1)}
+        critical = covered == set(chain.open_indices())
+        data.append(ChainMorseData(chain, tuple(msis), tuple(family), critical,
+                                   len(family) - 1 if critical else None))
     if gap == 0:
         mobius = 1  # a single element: no machinery to run
     else:

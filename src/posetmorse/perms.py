@@ -95,26 +95,6 @@ def leq_consecutive(sigma: tuple[int, ...], tau: tuple[int, ...]) -> bool:
     return sigma in _window_patterns(tau)
 
 
-def occurrences(sigma: tuple[int, ...], tau: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """
-    Every embedding of sigma in tau, one expansion per occupied window,
-    ordered left to right.
-
-    >>> occurrences((2, 1, 3), (2, 1, 3, 5, 4, 6))
-    [(2, 1, 3, 0, 0, 0), (0, 0, 0, 2, 1, 3)]
-    >>> occurrences((1,), (2, 1))
-    [(1, 0), (0, 1)]
-    >>> occurrences((1, 2), (2, 1))
-    []
-    """
-    k, n = len(sigma), len(tau)
-    out = []
-    for lo in range(n - k + 1):
-        if standardize(tau[lo:lo + k]) == sigma:
-            out.append((0,) * lo + sigma + (0,) * (n - lo - k))
-    return out
-
-
 def down_covers(tau: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
     """
     The permutations covered by tau, paired with the position of tau that

@@ -180,24 +180,14 @@ def interval_structure(poset, bottom, top) -> IntervalStructure:
     return IntervalStructure(elems, ups, downs)
 
 
-def mobius_bruteforce(poset, interval: IntervalStructure,
-                      cache: "MobiusCache | None" = None) -> int:
+def mobius_bruteforce(poset, interval: IntervalStructure) -> int:
     """
     Mobius function by the defining recursion: mu(bottom, bottom) = 1 and
     mu(bottom, y) = -sum of mu(bottom, z) over bottom <= z < y.
     """
-    elems = interval.elements
-    bt = poset.format(elems[0])
-    if cache is not None:
-        hit = cache.get(poset.tag, bt, poset.format(elems[-1]))
-        if hit is not None:
-            return hit
     mu = [1]
     for below in interval.downs[1:]:
         mu.append(-sum(mu[z] for z in below))
-    if cache is not None:
-        for z, value in zip(elems, mu):
-            cache.put(poset.tag, bt, poset.format(z), value)
     return mu[-1]
 
 
@@ -229,21 +219,22 @@ def euler_characteristic(poset, interval: IntervalStructure) -> int:
 
 class MobiusCache:
     """
-    Cross-call Mobius cache keyed by (poset tag, bottom text, top text),
-    optionally persisted one record per line: tag TAB bottom TAB top TAB mu.
-    Reads are lock-free; writes serialize behind a lock and append each
-    record with a single write call.  A final line without its newline is
-    a record torn by an interrupted append: loading skips it, and the first
-    append cuts it off so that the new record starts on a line of its own.
+    Cross-run Mobius cache file keyed by (poset tag, bottom text, top text),
+    one record per line: tag TAB bottom TAB top TAB mu.  Opening it only
+    reads the file; the first put opens it for appending.  Reads are
+    lock-free; writes serialize behind a lock and append each record with
+    a single write call.  A final line without its newline is a record torn
+    by an interrupted append: loading skips it, and the first append cuts
+    it off so that the new record starts on a line of its own.
     """
 
-    def __init__(self, path: str | None = None):
+    def __init__(self, path: str):
         self.path = path
         self._data: dict[tuple[str, str, str], int] = {}
         self._lock = threading.Lock()
         self._handle = None
         self._clean_size: int | None = None
-        if path is not None and os.path.exists(path):
+        if os.path.exists(path):
             self._load(path)
 
     def _load(self, path: str) -> None:
@@ -273,19 +264,15 @@ class MobiusCache:
             if key in self._data:
                 return
             self._data[key] = value
-            if self.path is not None:
-                if self._handle is None:
-                    if self._clean_size is not None:
-                        os.truncate(self.path, self._clean_size)
-                    self._handle = open(self.path, "a", encoding="utf-8")
-                self._handle.write(f"{tag}\t{bottom}\t{top}\t{value}\n")
-                self._handle.flush()
+            if self._handle is None:
+                if self._clean_size is not None:
+                    os.truncate(self.path, self._clean_size)
+                self._handle = open(self.path, "a", encoding="utf-8")
+            self._handle.write(f"{tag}\t{bottom}\t{top}\t{value}\n")
+            self._handle.flush()
 
     def close(self) -> None:
         with self._lock:
             if self._handle is not None:
                 self._handle.close()
                 self._handle = None
-
-    def __len__(self) -> int:
-        return len(self._data)

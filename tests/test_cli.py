@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 
 import pytest
@@ -224,6 +225,61 @@ def test_poisoned_cache_is_named_in_the_mismatch(capsys, tmp_path):
     [problem] = json.loads(out)["mismatches"]
     assert problem.startswith("[1, 12] mu-disagreement:")
     assert f"cache file {path}" in problem
+
+
+def test_mobius_cache_writes_one_record(capsys, tmp_path):
+    path = tmp_path / "mu.cache"
+    code, _, _ = run_cli(capsys, "mobius", "1", "213546", "--cache", str(path))
+    assert code == 0
+    assert path.read_text() == "pattern\t1\t213546\t1\n"
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """--jobs 2 starts a real pool of two workers, whatever the CPU count."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+@pytest.mark.parametrize("argv, intervals", [
+    (("--max-size", "4"), 167),
+    # sweep order is not the sort order of the words' text
+    (("--poset", "factor", "--alphabet", "ba", "--max-size", "3"), 63),
+])
+def test_crosscheck_cache_file_is_the_same_at_every_job_count(
+        capsys, tmp_path, two_cpus, argv, intervals):
+    files = {}
+    for jobs in ("1", "2"):
+        path = tmp_path / f"jobs{jobs}.cache"
+        code, out, _ = run_cli(capsys, "crosscheck", *argv, "--jobs", jobs,
+                               "--cache", str(path))
+        assert code == 0 and f"intervals checked: {intervals}" in out
+        files[jobs] = path.read_bytes()
+    assert files["2"] == files["1"]
+    assert files["1"].count(b"\n") == intervals  # one record per interval
+
+
+def test_poisoned_cache_is_named_with_two_jobs(capsys, tmp_path, two_cpus):
+    path = tmp_path / "poisoned.cache"
+    path.write_text("pattern\t1\t12\t5\n")
+    code, out, _ = run_cli(capsys, "crosscheck", "--max-size", "2", "--jobs",
+                           "2", "--cache", str(path), "--format", "json")
+    assert code == 1
+    [problem] = json.loads(out)["mismatches"]
+    assert problem.startswith("[1, 12] mu-disagreement:")
+    assert f"cache file {path}" in problem
+
+
+def test_crosscheck_with_two_jobs_cuts_a_torn_final_line(
+        capsys, tmp_path, two_cpus):
+    path = tmp_path / "mu.cache"
+    path.write_text("pattern\t1\t12\t-1\npattern\t1\t2")
+    code, _, _ = run_cli(capsys, "crosscheck", "--max-size", "2", "--jobs",
+                         "2", "--cache", str(path))
+    assert code == 0
+    assert path.read_text() == (
+        "pattern\t1\t12\t-1\n"
+        "pattern\t1\t1\t1\npattern\t12\t12\t1\n"
+        "pattern\t1\t21\t-1\npattern\t21\t21\t1\n")
 
 
 def test_agreeing_cache_hit_prints_no_note(capsys, tmp_path):

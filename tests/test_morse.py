@@ -7,7 +7,7 @@ import itertools
 import pytest
 
 from posetmorse.chains import maximal_chains
-from posetmorse.morse import (critical_data, disjoint_family, homotopy_type,
+from posetmorse.morse import (disjoint_family, homotopy_type,
                               minimal_skipped_intervals, mobius_morse,
                               morse_report, msis_fast_pattern,
                               skipped_intervals)
@@ -74,12 +74,10 @@ def test_disjoint_family_construction():
     assert disjoint_family([(1, 3), (2, 5)]) == [(1, 3), (4, 5)]
 
 
-def test_critical_data():
-    chains = maximal_chains(PatternPoset(), (1,), (2, 1, 3, 5, 4, 6))
-    critical, dim = critical_data(chains[-1], chains[:-1])
-    assert critical and dim == 2
-    critical, dim = critical_data(chains[0], [])
-    assert not critical and dim is None
+def test_reference_interval_critical_chain():
+    report = morse_report(PatternPoset(), (1,), (2, 1, 3, 5, 4, 6))
+    assert report.chains[-1].critical and report.chains[-1].dim == 2
+    assert not report.chains[0].critical and report.chains[0].dim is None
 
 
 def test_msis_fast_pattern_matches_bruteforce():

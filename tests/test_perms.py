@@ -8,8 +8,7 @@ import pytest
 
 from posetmorse.perms import (as_permutation, down_covers, exterior,
                               format_permutation, interior, is_monotone,
-                              leq_consecutive, occurrences, parse_permutation,
-                              standardize)
+                              leq_consecutive, parse_permutation, standardize)
 
 
 def test_standardize_values():
@@ -65,15 +64,6 @@ def test_leq_consecutive_is_reflexive_and_length_gated():
         for p in itertools.permutations(range(1, n + 1)):
             assert leq_consecutive(p, p)
     assert not leq_consecutive((1, 2, 3), (2, 1))
-
-
-def test_occurrences_positions_and_expansions():
-    occ = occurrences((2, 1), (2, 1, 3, 5, 4, 6))
-    assert occ == [(2, 1, 0, 0, 0, 0), (0, 0, 0, 2, 1, 0)]
-    assert [format_permutation(e) for e in occ] == ["210000", "000210"]
-    assert occurrences((1, 2, 3), (3, 2, 1)) == []
-    # every window of length 1 standardizes to (1)
-    assert len(occurrences((1,), (2, 1, 3))) == 3
 
 
 def test_down_covers_shape():
