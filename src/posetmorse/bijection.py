@@ -83,14 +83,10 @@ def avoids_213_231(p: tuple[int, ...]) -> bool:
     >>> avoids_213_231((2, 1, 3))
     False
     """
-    low, high = 1, len(p)
-    for v in p[:-1]:
-        if v == low:
-            low += 1
-        elif v == high:
-            high -= 1
-        else:
-            return False
+    try:
+        perm_to_word(p)
+    except ValueError:
+        return False
     return True
 
 

@@ -67,9 +67,6 @@ class IntervalRecord:
     mu_morse: int
     mu_brute: int
     euler: int | None
-    chain_count: int
-    critical_count: int
-    homotopy: str | None
     problems: tuple[str, ...]
 
 
@@ -177,15 +174,13 @@ def check_interval(poset, bottom, top, cache: MobiusCache | None = None) -> Inte
         problems.append(f"critical: {report.critical_count} critical chains")
     if report.critical_count == 1 and not report.chains[-1].critical:
         problems.append("critical: the critical chain is not the lexicographically last")
-    last = report.chains[-1]
-    if last.chain.steps >= 2:
-        ls = last.chain.labels
-        if all(ls[k] > ls[k + 1] for k in range(len(ls) - 1)):
-            classes = classify_steps(last.chain)
-            if any(c is not StepClass.WEAK_DESCENT for c in classes[:-1]):
-                problems.append(
-                    "descent-structure: a strictly decreasing id has a strong "
-                    "descent before its final step")
+    ls = report.chains[-1].chain.labels
+    if len(ls) >= 2 and all(ls[k] > ls[k + 1] for k in range(len(ls) - 1)):
+        # classes still holds the last chain's steps from the loop above
+        if any(c is not StepClass.WEAK_DESCENT for c in classes[:-1]):
+            problems.append(
+                "descent-structure: a strictly decreasing id has a strong "
+                "descent before its final step")
     if gap >= 2:
         h = report.homotopy
         if report.critical_count == 0 and (mu_brute != 0 or h.kind != "contractible"):
@@ -205,9 +200,6 @@ def check_interval(poset, bottom, top, cache: MobiusCache | None = None) -> Inte
         mu_morse=mu_morse,
         mu_brute=mu_brute,
         euler=euler,
-        chain_count=len(chains),
-        critical_count=report.critical_count,
-        homotopy=str(report.homotopy) if report.homotopy is not None else None,
         problems=tuple(problems),
     )
 

@@ -5,12 +5,17 @@ the lexicographic order on maximal chains.
 With the chains of [bottom, top] listed in poset lexicographic order, a
 chain interval of C is a contiguous run of its interior elements.  The run
 is skipped when deleting it from C leaves a subset of some earlier chain
-(element sets are what get compared).  The containment-minimal skipped
-intervals of C are resolved, in order of first encounter, into a disjoint
-family by truncating away everything already covered; C is critical when
-the family covers all of C's interior, and contributes (-1)^(size-1) to
-the Mobius function.  Zero critical chains mean a contractible complex,
-one critical chain a sphere of the matching dimension.
+(element sets are what get compared).  The interval is graded, so every
+chain holds one element per rank, and deleting (i, j) from C leaves a
+subset of D exactly when C and D agree outside i..j: the run is skipped by
+D iff it contains D's difference block, the span from the first to the
+last index where their elements differ.  The minimal skipped intervals of
+C are therefore its containment-minimal difference blocks.  They are
+resolved into a disjoint family in one left-to-right pass that truncates
+each member's start past everything already chosen; C is critical when the
+family covers all of C's interior, and contributes (-1)^(size-1) to the
+Mobius function.  Zero critical chains mean a contractible complex, one
+critical chain a sphere of the matching dimension.
 
 A chain interval (i, j) is stored by the closed index range of the chain
 elements it holds, 1 <= i <= j <= steps-1.
@@ -47,47 +52,46 @@ def skipped_intervals(chain: MaximalChain, earlier: list[MaximalChain]) -> list[
 
 def minimal_skipped_intervals(chain: MaximalChain,
                               earlier: list[MaximalChain]) -> list[Span]:
-    """The skipped intervals that properly contain no other skipped interval."""
-    skipped = skipped_intervals(chain, earlier)
-    out = []
-    for i, j in skipped:
-        if any((p, q) != (i, j) and i <= p and q <= j for p, q in skipped):
-            continue
-        out.append((i, j))
-    return out
+    """
+    The skipped intervals that properly contain no other skipped interval:
+    the containment-minimal difference blocks of chain against the earlier
+    chains, sorted.
+    """
+    mine = chain.elements
+    blocks = set()
+    for other in earlier:
+        theirs = other.elements
+        p, q = 1, len(mine) - 2  # every chain shares the top and the bottom
+        while theirs[p] == mine[p]:
+            p += 1
+        while theirs[q] == mine[q]:
+            q -= 1
+        blocks.add((p, q))
+    return sorted((i, j) for i, j in blocks
+                  if not any(i <= p and q <= j and (p, q) != (i, j)
+                             for p, q in blocks))
 
 
 def disjoint_family(msis: list[Span]) -> list[Span]:
     """
-    Resolve overlapping minimal skipped intervals into a disjoint family.
-    Repeatedly: subtract everything already chosen from each interval still
-    in play, permanently throw out the results that are empty or properly
-    contain another result, and keep the earliest survivor.  Each survivor
-    must stay contiguous.
+    Resolve minimal skipped intervals into a disjoint family.  The input
+    must be containment-free, so sorted it rises in both ends.  Each
+    interval in turn is truncated from the left to start past the last
+    member chosen, unless it starts no later than one past the end of the
+    member before that: its truncation would then properly contain the
+    last member, and it is dropped.  Truncating from the left keeps every
+    member contiguous.
+
+    >>> disjoint_family([(1, 2), (2, 3), (3, 4), (5, 5)])
+    [(1, 2), (3, 3), (5, 5)]
     """
-    remaining = sorted(msis)
-    chosen: list[Span] = []
-    covered: set[int] = set()
-    while remaining:
-        reduced = [
-            (iv, set(range(iv[0], iv[1] + 1)) - covered) for iv in remaining
-        ]
-        survivors = [
-            (iv, pts) for iv, pts in reduced
-            if pts and not any(other < pts for _, other in reduced if other)
-        ]
-        if not survivors:
-            break
-        iv, pts = survivors[0]
-        lo, hi = min(pts), max(pts)
-        if len(pts) != hi - lo + 1:
-            raise RuntimeError(
-                f"internal inconsistency: truncating {iv} left the "
-                f"non-contiguous index set {sorted(pts)}")
-        chosen.append((lo, hi))
-        covered |= pts
-        remaining = [jv for jv, _ in survivors[1:]]
-    return chosen
+    family, ends = [], [-1, 0]
+    for a, b in sorted(msis):
+        if a <= ends[-2] + 1:
+            continue
+        family.append((max(a, ends[-1] + 1), b))
+        ends.append(b)
+    return family
 
 
 def msis_fast_pattern(chain: MaximalChain) -> list[Span]:

@@ -1,13 +1,15 @@
-"""Worker bounds of the crosscheck harness."""
+"""Worker bounds of the crosscheck harness, and seeded intervals beyond
+the exhaustive sweeps through every check."""
 
 from __future__ import annotations
 
 import os
+import random
 
 import pytest
 
 import posetmorse.crosscheck as crosscheck
-from posetmorse.posets import PatternPoset
+from posetmorse.posets import FactorPoset, PatternPoset
 
 
 class RecordingPool:
@@ -58,3 +60,23 @@ def test_jobs_below_one_are_rejected(pool, jobs):
     with pytest.raises(ValueError):
         crosscheck.run_crosscheck(PatternPoset(), 3, jobs=jobs)
     assert pool.sizes == []
+
+
+def _seeded_intervals():
+    """Six [1, tau] with |tau| = 8..10 and six [eps, w] with w in {a,b}^8..10."""
+    rng = random.Random(1107)
+    lengths = (8, 8, 9, 9, 10, 10)
+    pattern = PatternPoset(max_top=None)
+    out = [(pattern, (1,), tuple(rng.sample(range(1, n + 1), n))) for n in lengths]
+    out += [(FactorPoset(), (), tuple(rng.choice("ab") for _ in range(n)))
+            for n in lengths]
+    return out
+
+
+SEEDED = _seeded_intervals()
+
+
+@pytest.mark.parametrize("poset, bottom, top", SEEDED,
+                         ids=[f"{p.kind}-{p.format(t)}" for p, _, t in SEEDED])
+def test_seeded_interval_passes_every_check(poset, bottom, top):
+    assert crosscheck.check_interval(poset, bottom, top).problems == ()

@@ -8,12 +8,14 @@ import pytest
 
 import posetmorse.bijection
 import posetmorse.closed_form
+import posetmorse.morse
 import posetmorse.perms
 import posetmorse.words
 
 MODULES = [
     posetmorse.bijection,
     posetmorse.closed_form,
+    posetmorse.morse,
     posetmorse.perms,
     posetmorse.words,
 ]

@@ -80,15 +80,76 @@ def test_reference_interval_critical_chain():
     assert not report.chains[0].critical and report.chains[0].dim is None
 
 
+def _containment_minimal(spans):
+    return [s for s in spans
+            if not any(t != s and s[0] <= t[0] and t[1] <= s[1] for t in spans)]
+
+
 def test_msis_fast_pattern_matches_bruteforce():
-    p = PatternPoset()
-    for n in range(2, 6):
-        for top in itertools.permutations(range(1, n + 1)):
-            for bottom in sorted(p.down_set(top)):
-                chains = maximal_chains(p, bottom, top)
-                for k, chain in enumerate(chains):
-                    brute = minimal_skipped_intervals(chain, chains[:k])
-                    assert msis_fast_pattern(chain) == brute
+    # the difference-block route against the definition on every chain, and
+    # the pattern-only fast characterization against both
+    p, f = PatternPoset(), FactorPoset()
+    tops = [(p, top) for n in range(2, 6)
+            for top in itertools.permutations(range(1, n + 1))]
+    tops += [(f, top) for n in range(6) for top in itertools.product("ab", repeat=n)]
+    for poset, top in tops:
+        for bottom in sorted(poset.down_set(top)):
+            chains = maximal_chains(poset, bottom, top)
+            for k, chain in enumerate(chains):
+                msis = minimal_skipped_intervals(chain, chains[:k])
+                brute = _containment_minimal(skipped_intervals(chain, chains[:k]))
+                assert msis == brute
+                if poset is p:
+                    assert msis_fast_pattern(chain) == msis
+
+
+def _disjoint_family_reference(msis):
+    """
+    The iterative construction: repeatedly subtract everything already
+    chosen from each interval still in play, permanently throw out the
+    results that are empty or properly contain another result, and keep
+    the earliest survivor, which must stay contiguous.
+    """
+    remaining = sorted(msis)
+    chosen = []
+    covered = set()
+    while remaining:
+        reduced = [
+            (iv, set(range(iv[0], iv[1] + 1)) - covered) for iv in remaining
+        ]
+        survivors = [
+            (iv, pts) for iv, pts in reduced
+            if pts and not any(other < pts for _, other in reduced if other)
+        ]
+        if not survivors:
+            break
+        pts = survivors[0][1]
+        lo, hi = min(pts), max(pts)
+        assert len(pts) == hi - lo + 1
+        chosen.append((lo, hi))
+        covered |= pts
+        remaining = [jv for jv, _ in survivors[1:]]
+    return chosen
+
+
+def _containment_free_families(m):
+    """Every family of intervals inside [1, m] in which no member contains
+    another, listed by increasing start (and so by increasing end)."""
+    def extend(family):
+        yield family
+        a0, b0 = family[-1] if family else (0, 0)
+        for a in range(a0 + 1, m + 1):
+            for b in range(max(a, b0 + 1), m + 1):
+                yield from extend(family + [(a, b)])
+    return extend([])
+
+
+def test_disjoint_family_matches_the_iterative_construction():
+    count = 0
+    for family in _containment_free_families(8):
+        assert disjoint_family(family[::-1]) == _disjoint_family_reference(family)
+        count += 1
+    assert count == 4862  # the Catalan number C_9
 
 
 def test_mobius_morse_point_values():
