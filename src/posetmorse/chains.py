@@ -64,19 +64,18 @@ def maximal_chains(poset, bottom, top) -> list[MaximalChain]:
     """
     All maximal chains of [bottom, top], sorted by label sequence.
 
-    A non-monotone (non-flat) element loses its last or first letter; the
-    degenerate case has one cover, taken at the window's first position.
-    Branches that can no longer reach the bottom are pruned.
+    Each step follows one of poset.down_covers: a cover at position one
+    deletes the first letter of the window, any other the last.  Branches
+    that can no longer reach the bottom are pruned.
     """
     poset.check_top(top)
     if not poset.leq(bottom, top):
         raise IncomparableError(
             f"{poset.format(bottom)!r} is not below {poset.format(top)!r}")
-    top_len = poset.rank(top)
     target = poset.rank(bottom)
     found: list[MaximalChain] = []
     elems = [top]
-    windows = [(0, top_len)]
+    windows = [(0, poset.rank(top))]
     labels: list[int] = []
 
     def descend() -> None:
@@ -84,17 +83,12 @@ def maximal_chains(poset, bottom, top) -> list[MaximalChain]:
         if hi - lo == target:
             found.append(MaximalChain(tuple(elems), tuple(windows), tuple(labels)))
             return
-        if poset.single_covered(elems[-1]):
-            moves = [(lo + 1, hi, lo + 1)]
-        else:
-            moves = [(lo, hi - 1, hi), (lo + 1, hi, lo + 1)]
-        for nlo, nhi, label in moves:
-            child = poset.window(top, nlo, nhi)
+        for child, pos in poset.down_covers(elems[-1]):
             if not poset.leq(bottom, child):
                 continue
             elems.append(child)
-            windows.append((nlo, nhi))
-            labels.append(label)
+            windows.append((lo + 1, hi) if pos == 1 else (lo, hi - 1))
+            labels.append(lo + pos)
             descend()
             elems.pop()
             windows.pop()
@@ -129,24 +123,19 @@ def is_poset_lex(order: Sequence[MaximalChain] | Iterable[MaximalChain]) -> bool
     Whether an ordering of one interval's maximal chains is poset
     lexicographic: whenever C comes before D and they first differ after a
     common prefix, every chain sharing C's prefix one step past the split
-    comes before every chain sharing D's.
+    comes before every chain sharing D's.  For distinct chains that holds
+    exactly when the chains sharing each label prefix, the empty one
+    included, stand at consecutive positions; a repeated chain admits no
+    consistent order.
     """
-    chains_list = list(order)
-    if len(chains_list) <= 1:
-        return True
-    prefix_span: dict[tuple[int, ...], list[int]] = {}
-    for pos, chain in enumerate(chains_list):
-        for t in range(1, len(chain.labels) + 1):
-            span = prefix_span.setdefault(chain.labels[:t], [pos, pos])
-            span[0] = min(span[0], pos)
-            span[1] = max(span[1], pos)
-    for p in range(len(chains_list)):
-        a = chains_list[p].labels
-        for q in range(p + 1, len(chains_list)):
-            b = chains_list[q].labels
-            t = next((i for i in range(min(len(a), len(b))) if a[i] != b[i]), None)
-            if t is None:
-                return False  # duplicated chain: no consistent order exists
-            if prefix_span[a[:t + 1]][1] > prefix_span[b[:t + 1]][0]:
+    last: dict[tuple[int, ...], int] = {}
+    for pos, chain in enumerate(order):
+        labels = chain.labels
+        if labels in last:
+            return False
+        for t in range(len(labels) + 1):
+            prefix = labels[:t]
+            if last.get(prefix, pos - 1) < pos - 1:
                 return False
+            last[prefix] = pos
     return True

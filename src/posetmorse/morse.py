@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 from .chains import MaximalChain, maximal_chains
 from .perms import exterior, interior, leq_consecutive
+from .words import inner_word, is_factor, outer_word
 
 Span = tuple[int, int]
 
@@ -94,10 +95,12 @@ def disjoint_family(msis: list[Span]) -> list[Span]:
     return family
 
 
-def msis_fast_pattern(chain: MaximalChain) -> list[Span]:
+def _msis_fast(chain: MaximalChain, leq, outer, inner) -> list[Span]:
     """
-    Minimal skipped intervals of a pattern-poset chain without looking at
-    other chains: singletons at strong descents, plus runs from an element
+    Minimal skipped intervals of a chain without looking at other chains,
+    given the poset's order test, exterior (outer word) and interior
+    (inner word): singletons where a descent in the labels is followed by
+    deleting the first letter of the window, plus runs from an element
     down to its exterior when the exterior avoids the interior and the
     labels across the run strictly decrease (a lone label does not count
     as decreasing).
@@ -106,24 +109,29 @@ def msis_fast_pattern(chain: MaximalChain) -> list[Span]:
     n = len(labels)
     found: set[Span] = set()
     for i in range(1, n):
-        if labels[i - 1] > labels[i] + 1:
+        if labels[i - 1] > labels[i] == chain.windows[i][0] + 1:
             found.add((i, i))
     for i in range(0, n - 1):
         rho = chain.elements[i]
         if len(rho) < 3:
             continue
-        x = exterior(rho)
+        x = outer(rho)
         j = i + len(rho) - len(x)
-        if j > n or j < i + 2:
-            continue
-        if chain.elements[j] != x:
-            continue
-        if leq_consecutive(x, interior(rho)):
-            continue
-        run = labels[i:j]
-        if all(run[k] > run[k + 1] for k in range(len(run) - 1)):
-            found.add((i + 1, j - 1))
+        if i + 2 <= j <= n and chain.elements[j] == x and not leq(x, inner(rho)):
+            run = labels[i:j]
+            if all(run[k] > run[k + 1] for k in range(len(run) - 1)):
+                found.add((i + 1, j - 1))
     return sorted(found)
+
+
+def msis_fast_pattern(chain: MaximalChain) -> list[Span]:
+    """The fast law on a pattern chain; its singletons are the strong descents."""
+    return _msis_fast(chain, leq_consecutive, exterior, interior)
+
+
+def msis_fast_factor(chain: MaximalChain) -> list[Span]:
+    """The fast law on a factor-order chain."""
+    return _msis_fast(chain, is_factor, outer_word, inner_word)
 
 
 @dataclass(frozen=True)

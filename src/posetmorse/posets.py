@@ -63,12 +63,6 @@ class PatternPoset(_LengthGraded):
     def down_covers(self, e):
         return perms.down_covers(e)
 
-    def window(self, top, lo: int, hi: int):
-        return perms.standardize(top[lo:hi])
-
-    def single_covered(self, e) -> bool:
-        return perms.is_monotone(e)
-
     def down_set(self, top) -> frozenset:
         return perms._window_patterns(top)
 
@@ -86,6 +80,10 @@ class PatternPoset(_LengthGraded):
     def mobius_closed_form(self, bottom, top) -> int:
         from . import closed_form
         return closed_form.mobius_pattern(bottom, top)
+
+    def msis_fast(self, chain) -> list:
+        from . import morse
+        return morse.msis_fast_pattern(chain)
 
     def elements_of_rank(self, d: int) -> Iterator:
         return itertools.permutations(range(1, d + 1))
@@ -107,18 +105,10 @@ class FactorPoset(_LengthGraded):
         return "factor:" + ",".join(self.alphabet)
 
     def leq(self, x, y) -> bool:
-        if len(x) > len(y):
-            return False
-        return x in words._factor_set(y)
+        return words.is_factor(x, y)
 
     def down_covers(self, e):
         return words.down_covers_word(e)
-
-    def window(self, top, lo: int, hi: int):
-        return top[lo:hi]
-
-    def single_covered(self, e) -> bool:
-        return words.is_flat(e)
 
     def down_set(self, top) -> frozenset:
         return words._factor_set(top)
@@ -139,6 +129,10 @@ class FactorPoset(_LengthGraded):
     def mobius_closed_form(self, bottom, top) -> int:
         from . import closed_form
         return closed_form.mobius_factor(bottom, top)
+
+    def msis_fast(self, chain) -> list:
+        from . import morse
+        return morse.msis_fast_factor(chain)
 
     def elements_of_rank(self, d: int) -> Iterator:
         return itertools.product(self.alphabet, repeat=d)
@@ -225,7 +219,9 @@ class MobiusCache:
     lock-free; writes serialize behind a lock and append each record with
     a single write call.  A final line without its newline is a record torn
     by an interrupted append: loading skips it, and the first append cuts
-    it off so that the new record starts on a line of its own.
+    it off so that the new record starts on a line of its own.  A path
+    that cannot serve as the file raises ValueError before anything is
+    computed: a directory, a missing directory, or missing permissions.
     """
 
     def __init__(self, path: str):
@@ -234,7 +230,15 @@ class MobiusCache:
         self._lock = threading.Lock()
         self._handle = None
         self._clean_size: int | None = None
-        if os.path.exists(path):
+        parent = os.path.dirname(os.path.abspath(path))
+        if os.path.isdir(path):
+            raise ValueError(f"cache file {path} is a directory")
+        if not os.path.isdir(parent):
+            raise ValueError(f"cache file {path}: no directory {parent}")
+        exists = os.path.exists(path)
+        if not os.access(path if exists else parent, os.R_OK | os.W_OK):
+            raise ValueError(f"cache file {path}: permission denied")
+        if exists:
             self._load(path)
 
     def _load(self, path: str) -> None:
@@ -247,11 +251,12 @@ class MobiusCache:
                 line = raw.decode("utf-8").rstrip("\n")
                 if not line:
                     continue
-                parts = line.split("\t")
-                if len(parts) != 4:
-                    raise ValueError(f"{path}:{lineno}: bad cache record {line!r}")
-                tag, bottom, top, mu = parts
-                self._data[(tag, bottom, top)] = int(mu)
+                try:
+                    tag, bottom, top, mu = line.split("\t")
+                    self._data[(tag, bottom, top)] = int(mu)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}:{lineno}: bad cache record {line!r}") from None
             if clean < fh.tell():
                 self._clean_size = clean
 

@@ -36,12 +36,8 @@ def is_factor(u: Word, w: Word) -> bool:
     >>> is_factor((), ("a",))
     True
     """
-    n, m = len(u), len(w)
-    if n == 0:
-        return True
-    if n > m:
-        return False
-    return any(w[i:i + n] == u for i in range(m - n + 1))
+    n = len(u)
+    return any(w[i:i + n] == u for i in range(len(w) - n + 1))
 
 
 @lru_cache(maxsize=None)

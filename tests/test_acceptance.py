@@ -104,12 +104,15 @@ def test_criterion_03_word_three_way_agreement(word_sweep_ab, word_sweep_abc):
            + (f"; first failures: {bad[:3]}" if bad else ""))
 
 
-def test_criterion_04_fast_msi_characterization(pattern_sweep):
-    bad = problems_with([pattern_sweep], ("msi-fast",))
+def test_criterion_04_fast_msi_characterization(pattern_sweep, word_sweep_ab,
+                                                word_sweep_abc):
+    sweeps = [pattern_sweep, word_sweep_ab, word_sweep_abc]
+    bad = problems_with(sweeps, ("msi-fast",))
     ok = not bad and pattern_sweep.total == 10087
     report("4", ok, "the descent/affix characterization reproduces the "
                     "brute-force minimal skipped intervals on every chain "
-                    "of every pattern interval with top length <= 6"
+                    "of every pattern interval with top length <= 6 and "
+                    "every factor interval in the word sweeps"
            + (f"; first failures: {bad[:3]}" if bad else ""))
 
 

@@ -10,7 +10,7 @@ from posetmorse.chains import (StepClass, chain_id_text, classify_steps,
                                is_poset_lex, maximal_chains)
 from posetmorse.crosscheck import naive_chain_count
 from posetmorse.posets import (FactorPoset, IncomparableError, PatternPoset,
-                               interval_elements)
+                               interval_structure)
 
 TABLE_IDS = [
     (1, 2, 3, 4, 5),
@@ -83,8 +83,8 @@ def test_chain_count_matches_naive_descent():
         for top in itertools.permutations(range(1, n + 1)):
             for bottom in sorted(p.down_set(top)):
                 chains = maximal_chains(p, bottom, top)
-                elems = interval_elements(p, bottom, top)
-                assert len(chains) == naive_chain_count(p, bottom, top, elems)
+                interval = interval_structure(p, bottom, top)
+                assert len(chains) == naive_chain_count(p, interval)
                 assert len({c.labels for c in chains}) == len(chains)
 
 
@@ -111,3 +111,52 @@ def test_is_poset_lex_rejects_bad_shuffles():
     shuffled = [chains[0], chains[7]] + chains[1:7] + chains[8:]
     assert not is_poset_lex(shuffled)
     assert not is_poset_lex([chains[0], chains[0]])
+
+
+def _is_poset_lex_by_pairs(order):
+    """The definition, pair by pair: the reference for is_poset_lex."""
+    chains_list = list(order)
+    if len(chains_list) <= 1:
+        return True
+    prefix_span = {}
+    for pos, chain in enumerate(chains_list):
+        for t in range(1, len(chain.labels) + 1):
+            span = prefix_span.setdefault(chain.labels[:t], [pos, pos])
+            span[0] = min(span[0], pos)
+            span[1] = max(span[1], pos)
+    for p in range(len(chains_list)):
+        a = chains_list[p].labels
+        for q in range(p + 1, len(chains_list)):
+            b = chains_list[q].labels
+            t = next((i for i in range(min(len(a), len(b))) if a[i] != b[i]), None)
+            if t is None:
+                return False
+            if prefix_span[a[:t + 1]][1] > prefix_span[b[:t + 1]][0]:
+                return False
+    return True
+
+
+def test_is_poset_lex_matches_the_pairwise_definition():
+    # every ordering of every chain list of at most six chains (pattern and
+    # factor tops of length <= 5), and every list with one chain repeated
+    p, f = PatternPoset(), FactorPoset()
+    tops = [(p, top) for n in range(1, 6)
+            for top in itertools.permutations(range(1, n + 1))]
+    tops += [(f, top) for n in range(6) for top in itertools.product("ab", repeat=n)]
+    lists = {}
+    for poset, top in tops:
+        for bottom in poset.down_set(top):
+            chains = maximal_chains(poset, bottom, top)
+            if len(chains) <= 6:
+                lists.setdefault(tuple(c.labels for c in chains), chains)
+    assert len(lists) > 1
+    for chains in lists.values():
+        for order in itertools.permutations(chains):
+            assert is_poset_lex(order) == _is_poset_lex_by_pairs(order)
+        for chain in chains:
+            for at in range(len(chains) + 1):
+                order = chains[:at] + [chain] + chains[at:]
+                assert not is_poset_lex(order)
+                assert not _is_poset_lex_by_pairs(order)
+    gap0 = maximal_chains(p, (2, 1), (2, 1))
+    assert not is_poset_lex(gap0 + gap0)

@@ -171,6 +171,41 @@ def test_cache_with_corrupt_middle_line(capsys, tmp_path):
     assert "bad cache record" in err
 
 
+def test_cache_record_with_a_bad_value_names_its_line(capsys, tmp_path):
+    path = tmp_path / "mu.cache"
+    path.write_text("pattern\t1\t12\t-1\npattern\t1\t123\tzero\n")
+    code, out, err = run_cli(capsys, "mobius", "1", "12", "--cache", str(path))
+    assert code == 3 and out == ""
+    assert f"{path}:2: bad cache record" in err
+
+
+def test_cache_in_a_missing_directory_exits_three(capsys, tmp_path):
+    path = tmp_path / "missing" / "mu.cache"
+    code, out, err = run_cli(capsys, "mobius", "1", "12", "--cache", str(path))
+    assert code == 3 and out == ""
+    assert str(path) in err and "Traceback" not in err
+    assert not path.parent.exists()
+
+
+def test_cache_path_that_is_a_directory_exits_three(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "mobius", "1", "12", "--cache", str(tmp_path))
+    assert code == 3 and out == ""
+    assert f"cache file {tmp_path} is a directory" in err
+
+
+def test_crosscheck_rejects_an_unusable_cache_before_the_sweep(
+        capsys, tmp_path, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "run_crosscheck", no_sweep)
+    path = tmp_path / "missing" / "mu.cache"
+    code, out, err = run_cli(capsys, "crosscheck", "--max-size", "3",
+                             "--cache", str(path))
+    assert code == 3 and out == ""
+    assert str(path) in err
+
+
 def test_crosscheck_rejects_jobs_below_one(capsys):
     code, out, err = run_cli(capsys, "crosscheck", "--max-size", "3",
                              "--jobs", "0")

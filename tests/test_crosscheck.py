@@ -9,6 +9,7 @@ import random
 import pytest
 
 import posetmorse.crosscheck as crosscheck
+import posetmorse.perms as perms
 from posetmorse.posets import FactorPoset, PatternPoset
 
 
@@ -62,14 +63,31 @@ def test_jobs_below_one_are_rejected(pool, jobs):
     assert pool.sizes == []
 
 
+def _first_nonzero(poset, bottom, draw):
+    """The first drawn top over bottom whose closed-form Mobius value is
+    nonzero, so that the interval has a critical chain."""
+    while True:
+        top = draw()
+        if poset.mobius_closed_form(bottom, top) != 0:
+            return poset, bottom, top
+
+
 def _seeded_intervals():
-    """Six [1, tau] with |tau| = 8..10 and six [eps, w] with w in {a,b}^8..10."""
+    """Six [1, tau] with |tau| = 8..10 and six [eps, w] with w in {a,b}^8..10,
+    then, at lengths 11 and 12, the first [1, tau] and the first [eps, w]
+    with a critical chain, drawn from a second generator."""
     rng = random.Random(1107)
     lengths = (8, 8, 9, 9, 10, 10)
     pattern = PatternPoset(max_top=None)
     out = [(pattern, (1,), tuple(rng.sample(range(1, n + 1), n))) for n in lengths]
     out += [(FactorPoset(), (), tuple(rng.choice("ab") for _ in range(n)))
             for n in lengths]
+    rng = random.Random(2011)
+    for n in (11, 12):
+        out.append(_first_nonzero(pattern, (1,),
+                                  lambda: tuple(rng.sample(range(1, n + 1), n))))
+        out.append(_first_nonzero(FactorPoset(), (),
+                                  lambda: tuple(rng.choice("ab") for _ in range(n))))
     return out
 
 
@@ -80,3 +98,13 @@ SEEDED = _seeded_intervals()
                          ids=[f"{p.kind}-{p.format(t)}" for p, _, t in SEEDED])
 def test_seeded_interval_passes_every_check(poset, bottom, top):
     assert crosscheck.check_interval(poset, bottom, top).problems == ()
+
+
+def test_chain_count_catches_a_wrong_cover_rule(monkeypatch):
+    # treating 132 as monotone drops its cover 12 from the chain listing;
+    # the count over the order relation still sees both chains
+    real = perms.is_monotone
+    monkeypatch.setattr(perms, "is_monotone",
+                        lambda p: tuple(p) == (1, 3, 2) or real(p))
+    problems = crosscheck.check_interval(PatternPoset(), (1,), (1, 3, 2)).problems
+    assert "chains: found 1, naive descent gives 2" in problems

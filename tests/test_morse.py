@@ -9,8 +9,7 @@ import pytest
 from posetmorse.chains import maximal_chains
 from posetmorse.morse import (disjoint_family, homotopy_type,
                               minimal_skipped_intervals, mobius_morse,
-                              morse_report, msis_fast_pattern,
-                              skipped_intervals)
+                              morse_report, skipped_intervals)
 from posetmorse.posets import (FactorPoset, PatternPoset, interval_structure,
                                mobius_bruteforce)
 
@@ -87,7 +86,7 @@ def _containment_minimal(spans):
 
 def test_msis_fast_pattern_matches_bruteforce():
     # the difference-block route against the definition on every chain, and
-    # the pattern-only fast characterization against both
+    # each poset's fast law against both
     p, f = PatternPoset(), FactorPoset()
     tops = [(p, top) for n in range(2, 6)
             for top in itertools.permutations(range(1, n + 1))]
@@ -99,8 +98,7 @@ def test_msis_fast_pattern_matches_bruteforce():
                 msis = minimal_skipped_intervals(chain, chains[:k])
                 brute = _containment_minimal(skipped_intervals(chain, chains[:k]))
                 assert msis == brute
-                if poset is p:
-                    assert msis_fast_pattern(chain) == msis
+                assert poset.msis_fast(chain) == msis
 
 
 def _disjoint_family_reference(msis):

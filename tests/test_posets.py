@@ -20,9 +20,9 @@ def test_pattern_poset_basics():
     assert p.rank((2, 1, 3)) == 3
     assert p.leq((1,), (2, 1))
     assert not p.leq((1, 2), (2, 1))
-    assert p.window((2, 1, 3, 5, 4, 6), 1, 6) == (1, 2, 4, 3, 5)
-    assert p.single_covered((1, 2, 3))
-    assert not p.single_covered((2, 1, 3))
+    assert p.down_covers((2, 1, 3, 5, 4, 6)) == [
+        ((2, 1, 3, 5, 4), 6), ((1, 2, 4, 3, 5), 1)]
+    assert p.down_covers((1, 2, 3)) == [((1, 2), 1)]
     assert p.parse("213") == (2, 1, 3)
     assert p.format((2, 1, 3)) == "213"
     assert len(list(p.elements_of_rank(3))) == 6
@@ -35,9 +35,9 @@ def test_factor_poset_basics():
     assert f.tag == "factor:a,b"
     assert f.rank(()) == 0
     assert f.leq((), ("a",))
-    assert f.window(tuple("aabb"), 1, 3) == tuple("ab")
-    assert f.single_covered(tuple("aa"))
-    assert not f.single_covered(tuple("ab"))
+    assert not f.leq(tuple("ba"), tuple("aab"))
+    assert f.down_covers(tuple("ab")) == [(("a",), 2), (("b",), 1)]
+    assert f.down_covers(tuple("aa")) == [(("a",), 1)]
     assert f.parse("ab") == ("a", "b")
     assert f.parse("eps") == ()
     assert f.format(()) == ""
