@@ -40,14 +40,6 @@ class MaximalChain:
     labels: tuple[int, ...]
 
     @property
-    def top(self):
-        return self.elements[0]
-
-    @property
-    def bottom(self):
-        return self.elements[-1]
-
-    @property
     def steps(self) -> int:
         return len(self.labels)
 
@@ -65,8 +57,10 @@ def maximal_chains(poset, bottom, top) -> list[MaximalChain]:
     All maximal chains of [bottom, top], sorted by label sequence.
 
     Each step follows one of poset.down_covers: a cover at position one
-    deletes the first letter of the window, any other the last.  Branches
-    that can no longer reach the bottom are pruned.
+    deletes the first letter of the window, any other the last.  A path is
+    kept when it reaches the bottom's rank at the bottom itself, so the
+    listing reads only the cover rule; the order relation serves just to
+    reject an incomparable pair.
     """
     poset.check_top(top)
     if not poset.leq(bottom, top):
@@ -81,11 +75,10 @@ def maximal_chains(poset, bottom, top) -> list[MaximalChain]:
     def descend() -> None:
         lo, hi = windows[-1]
         if hi - lo == target:
-            found.append(MaximalChain(tuple(elems), tuple(windows), tuple(labels)))
+            if elems[-1] == bottom:
+                found.append(MaximalChain(tuple(elems), tuple(windows), tuple(labels)))
             return
         for child, pos in poset.down_covers(elems[-1]):
-            if not poset.leq(bottom, child):
-                continue
             elems.append(child)
             windows.append((lo + 1, hi) if pos == 1 else (lo, hi - 1))
             labels.append(lo + pos)

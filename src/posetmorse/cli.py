@@ -1,11 +1,11 @@
 """
 Command-line front end.
 
-Exit codes: 0 success, 1 invariant mismatch, 2 incomparable input,
-3 parse error or usage error, 4 size guardrail exceeded (pass --force to
-lift it).
-The environment variable POSET_MORSE_CACHE names a default cache file
-for brute-force Mobius values; --cache overrides it.
+Exit codes: 0 success, 1 invariant mismatch or a cache record that
+differs from brute force, 2 incomparable input, 3 parse error or usage
+error, 4 size guardrail exceeded (pass --force to lift it).
+The environment variable POSET_MORSE_CACHE names a default cache file of
+brute-force Mobius values, checked and appended to; --cache overrides it.
 """
 
 from __future__ import annotations
@@ -101,10 +101,9 @@ def parse_interval(args):
 def cmd_mobius(args) -> int:
     poset, bottom, top = parse_interval(args)
     with make_cache(args) as cache:
-        routes = evaluate(poset, bottom, top, cache)
-        if cache is not None:
-            cache.put(poset.tag, poset.format(bottom), poset.format(top),
-                      routes.brute)
+        routes = evaluate(poset, bottom, top)
+        stale = cache.check(poset.tag, poset.format(bottom), poset.format(top),
+                            routes.brute) if cache is not None else None
     closed, brute, euler = routes.closed, routes.brute, routes.euler
     gap = poset.rank(top) - poset.rank(bottom)
     methods = {
@@ -137,10 +136,9 @@ def cmd_mobius(args) -> int:
         "agree": agree,
         "mobius": closed if agree else None,
     })
-    if routes.cached and not agree:
-        print(f"note: the brute-force value {brute} was read from the cache "
-              f"file {cache.path}", file=sys.stderr)
-    return 0 if agree else 1
+    if stale:
+        print(stale, file=sys.stderr)
+    return 0 if agree and not stale else 1
 
 
 def cmd_chains(args) -> int:

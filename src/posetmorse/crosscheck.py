@@ -4,7 +4,9 @@ cap, every Mobius route, and every structural invariant the machinery is
 supposed to satisfy.
 
 evaluate runs every Mobius route on one interval, for this harness and for
-the mobius subcommand alike, and is the only reader of the cache file.
+the mobius subcommand alike.  Brute force runs on every interval; a cache
+file is only checked against its values and appended to, never read in
+their place.
 
 Per interval the harness verifies that the closed form, the critical-chain
 count, and the brute-force recursion agree (plus the reduced Euler
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .chains import StepClass, classify_steps, is_poset_lex
 from .morse import MorseReport, morse_report
@@ -31,32 +33,27 @@ from .posets import (IntervalStructure, MobiusCache, euler_characteristic,
 
 @dataclass(frozen=True)
 class Routes:
-    """Every Mobius route on one interval; cached says the brute-force
-    value was read from the cache file instead of computed."""
+    """Every Mobius route on one interval."""
 
     closed: int
     report: MorseReport
     interval: IntervalStructure
     brute: int
     euler: int | None
-    cached: bool
 
 
-def evaluate(poset, bottom, top, cache: MobiusCache | None) -> Routes:
+def evaluate(poset, bottom, top) -> Routes:
     """
     The closed form first (it rejects an incomparable pair), then the Morse
-    report, the interval structure, brute force unless the cache holds the
-    value, and the Euler characteristic when the rank gap is at least one.
+    report, the interval structure, brute force, and the Euler
+    characteristic when the rank gap is at least one.
     """
     closed = poset.mobius_closed_form(bottom, top)
     report = morse_report(poset, bottom, top)
     interval = interval_structure(poset, bottom, top)
-    hit = None if cache is None else cache.get(
-        poset.tag, poset.format(bottom), poset.format(top))
-    brute = mobius_bruteforce(poset, interval) if hit is None else hit
     gap = poset.rank(top) - poset.rank(bottom)
     euler = euler_characteristic(poset, interval) if gap >= 1 else None
-    return Routes(closed, report, interval, brute, euler, hit is not None)
+    return Routes(closed, report, interval, mobius_bruteforce(poset, interval), euler)
 
 
 @dataclass(frozen=True)
@@ -100,11 +97,11 @@ def naive_chain_count(poset, interval: IntervalStructure) -> int:
     return paths[-1]
 
 
-def check_interval(poset, bottom, top, cache: MobiusCache | None = None) -> IntervalRecord:
+def check_interval(poset, bottom, top) -> IntervalRecord:
     """Run every route and invariant suite on one interval."""
     problems: list[str] = []
     gap = poset.rank(top) - poset.rank(bottom)
-    routes = evaluate(poset, bottom, top, cache)
+    routes = evaluate(poset, bottom, top)
     report = routes.report
     mu_closed, mu_morse, mu_brute = routes.closed, report.mobius, routes.brute
     # at rank gap one the open interval is empty: Euler reads -1 and checks nothing
@@ -114,9 +111,7 @@ def check_interval(poset, bottom, top, cache: MobiusCache | None = None) -> Inte
         problems.append(f"mu-range: closed form returned {mu_closed}")
     if not (mu_closed == mu_morse == mu_brute):
         problems.append(
-            f"mu-disagreement: closed={mu_closed} morse={mu_morse} brute={mu_brute}"
-            + (f" (brute read from cache file {cache.path})"
-               if routes.cached else ""))
+            f"mu-disagreement: closed={mu_closed} morse={mu_morse} brute={mu_brute}")
     if euler is not None and euler != mu_brute:
         problems.append(f"mu-euler: euler={euler} brute={mu_brute}")
 
@@ -169,10 +164,9 @@ def check_interval(poset, bottom, top, cache: MobiusCache | None = None) -> Inte
         problems.append(f"critical: {report.critical_count} critical chains")
     if report.critical_count == 1 and not report.chains[-1].critical:
         problems.append("critical: the critical chain is not the lexicographically last")
-    ls = report.chains[-1].chain.labels
+    ls = chains[-1].labels if chains else ()
     if len(ls) >= 2 and all(ls[k] > ls[k + 1] for k in range(len(ls) - 1)):
-        # classes still holds the last chain's steps from the loop above
-        if any(c is not StepClass.WEAK_DESCENT for c in classes[:-1]):
+        if any(c is not StepClass.WEAK_DESCENT for c in classify_steps(chains[-1])[:-1]):
             problems.append(
                 "descent-structure: a strictly decreasing id has a strong "
                 "descent before its final step")
@@ -199,22 +193,19 @@ def check_interval(poset, bottom, top, cache: MobiusCache | None = None) -> Inte
     )
 
 
-def _interval_records(poset, tops, cache: MobiusCache | None) -> list[IntervalRecord]:
+def _interval_records(poset, tops) -> list[IntervalRecord]:
     records = []
     for top in tops:
         bottoms = sorted(poset.down_set(top),
                          key=lambda e: (poset.rank(e), poset.format(e)))
         for bottom in bottoms:
-            records.append(check_interval(poset, bottom, top, cache))
+            records.append(check_interval(poset, bottom, top))
     return records
 
 
 def _worker(args) -> list[IntervalRecord]:
-    """One pool chunk; it reads the cache file, if one is named, and never
-    writes it."""
-    poset, tops, cache_path = args
-    return _interval_records(poset, tops,
-                             MobiusCache(cache_path) if cache_path else None)
+    """One pool chunk: every interval under the given tops."""
+    return _interval_records(*args)
 
 
 def run_crosscheck(poset, max_size: int, cache: MobiusCache | None = None,
@@ -222,9 +213,10 @@ def run_crosscheck(poset, max_size: int, cache: MobiusCache | None = None,
     """
     Check every interval [bottom, top] with rank(top) <= max_size.  The
     unit of parallel work is all intervals under one top.  At most one
-    worker process runs per CPU; jobs=None asks for one per CPU.  Every
-    job looks values up in the cache; after the sweep each checked
-    interval's brute-force value is appended to it, in sweep order.
+    worker process runs per CPU; jobs=None asks for one per CPU.  After
+    the sweep, in sweep order, each interval's brute-force value is checked
+    against the cache, and appended to it when the file holds no record;
+    a held record that differs is one more problem of that interval.
     """
     cpus = os.cpu_count() or 1
     if jobs is None:
@@ -239,22 +231,22 @@ def run_crosscheck(poset, max_size: int, cache: MobiusCache | None = None,
     if jobs > 1 and len(tops) > 1:
         chunks = [tops[i::jobs] for i in range(jobs)]
         chunks = [c for c in chunks if c]
-        path = cache.path if cache is not None else None
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(_worker, [(poset, chunk, path) for chunk in chunks]))
+            parts = list(pool.map(_worker, [(poset, chunk) for chunk in chunks]))
         position = {poset.format(t): k for k, t in enumerate(tops)}
         records = sorted((r for part in parts for r in part),
                          key=lambda r: position[r.top])
     else:
-        records = _interval_records(poset, tops, cache)
-    if cache is not None:
-        for rec in records:
-            cache.put(poset.tag, rec.bottom, rec.top, rec.mu_brute)
+        records = _interval_records(poset, tops)
 
     report = CrosscheckReport(poset_tag=poset.tag, max_size=max_size)
     report.total = len(records)
-    report.records = records
     for rec in records:
+        stale = cache.check(poset.tag, rec.bottom, rec.top,
+                            rec.mu_brute) if cache is not None else None
+        if stale:
+            rec = replace(rec, problems=rec.problems + (stale,))
+        report.records.append(rec)
         report.mu_histogram[rec.mu_brute] = report.mu_histogram.get(rec.mu_brute, 0) + 1
         for problem in rec.problems:
             report.mismatches.append(f"[{rec.bottom}, {rec.top}] {problem}")

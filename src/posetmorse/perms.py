@@ -68,7 +68,7 @@ def is_monotone(p: Sequence[int]) -> bool:
     return tuple(p) == tuple(range(1, len(p) + 1)) or tuple(p) == tuple(range(len(p), 0, -1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8192)  # every pattern of length <= 7
 def _window_patterns(tau: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
     """All standardized contiguous windows of tau, every width."""
     pats = set()

@@ -213,8 +213,10 @@ def euler_characteristic(poset, interval: IntervalStructure) -> int:
 
 class MobiusCache:
     """
-    Cross-run Mobius cache file keyed by (poset tag, bottom text, top text),
-    one record per line: tag TAB bottom TAB top TAB mu.  Opening it only
+    Cross-run record of brute-force Mobius values keyed by (poset tag,
+    bottom text, top text), one record per line: tag TAB bottom TAB top TAB
+    mu.  check compares a computed value with the record and appends it
+    when there is none; a held record is never rewritten.  Opening it only
     reads the file; the first put opens it for appending.  Reads are
     lock-free; writes serialize behind a lock and append each record with
     a single write call.  A final line without its newline is a record torn
@@ -275,6 +277,15 @@ class MobiusCache:
                 self._handle = open(self.path, "a", encoding="utf-8")
             self._handle.write(f"{tag}\t{bottom}\t{top}\t{value}\n")
             self._handle.flush()
+
+    def check(self, tag: str, bottom: str, top: str, value: int) -> str | None:
+        """Append value unless a record is held; name a held record that
+        differs."""
+        held = self.get(tag, bottom, top)
+        self.put(tag, bottom, top, value)
+        if held is None or held == value:
+            return None
+        return f"cache: {self.path} holds {held}, brute force gives {value}"
 
     def close(self) -> None:
         with self._lock:

@@ -40,7 +40,7 @@ def is_factor(u: Word, w: Word) -> bool:
     return any(w[i:i + n] == u for i in range(len(w) - n + 1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8192)  # every word over {a,b} of length <= 12
 def _factor_set(w: Word) -> frozenset[Word]:
     """All factors of w, the empty word included."""
     out = {()}

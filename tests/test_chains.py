@@ -39,8 +39,8 @@ def test_thirteen_chains_of_the_reference_interval():
 def test_chain_elements_and_windows():
     chains = maximal_chains(PatternPoset(), (1,), (2, 1, 3, 5, 4, 6))
     first = chains[0]
-    assert first.top == (2, 1, 3, 5, 4, 6)
-    assert first.bottom == (1,)
+    assert first.elements[0] == (2, 1, 3, 5, 4, 6)
+    assert first.elements[-1] == (1,)
     assert first.steps == 5
     assert list(first.open_indices()) == [1, 2, 3, 4]
     assert first.elements == (
@@ -51,6 +51,17 @@ def test_chain_elements_and_windows():
     assert last.elements == (
         (2, 1, 3, 5, 4, 6), (2, 1, 3, 5, 4), (2, 1, 3, 4), (2, 1, 3),
         (2, 1), (1,))
+
+
+def test_chain_listing_reads_the_order_relation_once(monkeypatch):
+    # only the entry check compares; the walk follows the cover rule alone
+    calls = []
+    real = PatternPoset.leq
+    monkeypatch.setattr(PatternPoset, "leq",
+                        lambda self, x, y: calls.append((x, y)) or real(self, x, y))
+    chains = maximal_chains(PatternPoset(), (1,), (2, 1, 3, 5, 4, 6))
+    assert len(chains) == 13
+    assert calls == [((1,), (2, 1, 3, 5, 4, 6))]
 
 
 def test_diamond_interval_chain_ids():

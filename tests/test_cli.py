@@ -10,6 +10,7 @@ import pytest
 
 import posetmorse.cli as cli
 import posetmorse.closed_form as closed_form
+import posetmorse.crosscheck as crosscheck
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -244,22 +245,28 @@ def test_alphabet_flag(capsys):
     assert code == 3
 
 
+# the records crosscheck --max-size 2 appends after a poisoned [1, 12]
+POISONED_SWEEP = ("pattern\t1\t12\t5\n"
+                  "pattern\t1\t1\t1\npattern\t12\t12\t1\n"
+                  "pattern\t1\t21\t-1\npattern\t21\t21\t1\n")
+
+
 def test_poisoned_cache_is_named_in_the_mismatch(capsys, tmp_path):
     path = tmp_path / "poisoned.cache"
     path.write_text("pattern\t1\t12\t5\n")
+    stale = f"cache: {path} holds 5, brute force gives -1"
     for fmt in ("text", "json"):
         code, out, err = run_cli(capsys, "mobius", "1", "12", "--cache",
                                  str(path), "--format", fmt)
         assert code == 1
-        assert ("brute force: 5" in out if fmt == "text"
-                else json.loads(out)["methods"]["bruteforce"] == 5)
-        assert "read from the cache file" in err and str(path) in err
+        assert ("brute force: -1" in out if fmt == "text"
+                else json.loads(out)["methods"]["bruteforce"] == -1)
+        assert err == stale + "\n"
     code, out, _ = run_cli(capsys, "crosscheck", "--max-size", "2", "--jobs",
                            "1", "--cache", str(path), "--format", "json")
     assert code == 1
-    [problem] = json.loads(out)["mismatches"]
-    assert problem.startswith("[1, 12] mu-disagreement:")
-    assert f"cache file {path}" in problem
+    assert json.loads(out)["mismatches"] == [f"[1, 12] {stale}"]
+    assert path.read_text() == POISONED_SWEEP
 
 
 def test_mobius_cache_writes_one_record(capsys, tmp_path):
@@ -299,9 +306,35 @@ def test_poisoned_cache_is_named_with_two_jobs(capsys, tmp_path, two_cpus):
     code, out, _ = run_cli(capsys, "crosscheck", "--max-size", "2", "--jobs",
                            "2", "--cache", str(path), "--format", "json")
     assert code == 1
-    [problem] = json.loads(out)["mismatches"]
-    assert problem.startswith("[1, 12] mu-disagreement:")
-    assert f"cache file {path}" in problem
+    assert json.loads(out)["mismatches"] == [
+        f"[1, 12] cache: {path} holds 5, brute force gives -1"]
+    assert path.read_text() == POISONED_SWEEP
+
+
+def test_a_warm_cache_does_not_hide_a_wrong_brute_force(
+        capsys, tmp_path, monkeypatch):
+    path = tmp_path / "mu.cache"
+    argv = ("crosscheck", "--max-size", "4", "--jobs", "1", "--cache",
+            str(path), "--format", "json")
+    assert run_cli(capsys, *argv)[0] == 0
+    monkeypatch.setattr(crosscheck, "mobius_bruteforce", lambda poset, interval: 7)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    assert (f"[1, 12] cache: {path} holds -1, brute force gives 7"
+            in json.loads(out)["mismatches"])
+
+
+def test_brute_force_runs_on_every_interval_cold_and_warm(
+        capsys, tmp_path, monkeypatch):
+    calls = []
+    real = crosscheck.mobius_bruteforce
+    monkeypatch.setattr(crosscheck, "mobius_bruteforce",
+                        lambda *args: calls.append(args) or real(*args))
+    for _ in ("cold", "warm"):
+        calls.clear()
+        code, _, _ = run_cli(capsys, "crosscheck", "--max-size", "4",
+                             "--jobs", "1", "--cache", str(tmp_path / "mu.cache"))
+        assert code == 0 and len(calls) == 167
 
 
 def test_crosscheck_with_two_jobs_cuts_a_torn_final_line(

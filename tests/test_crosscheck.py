@@ -108,3 +108,19 @@ def test_chain_count_catches_a_wrong_cover_rule(monkeypatch):
                         lambda p: tuple(p) == (1, 3, 2) or real(p))
     problems = crosscheck.check_interval(PatternPoset(), (1,), (1, 3, 2)).problems
     assert "chains: found 1, naive descent gives 2" in problems
+
+
+def test_a_cover_rule_that_lists_no_chain_is_reported(monkeypatch):
+    # treating 132 as monotone leaves [12, 132] without a chain
+    real = perms.is_monotone
+    monkeypatch.setattr(perms, "is_monotone",
+                        lambda p: tuple(p) == (1, 3, 2) or real(p))
+    problems = crosscheck.check_interval(PatternPoset(), (1, 2), (1, 3, 2)).problems
+    assert "chains: found 0, naive descent gives 1" in problems
+
+
+@pytest.mark.slow
+def test_length_seven_pattern_sweep():
+    report = crosscheck.run_crosscheck(PatternPoset(), 7, jobs=None)
+    assert report.total == 94675 and report.mismatches == []
+    assert report.mu_histogram == {-1: 13764, 0: 67146, 1: 13765}

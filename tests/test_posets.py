@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 
+from posetmorse import perms, words
 from posetmorse.posets import (FactorPoset, IncomparableError, MobiusCache,
                                PatternPoset, SizeLimitError,
                                euler_characteristic, interval_elements,
@@ -182,3 +183,8 @@ def test_interval_structure_matches_the_order_oracle():
                             and poset.leq(x, y)}
                         assert s.downs[i] == {
                             j for j in range(s.size) if i in s.ups[j]}
+
+
+def test_process_wide_down_set_caches_are_bounded():
+    for cached in (perms._window_patterns, words._factor_set):
+        assert cached.cache_info().maxsize is not None
