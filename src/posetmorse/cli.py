@@ -67,9 +67,10 @@ def parse_alphabet(text: str) -> tuple[str, ...]:
 
 
 def make_poset(args):
-    if args.poset == "pattern":
-        return PatternPoset()
-    return FactorPoset(alphabet=parse_alphabet(args.alphabet))
+    """The poset named by --poset, with its size guardrail unless --force."""
+    poset = (PatternPoset() if args.poset == "pattern"
+             else FactorPoset(alphabet=parse_alphabet(args.alphabet)))
+    return replace(poset, max_top=None) if args.force else poset
 
 
 def make_cache(args):
@@ -90,8 +91,6 @@ def parse_interval(args):
     """The poset, bottom and top of an interval subcommand, with the top
     checked against the size guardrail."""
     poset = make_poset(args)
-    if args.force:
-        poset = replace(poset, max_top=None)
     bottom = poset.parse(args.bottom)
     top = poset.parse(args.top)
     poset.check_top(top)
@@ -223,8 +222,7 @@ def cmd_bijection(args) -> int:
 
 
 def cmd_crosscheck(args) -> int:
-    # --max-size bounds the tops, so the poset needs no guardrail of its own
-    poset = replace(make_poset(args), max_top=None)
+    poset = make_poset(args)
     with make_cache(args) as cache:
         report = run_crosscheck(poset, args.max_size, cache, jobs=args.jobs)
     _emit(args, lambda: crosscheck_text(report),
@@ -287,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crosscheck",
                        help="run every method on every interval up to a cap")
     _add_flags(p, "--poset", "--alphabet", "--max-size", "--format", "--cache",
-               "--jobs")
+               "--jobs", "--force")
     p.set_defaults(func=cmd_crosscheck)
 
     p = sub.add_parser("table1",

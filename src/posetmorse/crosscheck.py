@@ -211,13 +211,17 @@ def _worker(args) -> list[IntervalRecord]:
 def run_crosscheck(poset, max_size: int, cache: MobiusCache | None = None,
                    jobs: int | None = 1) -> CrosscheckReport:
     """
-    Check every interval [bottom, top] with rank(top) <= max_size.  The
-    unit of parallel work is all intervals under one top.  At most one
-    worker process runs per CPU; jobs=None asks for one per CPU.  After
+    Check every interval [bottom, top] with rank(top) <= max_size, which
+    must be at least 0 and within the poset's size guardrail.  The unit
+    of parallel work is all intervals under one top.  At most one worker
+    process runs per CPU; jobs=None asks for one per CPU.  After
     the sweep, in sweep order, each interval's brute-force value is checked
     against the cache, and appended to it when the file holds no record;
     a held record that differs is one more problem of that interval.
     """
+    if max_size < 0:
+        raise ValueError(f"max size must be at least 0, got {max_size}")
+    poset.check_length(max_size)
     cpus = os.cpu_count() or 1
     if jobs is None:
         jobs = cpus

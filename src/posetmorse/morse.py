@@ -10,12 +10,17 @@ chain holds one element per rank, and deleting (i, j) from C leaves a
 subset of D exactly when C and D agree outside i..j: the run is skipped by
 D iff it contains D's difference block, the span from the first to the
 last index where their elements differ.  The minimal skipped intervals of
-C are therefore its containment-minimal difference blocks.  They are
-resolved into a disjoint family in one left-to-right pass that truncates
-each member's start past everything already chosen; C is critical when the
-family covers all of C's interior, and contributes (-1)^(size-1) to the
-Mobius function.  Zero critical chains mean a contractible complex, one
-critical chain a sphere of the matching dimension.
+C are therefore its containment-minimal difference blocks.
+
+They are found for all chains in one pass, linear in the number of chains,
+without comparing chains pairwise: every element prefix and suffix gets a
+small int id, and (i, j) is skipped exactly when an earlier chain produced
+the key (id of elements[:i], id of elements[j+1:]).  They are resolved into
+a disjoint family in one left-to-right pass that truncates each member's
+start past everything already chosen; C is critical when the family covers
+all of C's interior, and contributes (-1)^(size-1) to the Mobius function.
+Zero critical chains mean a contractible complex, one critical chain a
+sphere of the matching dimension.
 
 A chain interval (i, j) is stored by the closed index range of the chain
 elements it holds, 1 <= i <= j <= steps-1.
@@ -71,6 +76,45 @@ def minimal_skipped_intervals(chain: MaximalChain,
     return sorted((i, j) for i, j in blocks
                   if not any(i <= p and q <= j and (p, q) != (i, j)
                              for p, q in blocks))
+
+
+def all_minimal_skipped_intervals(chains: list[MaximalChain]) -> list[list[Span]]:
+    """
+    minimal_skipped_intervals(c, chains[:k]) for every chain c at position
+    k of a sorted listing, looked up by key.  For each start i from the
+    right, the first end j whose key an earlier chain produced gives the
+    smallest skipped run at i; it is minimal exactly when j is below every
+    end kept so far, so the kept ends strictly fall.  A chain's keys join
+    the set only after its own lookup.
+
+    >>> from .posets import FactorPoset
+    >>> chains = maximal_chains(FactorPoset(), (), tuple("abba"))
+    >>> all_minimal_skipped_intervals(chains)
+    [[], [(3, 3)], [(2, 2)], [(1, 1)], [(2, 2)], [(1, 2), (3, 3)]]
+    """
+    ids: dict = {}  # (id of a sequence, next element) -> id; 0 is empty
+    keys: set = set()
+    out = []
+    for k, chain in enumerate(chains):
+        e = chain.elements
+        n = len(e) - 1
+        pre = [0]  # pre[i] is the id of e[:i]
+        for x in e[:-1]:
+            pre.append(ids.setdefault((pre[-1], x), len(ids) + 1))
+        suf = [0] * (n + 1)  # suf[j] is the id of e[j+1:]
+        for j in range(n - 1, -1, -1):
+            suf[j] = ids.setdefault((suf[j + 1], e[j + 1]), len(ids) + 1)
+        msis, last = [], n
+        for i in range(n - 1, 0, -1):
+            for j in range(i, last):
+                if (pre[i], suf[j]) in keys:
+                    msis.append((i, j))
+                    last = j
+                    break
+        out.append(msis[::-1])
+        if k < len(chains) - 1:
+            keys.update((pre[i], suf[j]) for i in range(1, n) for j in range(i, n))
+    return out
 
 
 def disjoint_family(msis: list[Span]) -> list[Span]:
@@ -175,8 +219,7 @@ def morse_report(poset, bottom, top) -> MorseReport:
     all_chains = maximal_chains(poset, bottom, top)
     gap = poset.rank(top) - poset.rank(bottom)
     data = []
-    for idx, chain in enumerate(all_chains):
-        msis = minimal_skipped_intervals(chain, all_chains[:idx])
+    for chain, msis in zip(all_chains, all_minimal_skipped_intervals(all_chains)):
         family = disjoint_family(msis)
         # critical when the family covers the whole interior of the chain
         covered = {k for a, b in family for k in range(a, b + 1)}

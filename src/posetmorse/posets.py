@@ -41,8 +41,11 @@ class _LengthGraded:
         return len(e)
 
     def check_top(self, e) -> None:
-        if self.max_top is not None and len(e) > self.max_top:
-            raise SizeLimitError(f"top of length {len(e)} exceeds the "
+        self.check_length(len(e))
+
+    def check_length(self, n: int) -> None:
+        if self.max_top is not None and n > self.max_top:
+            raise SizeLimitError(f"top of length {n} exceeds the "
                                  f"{self.limit_name} limit {self.max_top}")
 
 

@@ -357,6 +357,37 @@ def test_agreeing_cache_hit_prints_no_note(capsys, tmp_path):
     assert code == 0 and err == ""
 
 
+@pytest.mark.parametrize("argv, limit", [
+    (("--max-size", "99"), "top of length 99 exceeds the pattern limit 9"),
+    (("--max-size", "10", "--jobs", "2"), "exceeds the pattern limit 9"),
+    (("--poset", "factor", "--max-size", "13"),
+     "top of length 13 exceeds the factor-order limit 12"),
+])
+def test_crosscheck_max_size_above_the_guardrail_exits_four(
+        capsys, monkeypatch, argv, limit):
+    def no_interval(*args, **kwargs):
+        raise AssertionError("an interval was computed")
+
+    monkeypatch.setattr(crosscheck, "check_interval", no_interval)
+    code, out, err = run_cli(capsys, "crosscheck", *argv)
+    assert code == 4 and out == ""
+    assert limit in err
+
+
+def test_crosscheck_force_lifts_the_max_size_guardrail(capsys):
+    # over a one-letter alphabet every interval has a single chain
+    code, out, _ = run_cli(capsys, "crosscheck", "--poset", "factor",
+                           "--alphabet", "a", "--max-size", "13", "--force")
+    assert code == 0
+    assert "intervals checked: 105" in out
+
+
+def test_crosscheck_rejects_a_negative_max_size(capsys):
+    code, out, err = run_cli(capsys, "crosscheck", "--max-size", "-1")
+    assert code == 3
+    assert out == "" and "max size must be at least 0, got -1" in err
+
+
 def _exit_code(capsys, *argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(list(argv))
@@ -387,7 +418,7 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
         "bijection unmap": {"--format"},
         "bijection verify": {"--format"},
         "crosscheck": {"--poset", "--alphabet", "--max-size", "--format",
-                       "--cache", "--jobs"},
+                       "--cache", "--jobs", "--force"},
         "table1": set(),
         "iso-search": {"--alphabet", "--format", "--force"},
     }
@@ -405,4 +436,4 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
 
     collect(cli.build_parser(), "")
     assert got == want
-    assert sum(len(flags) for flags in got.values()) == 29
+    assert sum(len(flags) for flags in got.values()) == 30

@@ -8,8 +8,12 @@ import random
 
 import pytest
 
+import posetmorse.cli as cli
 import posetmorse.crosscheck as crosscheck
 import posetmorse.perms as perms
+from posetmorse.chains import maximal_chains
+from posetmorse.morse import (all_minimal_skipped_intervals,
+                              minimal_skipped_intervals)
 from posetmorse.posets import FactorPoset, PatternPoset
 
 
@@ -63,41 +67,55 @@ def test_jobs_below_one_are_rejected(pool, jobs):
     assert pool.sizes == []
 
 
-def _first_nonzero(poset, bottom, draw):
-    """The first drawn top over bottom whose closed-form Mobius value is
-    nonzero, so that the interval has a critical chain."""
+def _draw(rng, poset, n):
+    """A random top of length n: a permutation, or a word over {a,b}."""
+    if poset.kind == "pattern":
+        return tuple(rng.sample(range(1, n + 1), n))
+    return tuple(rng.choice("ab") for _ in range(n))
+
+
+def _first_nonzero(poset, bottom, rng, n):
+    """The first drawn top of length n over bottom whose closed-form Mobius
+    value is nonzero, so that the interval has a critical chain."""
     while True:
-        top = draw()
+        top = _draw(rng, poset, n)
         if poset.mobius_closed_form(bottom, top) != 0:
             return poset, bottom, top
 
 
 def _seeded_intervals():
     """Six [1, tau] with |tau| = 8..10 and six [eps, w] with w in {a,b}^8..10,
-    then, at lengths 11 and 12, the first [1, tau] and the first [eps, w]
-    with a critical chain, drawn from a second generator."""
+    then, at each length 11 to 14, the first [1, tau] and the first [eps, w]
+    with a critical chain, drawn from a second generator.  The length-14
+    pair is marked slow."""
     rng = random.Random(1107)
     lengths = (8, 8, 9, 9, 10, 10)
-    pattern = PatternPoset(max_top=None)
-    out = [(pattern, (1,), tuple(rng.sample(range(1, n + 1), n))) for n in lengths]
-    out += [(FactorPoset(), (), tuple(rng.choice("ab") for _ in range(n)))
-            for n in lengths]
+    pattern, factor = PatternPoset(max_top=None), FactorPoset(max_top=None)
+    out = [(pattern, (1,), _draw(rng, pattern, n)) for n in lengths]
+    out += [(factor, (), _draw(rng, factor, n)) for n in lengths]
     rng = random.Random(2011)
-    for n in (11, 12):
-        out.append(_first_nonzero(pattern, (1,),
-                                  lambda: tuple(rng.sample(range(1, n + 1), n))))
-        out.append(_first_nonzero(FactorPoset(), (),
-                                  lambda: tuple(rng.choice("ab") for _ in range(n))))
-    return out
+    for n in (11, 12, 13, 14):
+        out.append(_first_nonzero(pattern, (1,), rng, n))
+        out.append(_first_nonzero(factor, (), rng, n))
+    return [pytest.param(poset, bottom, top,
+                         id=f"{poset.kind}-{poset.format(top)}",
+                         marks=[pytest.mark.slow] if len(top) == 14 else [])
+            for poset, bottom, top in out]
 
 
 SEEDED = _seeded_intervals()
 
 
-@pytest.mark.parametrize("poset, bottom, top", SEEDED,
-                         ids=[f"{p.kind}-{p.format(t)}" for p, _, t in SEEDED])
+@pytest.mark.parametrize("poset, bottom, top", SEEDED)
 def test_seeded_interval_passes_every_check(poset, bottom, top):
     assert crosscheck.check_interval(poset, bottom, top).problems == ()
+
+
+@pytest.mark.parametrize("poset, bottom, top", SEEDED)
+def test_seeded_keyed_msis_match_the_oracle(poset, bottom, top):
+    chains = maximal_chains(poset, bottom, top)
+    assert all_minimal_skipped_intervals(chains) == [
+        minimal_skipped_intervals(c, chains[:k]) for k, c in enumerate(chains)]
 
 
 def test_chain_count_catches_a_wrong_cover_rule(monkeypatch):
@@ -117,6 +135,20 @@ def test_a_cover_rule_that_lists_no_chain_is_reported(monkeypatch):
                         lambda p: tuple(p) == (1, 3, 2) or real(p))
     problems = crosscheck.check_interval(PatternPoset(), (1, 2), (1, 3, 2)).problems
     assert "chains: found 0, naive descent gives 1" in problems
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("poset, bottom, n", [
+    (PatternPoset(max_top=None), (1,), 16), (FactorPoset(max_top=None), (), 15)],
+    ids=["pattern-16", "factor-15"])
+def test_largest_single_intervals_agree_on_every_route(poset, bottom, n):
+    # exit 0: the closed form, the Morse route, brute force and the Euler
+    # characteristic agree on a [1, tau] with |tau| = 16 or an [eps, w] with
+    # |w| = 15 that has a critical chain
+    _, _, top = _first_nonzero(poset, bottom, random.Random(1516), n)
+    argv = ["mobius", poset.format(bottom), poset.format(top),
+            "--poset", poset.kind, "--force"]
+    assert cli.main(argv) == 0
 
 
 @pytest.mark.slow

@@ -7,9 +7,9 @@ import itertools
 import pytest
 
 from posetmorse.chains import maximal_chains
-from posetmorse.morse import (disjoint_family, homotopy_type,
-                              minimal_skipped_intervals, mobius_morse,
-                              morse_report, skipped_intervals)
+from posetmorse.morse import (all_minimal_skipped_intervals, disjoint_family,
+                              homotopy_type, minimal_skipped_intervals,
+                              mobius_morse, morse_report, skipped_intervals)
 from posetmorse.posets import (FactorPoset, PatternPoset, interval_structure,
                                mobius_bruteforce)
 
@@ -85,8 +85,8 @@ def _containment_minimal(spans):
 
 
 def test_msis_fast_pattern_matches_bruteforce():
-    # the difference-block route against the definition on every chain, and
-    # each poset's fast law against both
+    # the difference-block route against the definition on every chain, the
+    # keyed pass and each poset's fast law against both
     p, f = PatternPoset(), FactorPoset()
     tops = [(p, top) for n in range(2, 6)
             for top in itertools.permutations(range(1, n + 1))]
@@ -94,11 +94,37 @@ def test_msis_fast_pattern_matches_bruteforce():
     for poset, top in tops:
         for bottom in sorted(poset.down_set(top)):
             chains = maximal_chains(poset, bottom, top)
+            keyed = all_minimal_skipped_intervals(chains)
             for k, chain in enumerate(chains):
                 msis = minimal_skipped_intervals(chain, chains[:k])
                 brute = _containment_minimal(skipped_intervals(chain, chains[:k]))
                 assert msis == brute
+                assert keyed[k] == msis
                 assert poset.msis_fast(chain) == msis
+
+
+def test_keyed_msis_of_no_chain_and_of_one_step_chains():
+    assert all_minimal_skipped_intervals([]) == []
+    chains = maximal_chains(PatternPoset(), (1,), (1, 2))
+    assert all_minimal_skipped_intervals(chains) == [[]]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("poset, max_size", [
+    (PatternPoset(), 6), (FactorPoset(), 6), (FactorPoset(("a", "b", "c")), 5)],
+    ids=["pattern-6", "factor-ab-6", "factor-abc-5"])
+def test_keyed_msis_match_the_oracle_on_the_acceptance_sweeps(poset, max_size):
+    intervals = 0
+    for n in range(poset.min_rank, max_size + 1):
+        for top in poset.elements_of_rank(n):
+            for bottom in poset.down_set(top):
+                chains = maximal_chains(poset, bottom, top)
+                assert all_minimal_skipped_intervals(chains) == [
+                    minimal_skipped_intervals(c, chains[:k])
+                    for k, c in enumerate(chains)]
+                intervals += 1
+    assert intervals == {"pattern": 10087, "factor:a,b": 1537,
+                         "factor:a,b,c": 4075}[poset.tag]
 
 
 def _disjoint_family_reference(msis):
