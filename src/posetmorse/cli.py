@@ -1,9 +1,9 @@
 """
 Command-line front end.
 
-Exit codes: 0 success, 1 invariant mismatch or a cache record that
-differs from brute force, 2 incomparable input, 3 parse error or usage
-error, 4 size guardrail exceeded (pass --force to lift it).
+Exit codes: 0 success, 1 invariant mismatch or a cache record that differs
+from brute force, 2 incomparable input, 3 parse error or usage error, 4 size
+guardrail exceeded (pass --force to lift it), 130 interrupted (Ctrl-C).
 The environment variable POSET_MORSE_CACHE names a default cache file of
 brute-force Mobius values, checked and appended to; --cache overrides it.
 """
@@ -319,7 +319,11 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main())
+    try:
+        raise SystemExit(main())
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        raise SystemExit(130)
 
 
 if __name__ == "__main__":

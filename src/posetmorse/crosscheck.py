@@ -21,7 +21,9 @@ value.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import signal
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -235,8 +237,15 @@ def run_crosscheck(poset, max_size: int, cache: MobiusCache | None = None,
     if jobs > 1 and len(tops) > 1:
         chunks = [tops[i::jobs] for i in range(jobs)]
         chunks = [c for c in chunks if c]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(_worker, [(poset, chunk) for chunk in chunks]))
+        # workers ignore SIGINT; on an interrupt, stop them mid-chunk
+        with ProcessPoolExecutor(max_workers=len(chunks), initializer=signal.signal,
+                                 initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
+            try:
+                parts = list(pool.map(_worker, [(poset, chunk) for chunk in chunks]))
+            except KeyboardInterrupt:
+                for worker in multiprocessing.active_children():
+                    worker.terminate()
+                raise
         position = {poset.format(t): k for k, t in enumerate(tops)}
         records = sorted((r for part in parts for r in part),
                          key=lambda r: position[r.top])

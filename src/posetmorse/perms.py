@@ -11,6 +11,9 @@ Text form: permutations of length at most nine render as digit strings
 ("213546"); longer ones switch to comma-separated integers.  Embeddings of
 a shorter permutation inside a longer one are written as expansions, digit
 strings padded with zeros outside the occupied window ("000213").
+
+down_covers, interior and exterior are memoized process-wide (8,192 entries,
+like _window_patterns): each permutation is standardized once per process.
 """
 
 from __future__ import annotations
@@ -95,7 +98,8 @@ def leq_consecutive(sigma: tuple[int, ...], tau: tuple[int, ...]) -> bool:
     return sigma in _window_patterns(tau)
 
 
-def down_covers(tau: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+@lru_cache(maxsize=8192)
+def down_covers(tau: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     """
     The permutations covered by tau, paired with the position of tau that
     each cover deletes.  Dropping the last letter comes first; a monotone
@@ -103,19 +107,20 @@ def down_covers(tau: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
     surviving letters form a suffix.
 
     >>> down_covers((2, 1, 3, 5, 4, 6))
-    [((2, 1, 3, 5, 4), 6), ((1, 2, 4, 3, 5), 1)]
+    (((2, 1, 3, 5, 4), 6), ((1, 2, 4, 3, 5), 1))
     >>> down_covers((1, 2, 3))
-    [((1, 2), 1)]
+    (((1, 2), 1),)
     >>> down_covers((2, 3, 1))
-    [((1, 2), 3), ((2, 1), 1)]
+    (((1, 2), 3), ((2, 1), 1))
     """
     if len(tau) < 2:
         raise ValueError("a length-one permutation covers nothing")
     if is_monotone(tau):
-        return [(standardize(tau[1:]), 1)]
-    return [(standardize(tau[:-1]), len(tau)), (standardize(tau[1:]), 1)]
+        return ((standardize(tau[1:]), 1),)
+    return ((standardize(tau[:-1]), len(tau)), (standardize(tau[1:]), 1))
 
 
+@lru_cache(maxsize=8192)
 def interior(tau: tuple[int, ...]) -> tuple[int, ...]:
     """
     The standard form of tau with both end letters removed.
@@ -132,6 +137,7 @@ def interior(tau: tuple[int, ...]) -> tuple[int, ...]:
     return standardize(tau[1:-1])
 
 
+@lru_cache(maxsize=8192)
 def exterior(tau: tuple[int, ...]) -> tuple[int, ...]:
     """
     The longest permutation that is the standard form of both a proper

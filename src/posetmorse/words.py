@@ -101,24 +101,24 @@ def outer_word(w: Word) -> Word:
     return ()
 
 
-def down_covers_word(w: Word) -> list[tuple[Word, int]]:
+def down_covers_word(w: Word) -> tuple[tuple[Word, int], ...]:
     """
     The words covered by w, paired with the deleted position.  Dropping the
     last letter comes first; a flat word has a single cover, taken at
     position one so that the surviving letters form a suffix.
 
     >>> down_covers_word(("a", "b", "b"))
-    [(('a', 'b'), 3), (('b', 'b'), 1)]
+    ((('a', 'b'), 3), (('b', 'b'), 1))
     >>> down_covers_word(("a", "a", "a"))
-    [(('a', 'a'), 1)]
+    ((('a', 'a'), 1),)
     >>> down_covers_word(("b",))
-    [((), 1)]
+    (((), 1),)
     """
     if len(w) == 0:
         raise ValueError("the empty word covers nothing")
     if is_flat(w):
-        return [(w[1:], 1)]
-    return [(w[:-1], len(w)), (w[1:], 1)]
+        return ((w[1:], 1),)
+    return ((w[:-1], len(w)), (w[1:], 1))
 
 
 def format_word(w: Word) -> str:

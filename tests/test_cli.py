@@ -5,6 +5,10 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -437,3 +441,35 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
     collect(cli.build_parser(), "")
     assert got == want
     assert sum(len(flags) for flags in got.values()) == 30
+
+
+def test_an_interrupt_prints_one_line_and_exits_130(capsys, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run_crosscheck", interrupted)
+    monkeypatch.setattr(sys, "argv", ["posetmorse", "crosscheck", "--jobs", "1"])
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == 130
+    assert capsys.readouterr().err == "interrupted\n"
+
+
+def test_sigint_stops_a_serial_sweep_without_a_traceback():
+    # the length-7 sweep runs for tens of seconds; SIGINT comes once the
+    # package is imported, so it lands inside the sweep
+    script = ("import sys\nfrom posetmorse.cli import run\n"
+              "sys.argv = ['posetmorse', 'crosscheck', '--max-size', '7', '--jobs', '1']\n"
+              "print('ready', flush=True)\nrun()\n")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    env.pop("POSET_MORSE_CACHE", None)
+    proc = subprocess.Popen([sys.executable, "-c", script], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        assert proc.stdout.readline() == "ready\n"
+        time.sleep(0.5)
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert (proc.returncode, out, err) == (130, "", "interrupted\n")

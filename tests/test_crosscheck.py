@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import os
 import random
+import signal
 
 import pytest
 
@@ -14,17 +15,22 @@ import posetmorse.perms as perms
 from posetmorse.chains import maximal_chains
 from posetmorse.morse import (all_minimal_skipped_intervals,
                               minimal_skipped_intervals)
-from posetmorse.posets import FactorPoset, PatternPoset
+from posetmorse.posets import (FactorPoset, PatternPoset,
+                               euler_characteristic, interval_structure)
+from test_posets import euler_by_walk
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and runs the
-    chunks in this process, so no real pool is ever started."""
+    """Stands in for ProcessPoolExecutor: records max_workers and the worker
+    initializer, and runs the chunks in this process, so no real pool is
+    ever started."""
 
     sizes: list[int] = []
+    initializers: list[tuple] = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None, initargs=()):
         RecordingPool.sizes.append(max_workers)
+        RecordingPool.initializers.append((initializer, initargs))
 
     def __enter__(self):
         return self
@@ -39,6 +45,7 @@ class RecordingPool:
 @pytest.fixture
 def pool(monkeypatch):
     RecordingPool.sizes = []
+    RecordingPool.initializers = []
     monkeypatch.setattr(crosscheck, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     return RecordingPool
@@ -58,6 +65,12 @@ def test_jobs_none_means_one_per_cpu(pool):
 def test_jobs_within_the_cpu_count_are_kept(pool):
     crosscheck.run_crosscheck(PatternPoset(), 3, jobs=2)
     assert pool.sizes == [2]
+
+
+def test_pool_workers_ignore_sigint(pool):
+    # an interrupt is handled by the parent alone, which stops the workers
+    crosscheck.run_crosscheck(PatternPoset(), 3, jobs=2)
+    assert pool.initializers == [(signal.signal, (signal.SIGINT, signal.SIG_IGN))]
 
 
 @pytest.mark.parametrize("jobs", [0, -1])
@@ -118,21 +131,39 @@ def test_seeded_keyed_msis_match_the_oracle(poset, bottom, top):
         minimal_skipped_intervals(c, chains[:k]) for k, c in enumerate(chains)]
 
 
-def test_chain_count_catches_a_wrong_cover_rule(monkeypatch):
-    # treating 132 as monotone drops its cover 12 from the chain listing;
-    # the count over the order relation still sees both chains
+@pytest.mark.parametrize("poset, bottom, top", SEEDED)
+def test_seeded_euler_characteristic_matches_the_chain_walk(poset, bottom, top):
+    interval = interval_structure(poset, bottom, top)
+    assert euler_characteristic(poset, interval) == euler_by_walk(poset, interval)
+
+
+@pytest.fixture
+def monotone_132(monkeypatch):
+    """Treat 132 as monotone, a wrong cover rule.  The memoized permutation
+    operators are cleared before the patch, so that it reaches the cover
+    rule, and again after it is undone, so that no patched value outlives
+    the test."""
+    operators = (perms.down_covers, perms.interior, perms.exterior)
+    for op in operators:
+        op.cache_clear()
     real = perms.is_monotone
     monkeypatch.setattr(perms, "is_monotone",
                         lambda p: tuple(p) == (1, 3, 2) or real(p))
+    yield
+    monkeypatch.undo()
+    for op in operators:
+        op.cache_clear()
+
+
+def test_chain_count_catches_a_wrong_cover_rule(monotone_132):
+    # treating 132 as monotone drops its cover 12 from the chain listing;
+    # the count over the order relation still sees both chains
     problems = crosscheck.check_interval(PatternPoset(), (1,), (1, 3, 2)).problems
     assert "chains: found 1, naive descent gives 2" in problems
 
 
-def test_a_cover_rule_that_lists_no_chain_is_reported(monkeypatch):
+def test_a_cover_rule_that_lists_no_chain_is_reported(monotone_132):
     # treating 132 as monotone leaves [12, 132] without a chain
-    real = perms.is_monotone
-    monkeypatch.setattr(perms, "is_monotone",
-                        lambda p: tuple(p) == (1, 3, 2) or real(p))
     problems = crosscheck.check_interval(PatternPoset(), (1, 2), (1, 3, 2)).problems
     assert "chains: found 0, naive descent gives 1" in problems
 

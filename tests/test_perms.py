@@ -67,10 +67,10 @@ def test_leq_consecutive_is_reflexive_and_length_gated():
 
 
 def test_down_covers_shape():
-    assert down_covers((2, 1, 3)) == [((2, 1), 3), ((1, 2), 1)]
+    assert down_covers((2, 1, 3)) == (((2, 1), 3), ((1, 2), 1))
     # monotone permutations have a single cover, taken on the suffix side
-    assert down_covers((1, 2, 3)) == [((1, 2), 1)]
-    assert down_covers((2, 1)) == [((1,), 1)]
+    assert down_covers((1, 2, 3)) == (((1, 2), 1),)
+    assert down_covers((2, 1)) == (((1,), 1),)
     with pytest.raises(ValueError):
         down_covers((1,))
 

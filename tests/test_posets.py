@@ -7,6 +7,7 @@ import itertools
 import pytest
 
 from posetmorse import perms, words
+from posetmorse.crosscheck import run_crosscheck
 from posetmorse.posets import (FactorPoset, IncomparableError, MobiusCache,
                                PatternPoset, SizeLimitError,
                                euler_characteristic, interval_elements,
@@ -21,9 +22,9 @@ def test_pattern_poset_basics():
     assert p.rank((2, 1, 3)) == 3
     assert p.leq((1,), (2, 1))
     assert not p.leq((1, 2), (2, 1))
-    assert p.down_covers((2, 1, 3, 5, 4, 6)) == [
-        ((2, 1, 3, 5, 4), 6), ((1, 2, 4, 3, 5), 1)]
-    assert p.down_covers((1, 2, 3)) == [((1, 2), 1)]
+    assert p.down_covers((2, 1, 3, 5, 4, 6)) == (
+        ((2, 1, 3, 5, 4), 6), ((1, 2, 4, 3, 5), 1))
+    assert p.down_covers((1, 2, 3)) == (((1, 2), 1),)
     assert p.parse("213") == (2, 1, 3)
     assert p.format((2, 1, 3)) == "213"
     assert len(list(p.elements_of_rank(3))) == 6
@@ -37,8 +38,8 @@ def test_factor_poset_basics():
     assert f.rank(()) == 0
     assert f.leq((), ("a",))
     assert not f.leq(tuple("ba"), tuple("aab"))
-    assert f.down_covers(tuple("ab")) == [(("a",), 2), (("b",), 1)]
-    assert f.down_covers(tuple("aa")) == [(("a",), 1)]
+    assert f.down_covers(tuple("ab")) == ((("a",), 2), (("b",), 1))
+    assert f.down_covers(tuple("aa")) == ((("a",), 1),)
     assert f.parse("ab") == ("a", "b")
     assert f.parse("eps") == ()
     assert f.format(()) == ""
@@ -127,6 +128,38 @@ def test_euler_characteristic_values():
         euler((1,), (1,))
 
 
+def euler_by_walk(poset, interval) -> int:
+    """The oracle for euler_characteristic: walk every chain of the open
+    interval, count them by length, and take the alternating sum minus 1."""
+    top = interval.size - 1
+    counts: list[int] = []  # counts[k] = chains with k+1 elements
+
+    def walk(x: int, depth: int) -> None:
+        if depth == len(counts):
+            counts.append(0)
+        counts[depth] += 1
+        for y in interval.ups[x]:
+            if y != top:
+                walk(y, depth + 1)
+
+    for x in range(1, top):
+        walk(x, 0)
+    return sum(c if k % 2 == 0 else -c for k, c in enumerate(counts)) - 1
+
+
+def test_euler_characteristic_matches_the_chain_walk():
+    # every interval of rank gap at least one under pattern tops of length
+    # <= 5 and factor {a,b} tops of length <= 5
+    for poset in (PatternPoset(), FactorPoset(("a", "b"))):
+        for n in range(poset.min_rank, 6):
+            for top in poset.elements_of_rank(n):
+                for bottom in poset.down_set(top):
+                    if poset.rank(top) - poset.rank(bottom) < 1:
+                        continue
+                    s = interval_structure(poset, bottom, top)
+                    assert euler_characteristic(poset, s) == euler_by_walk(poset, s)
+
+
 def test_mobius_cache_round_trip(tmp_path):
     path = tmp_path / "mu.cache"
     cache = MobiusCache(str(path))
@@ -186,5 +219,15 @@ def test_interval_structure_matches_the_order_oracle():
 
 
 def test_process_wide_down_set_caches_are_bounded():
-    for cached in (perms._window_patterns, words._factor_set):
+    for cached in (perms._window_patterns, words._factor_set, perms.exterior,
+                   perms.interior, perms.down_covers):
         assert cached.cache_info().maxsize is not None
+
+
+def test_a_sweep_computes_each_operator_once_per_permutation():
+    for op in (perms.exterior, perms.interior, perms.down_covers):
+        op.cache_clear()
+    assert run_crosscheck(PatternPoset(), 4).ok
+    info = perms.exterior.cache_info()
+    assert info.misses <= 1 + 2 + 6 + 24  # permutations of length <= 4
+    assert info.hits > info.misses

@@ -69,10 +69,10 @@ def test_outer_word_is_longest_proper_border():
 
 
 def test_down_covers_word():
-    assert down_covers_word(w("aab")) == [(w("aa"), 3), (w("ab"), 1)]
+    assert down_covers_word(w("aab")) == ((w("aa"), 3), (w("ab"), 1))
     # flat words lose their first letter only
-    assert down_covers_word(w("aaa")) == [(w("aa"), 1)]
-    assert down_covers_word(w("b")) == [((), 1)]
+    assert down_covers_word(w("aaa")) == ((w("aa"), 1),)
+    assert down_covers_word(w("b")) == (((), 1),)
     with pytest.raises(ValueError):
         down_covers_word(())
 
