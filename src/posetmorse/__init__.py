@@ -4,8 +4,11 @@ pattern poset on permutations and in factor order on words.
 
 Three independent routes to every Mobius value: a closed-form recursion,
 a sum over critical chains from a discrete Morse matching on the order
-complex, and brute-force recursion over the interval.  The morse module
-also reads off the homotopy type.  The bijection module realizes factor
+complex, and brute-force recursion over the interval.  mobius_bruteforce
+and euler_characteristic take an interval_structure and return a column
+indexed like its elements, the value of [x, top] for every element x, so
+entry 0 is that of the interval itself.  The morse module also reads off
+the homotopy type.  The bijection module realizes factor
 order on {a,b}* inside the pattern poset via permutations avoiding 213
 and 231.
 """

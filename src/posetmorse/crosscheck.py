@@ -4,9 +4,12 @@ cap, every Mobius route, and every structural invariant the machinery is
 supposed to satisfy.
 
 evaluate runs every Mobius route on one interval, for this harness and for
-the mobius subcommand alike.  Brute force runs on every interval; a cache
-file is only checked against its values and appended to, never read in
-their place.
+the mobius subcommand alike.  Brute force, the Euler characteristic and
+the chain count read only the order relation, so they are computed per top
+and read per bottom: top_routes enumerates a top's down-set once and holds
+a column of each route with one entry per element under the top.  Brute
+force thus gives a value for every interval; a cache file is only checked
+against those values and appended to, never read in their place.
 
 Per interval the harness verifies that the closed form, the critical-chain
 count, and the brute-force recursion agree (plus the reduced Euler
@@ -21,6 +24,7 @@ value.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 import signal
@@ -35,27 +39,51 @@ from .posets import (IntervalStructure, MobiusCache, euler_characteristic,
 
 @dataclass(frozen=True)
 class Routes:
-    """Every Mobius route on one interval."""
+    """Every Mobius route on one interval, and its number of maximal
+    chains by the order relation."""
 
     closed: int
     report: MorseReport
-    interval: IntervalStructure
+    chain_count: int
     brute: int
     euler: int | None
+
+
+@dataclass(frozen=True)
+class TopRoutes:
+    """The down-set of one top, [minimum, top], with the position of each
+    element in it and the column of each order-relation route."""
+
+    interval: IntervalStructure
+    position: dict
+    brute: tuple[int, ...]
+    euler: tuple
+    chain_count: tuple[int, ...]
+
+
+@functools.lru_cache(maxsize=32)
+def top_routes(poset, top) -> TopRoutes:
+    """Brute force, the Euler characteristic and the chain count of every
+    interval under top, from one enumeration of its down-set."""
+    interval = interval_structure(poset, poset.minimum, top)
+    return TopRoutes(interval, {e: i for i, e in enumerate(interval.elements)},
+                     mobius_bruteforce(poset, interval),
+                     euler_characteristic(poset, interval),
+                     naive_chain_count(poset, interval))
 
 
 def evaluate(poset, bottom, top) -> Routes:
     """
     The closed form first (it rejects an incomparable pair), then the Morse
-    report, the interval structure, brute force, and the Euler
-    characteristic when the rank gap is at least one.
+    report, then brute force, the Euler characteristic (None at rank gap
+    zero) and the chain count, read at the bottom from the top's columns.
     """
     closed = poset.mobius_closed_form(bottom, top)
     report = morse_report(poset, bottom, top)
-    interval = interval_structure(poset, bottom, top)
-    gap = poset.rank(top) - poset.rank(bottom)
-    euler = euler_characteristic(poset, interval) if gap >= 1 else None
-    return Routes(closed, report, interval, mobius_bruteforce(poset, interval), euler)
+    routes = top_routes(poset, top)
+    i = routes.position[bottom]
+    return Routes(closed, report, routes.chain_count[i], routes.brute[i],
+                  routes.euler[i])
 
 
 @dataclass(frozen=True)
@@ -84,19 +112,21 @@ class CrosscheckReport:
         return not self.mismatches
 
 
-def naive_chain_count(poset, interval: IntervalStructure) -> int:
+def naive_chain_count(poset, interval: IntervalStructure) -> tuple[int, ...]:
     """
-    Independent chain count: cover paths up the interval structure (x < y
-    with ranks one apart), read from the order relation alone, never from
-    the poset's cover rule.  Two covers of one element coincide only when
-    it is monotone or flat, and then it has one, so this counts the chains
-    maximal_chains lists.
+    Independent chain count: cover paths from each element up to the top of
+    the interval structure (x < z with ranks one apart), read from the
+    order relation alone, never from the poset's cover rule.  Two covers of
+    one element coincide only when it is monotone or flat, and then it has
+    one, so entry i counts the chains maximal_chains lists for
+    [elements[i], top].
     """
     ranks = [poset.rank(e) for e in interval.elements]
-    paths = [1]
-    for y, below in enumerate(interval.downs[1:], start=1):
-        paths.append(sum(paths[x] for x in below if ranks[x] == ranks[y] - 1))
-    return paths[-1]
+    top = interval.size - 1
+    paths = [0] * top + [1]
+    for x in range(top - 1, -1, -1):
+        paths[x] = sum(paths[z] for z in interval.ups[x] if ranks[z] == ranks[x] + 1)
+    return tuple(paths)
 
 
 def check_interval(poset, bottom, top) -> IntervalRecord:
@@ -123,7 +153,7 @@ def check_interval(poset, bottom, top) -> IntervalRecord:
         problems.append("chains: duplicate label sequences")
     if ids != sorted(ids):
         problems.append("chains: not sorted by label sequence")
-    expect = naive_chain_count(poset, routes.interval)
+    expect = routes.chain_count
     if len(chains) != expect:
         problems.append(f"chains: found {len(chains)}, naive descent gives {expect}")
     if not is_poset_lex(chains):
@@ -198,9 +228,7 @@ def check_interval(poset, bottom, top) -> IntervalRecord:
 def _interval_records(poset, tops) -> list[IntervalRecord]:
     records = []
     for top in tops:
-        bottoms = sorted(poset.down_set(top),
-                         key=lambda e: (poset.rank(e), poset.format(e)))
-        for bottom in bottoms:
+        for bottom in top_routes(poset, top).interval.elements:
             records.append(check_interval(poset, bottom, top))
     return records
 

@@ -127,8 +127,11 @@ def run_iso_search(pattern_cap: int = 4, word_cap: int = 4,
     """
     For each pattern interval with top length at most pattern_cap, look for
     a factor-order interval over ``alphabet`` with top length at most
-    word_cap that is isomorphic to it.
+    word_cap that is isomorphic to it.  Both caps must be at least 0.
     """
+    for name, cap in (("pattern", pattern_cap), ("word", word_cap)):
+        if cap < 0:
+            raise ValueError(f"{name} cap must be at least 0, got {cap}")
     wposet = FactorPoset(alphabet)
     by_cert: dict[tuple, list[tuple[tuple, tuple, IntervalStructure]]] = {}
     for w in _canonical_words(alphabet, word_cap):

@@ -8,9 +8,14 @@ the consecutive pattern order on permutations; FactorPoset is factor order
 on words over a fixed alphabet, empty word included.
 
 interval_structure enumerates an interval once, with its order relation.
+The ground-truth routes are computed per top and read per bottom: each
+takes the structure of [bottom, top] and returns a column indexed like its
+elements, the value of [x, top] for every element x, by one backward pass
+from the top; entry 0 is the value of the interval itself.  Run on the
+down-set of a top, [minimum, top], one pass serves every bottom under it.
 mobius_bruteforce recurses over that structure and is the reference
 implementation everything else is checked against; euler_characteristic
-counts the chains of its open interval by length without listing them, a
+counts the chains of each open interval by length without listing them, a
 second independent route to the same number at rank gap two or more.
 """
 
@@ -59,6 +64,7 @@ class PatternPoset(_LengthGraded):
     tag = "pattern"
     limit_name = "pattern"
     min_rank = 1
+    minimum = (1,)
 
     def leq(self, x, y) -> bool:
         return perms.leq_consecutive(x, y)
@@ -102,6 +108,7 @@ class FactorPoset(_LengthGraded):
     kind = "factor"
     limit_name = "factor-order"
     min_rank = 0
+    minimum = ()
 
     @property
     def tag(self) -> str:
@@ -177,37 +184,41 @@ def interval_structure(poset, bottom, top) -> IntervalStructure:
     return IntervalStructure(elems, ups, downs)
 
 
-def mobius_bruteforce(poset, interval: IntervalStructure) -> int:
+def mobius_bruteforce(poset, interval: IntervalStructure) -> tuple[int, ...]:
     """
-    Mobius function by the defining recursion: mu(bottom, bottom) = 1 and
-    mu(bottom, y) = -sum of mu(bottom, z) over bottom <= z < y.
+    Mobius function to the top by the dual defining recursion, for every
+    element at once: mu(top, top) = 1 and mu(x, top) = -sum of mu(z, top)
+    over x < z <= top.  Entry i is mu(elements[i], top).
     """
-    mu = [1]
-    for below in interval.downs[1:]:
-        mu.append(-sum(mu[z] for z in below))
-    return mu[-1]
+    top = interval.size - 1
+    mu = [0] * top + [1]
+    for x in range(top - 1, -1, -1):
+        mu[x] = -sum(mu[z] for z in interval.ups[x])
+    return tuple(mu)
 
 
-def euler_characteristic(poset, interval: IntervalStructure) -> int:
+def euler_characteristic(poset, interval: IntervalStructure) -> tuple:
     """
-    Reduced Euler characteristic of the order complex of the open interval,
-    the alternating f-vector sum minus one, by counting chains, not listing
-    them: ends[x][k] counts those of k+1 elements with largest element x.
-    Needs rank gap at least one; a gap of exactly one has an empty complex
-    and returns -1 (degenerate but equal to the Mobius value there too).
+    Reduced Euler characteristic of the order complex of every open
+    interval (x, top), the alternating f-vector sum minus one, by counting
+    chains, not listing them: row[x][k] counts the chains x < z_1 < ... <
+    z_k < top, so the f-vector of (x, top) is row[x][1:].  Entry i is that
+    of (elements[i], top).  At rank gap one the complex is empty and the
+    entry is -1 (degenerate but equal to the Mobius value there too); the
+    open interval of the top alone is undefined, and its entry is None.
     """
-    elems = interval.elements
-    if poset.rank(elems[-1]) - poset.rank(elems[0]) < 1:
-        raise ValueError("the open interval of a single element is undefined")
-    ends: list[list[int]] = [[]]  # the bottom ends no open chain
-    for x in range(1, len(elems) - 1):
-        row = [1] + [0] * (poset.rank(elems[x]) - poset.rank(elems[0]) - 1)
-        for z in interval.downs[x]:
-            for k, c in enumerate(ends[z]):
-                row[k + 1] += c
-        ends.append(row)
-    f = [sum(col) for col in itertools.zip_longest(*ends, fillvalue=0)]
-    return sum(c if k % 2 == 0 else -c for k, c in enumerate(f)) - 1
+    elems, top = interval.elements, interval.size - 1
+    rows: list[list[int]] = [[]] * top
+    chi: list[int | None] = [None] * interval.size
+    for x in range(top - 1, -1, -1):
+        row = [1] + [0] * (poset.rank(elems[top]) - poset.rank(elems[x]) - 1)
+        for z in interval.ups[x]:
+            if z != top:
+                for k, c in enumerate(rows[z]):
+                    row[k + 1] += c
+        rows[x] = row
+        chi[x] = sum(-c if k % 2 else c for k, c in enumerate(row[1:])) - 1
+    return tuple(chi)
 
 
 class MobiusCache:

@@ -15,6 +15,7 @@ import pytest
 import posetmorse.cli as cli
 import posetmorse.closed_form as closed_form
 import posetmorse.crosscheck as crosscheck
+import posetmorse.isosearch as isosearch
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -236,6 +237,18 @@ def test_iso_search_command(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("flag, name", [("--pattern-cap", "pattern"),
+                                        ("--word-cap", "word")])
+def test_iso_search_rejects_a_negative_cap(capsys, monkeypatch, flag, name):
+    def no_interval(*args, **kwargs):
+        raise AssertionError("an interval was computed")
+
+    monkeypatch.setattr(isosearch, "interval_structure", no_interval)
+    code, out, err = run_cli(capsys, "iso-search", flag, "-3")
+    assert code == 3 and out == ""
+    assert f"{name} cap must be at least 0, got -3" in err
+
+
 def test_alphabet_flag(capsys):
     code, out, _ = run_cli(capsys, "mobius", "c", "abc", "--poset", "factor",
                            "--alphabet", "abc")
@@ -315,13 +328,25 @@ def test_poisoned_cache_is_named_with_two_jobs(capsys, tmp_path, two_cpus):
     assert path.read_text() == POISONED_SWEEP
 
 
+@pytest.fixture
+def fresh_top_routes():
+    """Clear the per-top memo of the order-relation routes before and after
+    a test that patches one, so that no warm memo hides the patch and no
+    patched column outlives the test."""
+    crosscheck.top_routes.cache_clear()
+    yield
+    crosscheck.top_routes.cache_clear()
+
+
 def test_a_warm_cache_does_not_hide_a_wrong_brute_force(
-        capsys, tmp_path, monkeypatch):
+        capsys, tmp_path, monkeypatch, fresh_top_routes):
     path = tmp_path / "mu.cache"
     argv = ("crosscheck", "--max-size", "4", "--jobs", "1", "--cache",
             str(path), "--format", "json")
     assert run_cli(capsys, *argv)[0] == 0
-    monkeypatch.setattr(crosscheck, "mobius_bruteforce", lambda poset, interval: 7)
+    monkeypatch.setattr(crosscheck, "mobius_bruteforce",
+                        lambda poset, interval: (7,) * interval.size)
+    crosscheck.top_routes.cache_clear()  # as in a fresh process
     code, out, _ = run_cli(capsys, *argv)
     assert code == 1
     assert (f"[1, 12] cache: {path} holds -1, brute force gives 7"
@@ -329,16 +354,20 @@ def test_a_warm_cache_does_not_hide_a_wrong_brute_force(
 
 
 def test_brute_force_runs_on_every_interval_cold_and_warm(
-        capsys, tmp_path, monkeypatch):
+        capsys, tmp_path, monkeypatch, fresh_top_routes):
     calls = []
     real = crosscheck.mobius_bruteforce
     monkeypatch.setattr(crosscheck, "mobius_bruteforce",
                         lambda *args: calls.append(args) or real(*args))
     for _ in ("cold", "warm"):
         calls.clear()
+        crosscheck.top_routes.cache_clear()  # as in a fresh process
         code, _, _ = run_cli(capsys, "crosscheck", "--max-size", "4",
                              "--jobs", "1", "--cache", str(tmp_path / "mu.cache"))
-        assert code == 0 and len(calls) == 167
+        # one call per top, whose column holds a value for every interval
+        # under it
+        assert code == 0 and len(calls) == 33
+        assert sum(interval.size for _, interval in calls) == 167
 
 
 def test_crosscheck_with_two_jobs_cuts_a_torn_final_line(

@@ -17,7 +17,7 @@ from posetmorse.morse import (all_minimal_skipped_intervals,
                               minimal_skipped_intervals)
 from posetmorse.posets import (FactorPoset, PatternPoset,
                                euler_characteristic, interval_structure)
-from test_posets import euler_by_walk
+from test_posets import assert_columns_match_the_oracles, euler_by_walk
 
 
 class RecordingPool:
@@ -134,25 +134,31 @@ def test_seeded_keyed_msis_match_the_oracle(poset, bottom, top):
 @pytest.mark.parametrize("poset, bottom, top", SEEDED)
 def test_seeded_euler_characteristic_matches_the_chain_walk(poset, bottom, top):
     interval = interval_structure(poset, bottom, top)
-    assert euler_characteristic(poset, interval) == euler_by_walk(poset, interval)
+    assert euler_characteristic(poset, interval)[0] == euler_by_walk(poset, interval)
+
+
+@pytest.mark.parametrize("poset, bottom, top", SEEDED)
+def test_seeded_top_columns_match_the_forward_oracles(poset, bottom, top):
+    assert_columns_match_the_oracles(poset, top, [bottom])
 
 
 @pytest.fixture
 def monotone_132(monkeypatch):
     """Treat 132 as monotone, a wrong cover rule.  The memoized permutation
-    operators are cleared before the patch, so that it reaches the cover
-    rule, and again after it is undone, so that no patched value outlives
-    the test."""
-    operators = (perms.down_covers, perms.interior, perms.exterior)
-    for op in operators:
-        op.cache_clear()
+    operators and the per-top routes are cleared before the patch, so that
+    it reaches the cover rule, and again after it is undone, so that no
+    patched value outlives the test."""
+    memos = (perms.down_covers, perms.interior, perms.exterior,
+             crosscheck.top_routes)
+    for memo in memos:
+        memo.cache_clear()
     real = perms.is_monotone
     monkeypatch.setattr(perms, "is_monotone",
                         lambda p: tuple(p) == (1, 3, 2) or real(p))
     yield
     monkeypatch.undo()
-    for op in operators:
-        op.cache_clear()
+    for memo in memos:
+        memo.cache_clear()
 
 
 def test_chain_count_catches_a_wrong_cover_rule(monotone_132):

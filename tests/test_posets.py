@@ -7,7 +7,7 @@ import itertools
 import pytest
 
 from posetmorse import perms, words
-from posetmorse.crosscheck import run_crosscheck
+from posetmorse.crosscheck import run_crosscheck, top_routes
 from posetmorse.posets import (FactorPoset, IncomparableError, MobiusCache,
                                PatternPoset, SizeLimitError,
                                euler_characteristic, interval_elements,
@@ -86,7 +86,7 @@ def test_size_guardrails():
 
 def test_mobius_bruteforce_point_values():
     def brute(poset, bottom, top):
-        return mobius_bruteforce(poset, interval_structure(poset, bottom, top))
+        return mobius_bruteforce(poset, interval_structure(poset, bottom, top))[0]
 
     p = PatternPoset()
     assert brute(p, (1,), (1,)) == 1
@@ -108,7 +108,7 @@ def test_mobius_bruteforce_defining_recursion():
         for top in itertools.permutations(range(1, n + 1)):
             for bottom in sorted(p.down_set(top)):
                 total = sum(
-                    mobius_bruteforce(p, interval_structure(p, bottom, z))
+                    mobius_bruteforce(p, interval_structure(p, bottom, z))[0]
                     for z in interval_elements(p, bottom, top))
                 assert total == (1 if bottom == top else 0)
 
@@ -117,15 +117,16 @@ def test_euler_characteristic_values():
     p = PatternPoset()
 
     def euler(bottom, top):
-        return euler_characteristic(p, interval_structure(p, bottom, top))
+        return euler_characteristic(p, interval_structure(p, bottom, top))[0]
 
     assert euler((1,), (2, 1, 3, 5, 4, 6)) == 1
     assert euler((1, 2, 3), (2, 1, 3, 5, 4)) == 1
     assert euler((1, 2), (1, 2, 3, 4)) == 0
     # a cover relation has an empty open interval
     assert euler((1,), (1, 2)) == -1
-    with pytest.raises(ValueError):
-        euler((1,), (1,))
+    # the open interval of a single element is undefined: its entry is None
+    assert euler((1,), (1,)) is None
+    assert euler_characteristic(p, interval_structure(p, (1,), (1, 2))) == (-1, None)
 
 
 def euler_by_walk(poset, interval) -> int:
@@ -147,6 +148,49 @@ def euler_by_walk(poset, interval) -> int:
     return sum(c if k % 2 == 0 else -c for k, c in enumerate(counts)) - 1
 
 
+def mobius_by_recursion(interval) -> int:
+    """The oracle for mobius_bruteforce: the defining recursion forward from
+    the bottom, mu(bottom, bottom) = 1 and mu(bottom, y) = -sum of
+    mu(bottom, z) over bottom <= z < y."""
+    mu = [1]
+    for below in interval.downs[1:]:
+        mu.append(-sum(mu[z] for z in below))
+    return mu[-1]
+
+
+def cover_paths(poset, interval) -> int:
+    """The oracle for naive_chain_count: cover paths forward from the
+    bottom, paths[y] = sum of paths[x] over x below y one rank down."""
+    ranks = [poset.rank(e) for e in interval.elements]
+    paths = [1]
+    for y, below in enumerate(interval.downs[1:], start=1):
+        paths.append(sum(paths[x] for x in below if ranks[x] == ranks[y] - 1))
+    return paths[-1]
+
+
+def assert_columns_match_the_oracles(poset, top, bottoms) -> None:
+    """The entry of each x in bottoms in top's columns equals the forward
+    recursion, the chain walk and the cover-path count on [x, top]."""
+    routes = top_routes(poset, top)
+    for x in bottoms:
+        i = routes.position[x]
+        s = interval_structure(poset, x, top)
+        assert routes.brute[i] == mobius_by_recursion(s)
+        assert routes.euler[i] == (euler_by_walk(poset, s) if x != top else None)
+        assert routes.chain_count[i] == cover_paths(poset, s)
+
+
+def test_top_columns_match_the_forward_oracles():
+    # every x under every pattern top of length <= 5 and factor {a,b} top
+    # of length <= 5
+    for poset in (PatternPoset(), FactorPoset(("a", "b"))):
+        for n in range(poset.min_rank, 6):
+            for top in poset.elements_of_rank(n):
+                elements = top_routes(poset, top).interval.elements
+                assert set(elements) == poset.down_set(top)
+                assert_columns_match_the_oracles(poset, top, elements)
+
+
 def test_euler_characteristic_matches_the_chain_walk():
     # every interval of rank gap at least one under pattern tops of length
     # <= 5 and factor {a,b} tops of length <= 5
@@ -157,7 +201,7 @@ def test_euler_characteristic_matches_the_chain_walk():
                     if poset.rank(top) - poset.rank(bottom) < 1:
                         continue
                     s = interval_structure(poset, bottom, top)
-                    assert euler_characteristic(poset, s) == euler_by_walk(poset, s)
+                    assert euler_characteristic(poset, s)[0] == euler_by_walk(poset, s)
 
 
 def test_mobius_cache_round_trip(tmp_path):
@@ -220,7 +264,7 @@ def test_interval_structure_matches_the_order_oracle():
 
 def test_process_wide_down_set_caches_are_bounded():
     for cached in (perms._window_patterns, words._factor_set, perms.exterior,
-                   perms.interior, perms.down_covers):
+                   perms.interior, perms.down_covers, top_routes):
         assert cached.cache_info().maxsize is not None
 
 
@@ -231,3 +275,9 @@ def test_a_sweep_computes_each_operator_once_per_permutation():
     info = perms.exterior.cache_info()
     assert info.misses <= 1 + 2 + 6 + 24  # permutations of length <= 4
     assert info.hits > info.misses
+
+
+def test_a_sweep_builds_each_top_once():
+    top_routes.cache_clear()
+    assert run_crosscheck(PatternPoset(), 4).ok
+    assert top_routes.cache_info().misses == 1 + 2 + 6 + 24  # one per top
