@@ -13,26 +13,25 @@ order on {a,b}* inside the pattern poset via permutations avoiding 213
 and 231.
 """
 
-from .closed_form import mobius_factor, mobius_pattern
-from .crosscheck import run_crosscheck
-from .morse import homotopy_type, mobius_morse
-from .posets import (FactorPoset, IncomparableError, PatternPoset,
-                     SizeLimitError, euler_characteristic, interval_structure,
-                     mobius_bruteforce)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "FactorPoset",
-    "IncomparableError",
-    "PatternPoset",
-    "SizeLimitError",
-    "euler_characteristic",
-    "homotopy_type",
-    "interval_structure",
-    "mobius_bruteforce",
-    "mobius_factor",
-    "mobius_morse",
-    "mobius_pattern",
-    "run_crosscheck",
-]
+# The public names and the module of each.  They load on first use, so
+# that `python -m posetmorse` reaches __main__, which turns a Ctrl-C into
+# exit 130, before anything heavy is imported.
+_HOMES = {name: module for module, names in (
+    ("closed_form", "mobius_factor mobius_pattern"),
+    ("crosscheck", "run_crosscheck"),
+    ("morse", "homotopy_type mobius_morse"),
+    ("posets", "FactorPoset IncomparableError PatternPoset SizeLimitError "
+               "euler_characteristic interval_structure mobius_bruteforce"),
+) for name in names.split()}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_HOMES[name]}", __name__), name)

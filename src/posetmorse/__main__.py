@@ -1,3 +1,13 @@
-from .cli import run
+import os
+import sys
+
+try:
+    from .cli import run
+except KeyboardInterrupt:  # Ctrl-C while the package is still importing
+    print("interrupted", file=sys.stderr, flush=True)
+    # Not SystemExit: an interrupt raised inside exec() of source text, as
+    # dataclasses builds its methods, leaves the interpreter set to end
+    # itself by SIGINT after any other exit status.
+    os._exit(130)
 
 run()

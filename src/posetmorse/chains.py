@@ -5,19 +5,20 @@ the skipped-interval machinery relies on.
 Every cover in either poset deletes the first or last letter of a
 contiguous window of the top element, so a maximal chain is recorded as a
 shrinking window plus the sequence of deleted top positions (its labels).
-The label sequence identifies the chain within its interval, and sorting
-chains by it produces a poset lexicographic order: once two chains part
+The label sequence identifies the chain within its interval, and ordering
+chains by it gives a poset lexicographic order: once two chains part
 ways, everything sharing the first one's prefix comes before everything
-sharing the second one's.
+sharing the second one's.  Chains are listed per top by one depth-first
+walk that takes covers in increasing label order, so every bottom's
+chains come out in that order with no sort.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
-
-from .posets import IncomparableError
 
 
 class StepClass(Enum):
@@ -54,41 +55,45 @@ def chain_id_text(chain: MaximalChain) -> str:
 
 def maximal_chains(poset, bottom, top) -> list[MaximalChain]:
     """
-    All maximal chains of [bottom, top], sorted by label sequence.
-
-    Each step follows one of poset.down_covers: a cover at position one
-    deletes the first letter of the window, any other the last.  A path is
-    kept when it reaches the bottom's rank at the bottom itself, so the
-    listing reads only the cover rule; the order relation serves just to
+    All maximal chains of [bottom, top], sorted by label sequence: the
+    one-bottom case of walk_chains.  The order relation serves just to
     reject an incomparable pair.
     """
-    poset.check_top(top)
-    if not poset.leq(bottom, top):
-        raise IncomparableError(
-            f"{poset.format(bottom)!r} is not below {poset.format(top)!r}")
-    target = poset.rank(bottom)
-    found: list[MaximalChain] = []
-    elems = [top]
-    windows = [(0, poset.rank(top))]
-    labels: list[int] = []
+    poset.check_pair(bottom, top)
+    return walk_chains(poset, top, (bottom,))[bottom][0]
 
-    def descend() -> None:
+
+def walk_chains(poset, top, bottoms) -> dict:
+    """
+    The maximal chains of [b, top] for every b in bottoms, by one
+    depth-first walk from the top down to the lowest rank asked for.  It
+    reads only the cover rule, taking poset.down_covers last first: a cover
+    at position one deletes the first letter of the window, any other the
+    last, so labels rise.  Every path from the top to x is a maximal chain
+    of [x, top], and each bottom's chains arrive sorted by label sequence;
+    a chain is built only where a path reaches an asked bottom.
+
+    Maps each bottom to its chains and the walk's node ids of each chain's
+    elements.  A node id names a path from the top, so ids[i] is an id of
+    the prefix elements[:i + 1] across the whole walk.
+    """
+    found = {b: ([], []) for b in bottoms}
+    floor = min((poset.rank(b) for b in bottoms), default=poset.rank(top))
+    count = itertools.count(1)
+
+    def descend(elems, windows, labels, ids) -> None:
+        at = found.get(elems[-1])
+        if at is not None:
+            at[0].append(MaximalChain(elems, windows, labels))
+            at[1].append(ids)
         lo, hi = windows[-1]
-        if hi - lo == target:
-            if elems[-1] == bottom:
-                found.append(MaximalChain(tuple(elems), tuple(windows), tuple(labels)))
-            return
-        for child, pos in poset.down_covers(elems[-1]):
-            elems.append(child)
-            windows.append((lo + 1, hi) if pos == 1 else (lo, hi - 1))
-            labels.append(lo + pos)
-            descend()
-            elems.pop()
-            windows.pop()
-            labels.pop()
+        if hi - lo > floor:
+            for child, pos in reversed(poset.down_covers(elems[-1])):
+                descend(elems + (child,),
+                        windows + (((lo + 1, hi) if pos == 1 else (lo, hi - 1)),),
+                        labels + (lo + pos,), ids + (next(count),))
 
-    descend()
-    found.sort(key=lambda c: c.labels)
+    descend((top,), ((0, poset.rank(top)),), (), (0,))
     return found
 
 

@@ -12,8 +12,8 @@ returns zero, so evaluation touches a chain of at most |top| subproblems.
 
 from __future__ import annotations
 
+from . import posets
 from .perms import exterior, interior, is_monotone, leq_consecutive
-from .posets import IncomparableError
 from .words import inner_word, is_factor, is_flat, outer_word
 
 
@@ -45,7 +45,7 @@ def mobius_pattern(sigma: tuple[int, ...], tau: tuple[int, ...]) -> int:
     1
     """
     if not leq_consecutive(sigma, tau):
-        raise IncomparableError("sigma is not a consecutive pattern of tau")
+        raise posets.IncomparableError("sigma is not a consecutive pattern of tau")
     return _mobius(sigma, tau, leq_consecutive, exterior, interior, is_monotone)
 
 
@@ -61,5 +61,5 @@ def mobius_factor(u: tuple, w: tuple) -> int:
     0
     """
     if not is_factor(u, w):
-        raise IncomparableError("u is not a factor of w")
+        raise posets.IncomparableError("u is not a factor of w")
     return _mobius(u, w, is_factor, outer_word, inner_word, is_flat)

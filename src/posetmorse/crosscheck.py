@@ -9,7 +9,10 @@ the chain count read only the order relation, so they are computed per top
 and read per bottom: top_routes enumerates a top's down-set once and holds
 a column of each route with one entry per element under the top.  Brute
 force thus gives a value for every interval; a cache file is only checked
-against those values and appended to, never read in their place.
+against those values and appended to, never read in their place.  A
+sweep runs the Morse route per top as well: one walk from the top lists
+the chains of every bottom under it (morse.morse_reports), and each
+interval's check reads its bottom's report.
 
 Per interval the harness verifies that the closed form, the critical-chain
 count, and the brute-force recursion agree (plus the reduced Euler
@@ -32,7 +35,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .chains import StepClass, classify_steps, is_poset_lex
-from .morse import MorseReport, morse_report
+from .morse import MorseReport, morse_report, morse_reports
 from .posets import (IntervalStructure, MobiusCache, euler_characteristic,
                      interval_structure, mobius_bruteforce)
 
@@ -72,14 +75,16 @@ def top_routes(poset, top) -> TopRoutes:
                      naive_chain_count(poset, interval))
 
 
-def evaluate(poset, bottom, top) -> Routes:
+def evaluate(poset, bottom, top, report: MorseReport | None = None) -> Routes:
     """
     The closed form first (it rejects an incomparable pair), then the Morse
-    report, then brute force, the Euler characteristic (None at rank gap
-    zero) and the chain count, read at the bottom from the top's columns.
+    report unless the caller's walk gave it, then brute force, the Euler
+    characteristic (None at rank gap zero) and the chain count, read at the
+    bottom from the top's columns.
     """
     closed = poset.mobius_closed_form(bottom, top)
-    report = morse_report(poset, bottom, top)
+    if report is None:
+        report = morse_report(poset, bottom, top)
     routes = top_routes(poset, top)
     i = routes.position[bottom]
     return Routes(closed, report, routes.chain_count[i], routes.brute[i],
@@ -129,11 +134,12 @@ def naive_chain_count(poset, interval: IntervalStructure) -> tuple[int, ...]:
     return tuple(paths)
 
 
-def check_interval(poset, bottom, top) -> IntervalRecord:
+def check_interval(poset, bottom, top,
+                   report: MorseReport | None = None) -> IntervalRecord:
     """Run every route and invariant suite on one interval."""
     problems: list[str] = []
     gap = poset.rank(top) - poset.rank(bottom)
-    routes = evaluate(poset, bottom, top)
+    routes = evaluate(poset, bottom, top, report)
     report = routes.report
     mu_closed, mu_morse, mu_brute = routes.closed, report.mobius, routes.brute
     # at rank gap one the open interval is empty: Euler reads -1 and checks nothing
@@ -226,10 +232,12 @@ def check_interval(poset, bottom, top) -> IntervalRecord:
 
 
 def _interval_records(poset, tops) -> list[IntervalRecord]:
+    """Every interval under the given tops, from one Morse walk per top."""
     records = []
     for top in tops:
-        for bottom in top_routes(poset, top).interval.elements:
-            records.append(check_interval(poset, bottom, top))
+        bottoms = top_routes(poset, top).interval.elements
+        reports = morse_reports(poset, top, bottoms)
+        records.extend(check_interval(poset, b, top, reports[b]) for b in bottoms)
     return records
 
 
@@ -242,15 +250,16 @@ def run_crosscheck(poset, max_size: int, cache: MobiusCache | None = None,
                    jobs: int | None = 1) -> CrosscheckReport:
     """
     Check every interval [bottom, top] with rank(top) <= max_size, which
-    must be at least 0 and within the poset's size guardrail.  The unit
+    must be within the poset's size guardrail and at least its smallest
+    rank: a sweep that checks no interval would pass vacuously.  The unit
     of parallel work is all intervals under one top.  At most one worker
     process runs per CPU; jobs=None asks for one per CPU.  After
     the sweep, in sweep order, each interval's brute-force value is checked
     against the cache, and appended to it when the file holds no record;
     a held record that differs is one more problem of that interval.
     """
-    if max_size < 0:
-        raise ValueError(f"max size must be at least 0, got {max_size}")
+    if max_size < poset.min_rank:
+        raise ValueError(f"max size must be at least {poset.min_rank}, got {max_size}")
     poset.check_length(max_size)
     cpus = os.cpu_count() or 1
     if jobs is None:

@@ -127,11 +127,12 @@ def run_iso_search(pattern_cap: int = 4, word_cap: int = 4,
     """
     For each pattern interval with top length at most pattern_cap, look for
     a factor-order interval over ``alphabet`` with top length at most
-    word_cap that is isomorphic to it.  Both caps must be at least 0.
+    word_cap that is isomorphic to it.  The pattern cap must be at least 1,
+    so that some interval is searched, and the word cap at least 0.
     """
-    for name, cap in (("pattern", pattern_cap), ("word", word_cap)):
-        if cap < 0:
-            raise ValueError(f"{name} cap must be at least 0, got {cap}")
+    for name, cap, least in (("pattern", pattern_cap, 1), ("word", word_cap, 0)):
+        if cap < least:
+            raise ValueError(f"{name} cap must be at least {least}, got {cap}")
     wposet = FactorPoset(alphabet)
     by_cert: dict[tuple, list[tuple[tuple, tuple, IntervalStructure]]] = {}
     for w in _canonical_words(alphabet, word_cap):

@@ -12,12 +12,15 @@ D iff it contains D's difference block, the span from the first to the
 last index where their elements differ.  The minimal skipped intervals of
 C are therefore its containment-minimal difference blocks.
 
-They are found for all chains in one pass, linear in the number of chains,
-without comparing chains pairwise: every element prefix and suffix gets a
-small int id, and (i, j) is skipped exactly when an earlier chain produced
-the key (id of elements[:i], id of elements[j+1:]).  They are resolved into
-a disjoint family in one left-to-right pass that truncates each member's
-start past everything already chosen; C is critical when the family covers
+The chains of every bottom under a top come from one walk from the top
+(chains.walk_chains), already in that order.  Their MSIs are found in one
+pass per bottom, linear in the number of chains, without comparing chains
+pairwise: every element prefix and suffix has a small int id, and (i, j)
+is skipped exactly when an earlier chain produced the key (id of
+elements[:i], id of elements[j+1:]).  The walk's node ids serve as prefix
+ids; only suffix ids are interned.  The MSIs are resolved into a disjoint
+family in one left-to-right pass that truncates each member's start past
+everything already chosen; C is critical when the family covers
 all of C's interior, and contributes (-1)^(size-1) to the Mobius function.
 Zero critical chains mean a contractible complex, one critical chain a
 sphere of the matching dimension.
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chains import MaximalChain, maximal_chains
+from .chains import MaximalChain, walk_chains
 from .perms import exterior, interior, leq_consecutive
 from .words import inner_word, is_factor, outer_word
 
@@ -78,42 +81,43 @@ def minimal_skipped_intervals(chain: MaximalChain,
                              for p, q in blocks))
 
 
-def all_minimal_skipped_intervals(chains: list[MaximalChain]) -> list[list[Span]]:
+def all_minimal_skipped_intervals(chains: list[MaximalChain],
+                                  prefixes: list[tuple[int, ...]]) -> list[list[Span]]:
     """
     minimal_skipped_intervals(c, chains[:k]) for every chain c at position
-    k of a sorted listing, looked up by key.  For each start i from the
-    right, the first end j whose key an earlier chain produced gives the
-    smallest skipped run at i; it is minimal exactly when j is below every
-    end kept so far, so the kept ends strictly fall.  A chain's keys join
-    the set only after its own lookup.
+    k of one bottom's listing by walk_chains, looked up by key, with
+    prefixes[k][i - 1] the walk's id of c.elements[:i].  For each start i
+    from the right, the first end j whose key an earlier chain produced
+    gives the smallest skipped run at i; it is minimal exactly when j is
+    below every end kept so far, so the kept ends strictly fall.  A chain's
+    keys join the set only after its own lookup.
 
     >>> from .posets import FactorPoset
-    >>> chains = maximal_chains(FactorPoset(), (), tuple("abba"))
-    >>> all_minimal_skipped_intervals(chains)
+    >>> top = tuple("abba")
+    >>> chains, prefixes = walk_chains(FactorPoset(), top, [()])[()]
+    >>> all_minimal_skipped_intervals(chains, prefixes)
     [[], [(3, 3)], [(2, 2)], [(1, 1)], [(2, 2)], [(1, 2), (3, 3)]]
     """
-    ids: dict = {}  # (id of a sequence, next element) -> id; 0 is empty
+    ids: dict = {}  # (id of a suffix, element before it) -> id; 0 is empty
     keys: set = set()
     out = []
-    for k, chain in enumerate(chains):
+    for k, (chain, pre) in enumerate(zip(chains, prefixes)):
         e = chain.elements
         n = len(e) - 1
-        pre = [0]  # pre[i] is the id of e[:i]
-        for x in e[:-1]:
-            pre.append(ids.setdefault((pre[-1], x), len(ids) + 1))
-        suf = [0] * (n + 1)  # suf[j] is the id of e[j+1:]
-        for j in range(n - 1, -1, -1):
+        suf = [0] * (n + 1)  # suf[j] is the id of e[j+1:], for j >= 1
+        for j in range(n - 1, 0, -1):
             suf[j] = ids.setdefault((suf[j + 1], e[j + 1]), len(ids) + 1)
         msis, last = [], n
         for i in range(n - 1, 0, -1):
+            p = pre[i - 1]
             for j in range(i, last):
-                if (pre[i], suf[j]) in keys:
+                if (p, suf[j]) in keys:
                     msis.append((i, j))
                     last = j
                     break
         out.append(msis[::-1])
         if k < len(chains) - 1:
-            keys.update((pre[i], suf[j]) for i in range(1, n) for j in range(i, n))
+            keys.update((pre[i - 1], suf[j]) for i in range(1, n) for j in range(i, n))
     return out
 
 
@@ -214,12 +218,23 @@ class MorseReport:
     homotopy: HomotopyType | None  # None when the rank gap is below two
 
 
+def morse_reports(poset, top, bottoms) -> dict:
+    """The Morse report of [b, top] for every b in bottoms, from one walk."""
+    return {bottom: _report(poset, bottom, top, chains,
+                            all_minimal_skipped_intervals(chains, prefixes))
+            for bottom, (chains, prefixes) in walk_chains(poset, top, bottoms).items()}
+
+
 def morse_report(poset, bottom, top) -> MorseReport:
     """Chains, skipped-interval data, Mobius value, and homotopy type."""
-    all_chains = maximal_chains(poset, bottom, top)
+    poset.check_pair(bottom, top)
+    return morse_reports(poset, top, (bottom,))[bottom]
+
+
+def _report(poset, bottom, top, chains, all_msis) -> MorseReport:
     gap = poset.rank(top) - poset.rank(bottom)
     data = []
-    for chain, msis in zip(all_chains, all_minimal_skipped_intervals(all_chains)):
+    for chain, msis in zip(chains, all_msis):
         family = disjoint_family(msis)
         # critical when the family covers the whole interior of the chain
         covered = {k for a, b in family for k in range(a, b + 1)}

@@ -27,7 +27,7 @@ import threading
 from dataclasses import dataclass
 from typing import Iterator
 
-from . import perms, words
+from . import closed_form, morse, perms, words
 
 
 class IncomparableError(ValueError):
@@ -47,6 +47,13 @@ class _LengthGraded:
 
     def check_top(self, e) -> None:
         self.check_length(len(e))
+
+    def check_pair(self, bottom, top) -> None:
+        """Reject a top above the guardrail, then a bottom not below it."""
+        self.check_top(top)
+        if not self.leq(bottom, top):
+            raise IncomparableError(
+                f"{self.format(bottom)!r} is not below {self.format(top)!r}")
 
     def check_length(self, n: int) -> None:
         if self.max_top is not None and n > self.max_top:
@@ -87,11 +94,9 @@ class PatternPoset(_LengthGraded):
         return perms.format_permutation(eta)
 
     def mobius_closed_form(self, bottom, top) -> int:
-        from . import closed_form
         return closed_form.mobius_pattern(bottom, top)
 
     def msis_fast(self, chain) -> list:
-        from . import morse
         return morse.msis_fast_pattern(chain)
 
     def elements_of_rank(self, d: int) -> Iterator:
@@ -137,11 +142,9 @@ class FactorPoset(_LengthGraded):
         return "".join(symbols)
 
     def mobius_closed_form(self, bottom, top) -> int:
-        from . import closed_form
         return closed_form.mobius_factor(bottom, top)
 
     def msis_fast(self, chain) -> list:
-        from . import morse
         return morse.msis_fast_factor(chain)
 
     def elements_of_rank(self, d: int) -> Iterator:
@@ -150,10 +153,7 @@ class FactorPoset(_LengthGraded):
 
 def interval_elements(poset, bottom, top) -> frozenset:
     """Every z with bottom <= z <= top, read off the down-set of the top."""
-    poset.check_top(top)
-    if not poset.leq(bottom, top):
-        raise IncomparableError(
-            f"{poset.format(bottom)!r} is not below {poset.format(top)!r}")
+    poset.check_pair(bottom, top)
     return frozenset(e for e in poset.down_set(top) if poset.leq(bottom, e))
 
 

@@ -6,8 +6,10 @@ import itertools
 
 import pytest
 
-from posetmorse.chains import (StepClass, chain_id_text, classify_steps,
-                               is_poset_lex, maximal_chains)
+import posetmorse.chains as chains_module
+from posetmorse.chains import (MaximalChain, StepClass, chain_id_text,
+                               classify_steps, is_poset_lex, maximal_chains,
+                               walk_chains)
 from posetmorse.crosscheck import naive_chain_count
 from posetmorse.posets import (FactorPoset, IncomparableError, PatternPoset,
                                interval_structure)
@@ -27,6 +29,52 @@ TABLE_IDS = [
     (6, 5, 4, 1, 2),
     (6, 5, 4, 3, 1),
 ]
+
+
+def sorted_chains(poset, bottom, top) -> list[MaximalChain]:
+    """The oracle for walk_chains: every cover path from the top that
+    reaches the bottom's rank at the bottom itself, taken in the order
+    poset.down_covers lists them, then sorted by label sequence."""
+    target = poset.rank(bottom)
+    found = []
+    elems, windows, labels = [top], [(0, poset.rank(top))], []
+
+    def descend():
+        lo, hi = windows[-1]
+        if hi - lo == target:
+            if elems[-1] == bottom:
+                found.append(MaximalChain(tuple(elems), tuple(windows), tuple(labels)))
+            return
+        for child, pos in poset.down_covers(elems[-1]):
+            elems.append(child)
+            windows.append((lo + 1, hi) if pos == 1 else (lo, hi - 1))
+            labels.append(lo + pos)
+            descend()
+            elems.pop()
+            windows.pop()
+            labels.pop()
+
+    descend()
+    found.sort(key=lambda c: c.labels)
+    return found
+
+
+def assert_walk_matches_the_oracle(poset, top, bottoms) -> dict:
+    """One walk for all of bottoms lists each bottom's chains as the sorted
+    oracle does, and its node ids name element prefixes one to one.
+    Returns the walk."""
+    walk = walk_chains(poset, top, bottoms)
+    assert list(walk) == list(bottoms)
+    named = {}
+    for bottom in bottoms:
+        chains, prefixes = walk[bottom]
+        assert chains == sorted_chains(poset, bottom, top)
+        assert [len(ids) for ids in prefixes] == [len(c.elements) for c in chains]
+        for chain, ids in zip(chains, prefixes):
+            for i, node in enumerate(ids):
+                assert named.setdefault(node, chain.elements[:i + 1]) == chain.elements[:i + 1]
+    assert len(set(named.values())) == len(named)
+    return walk
 
 
 def test_thirteen_chains_of_the_reference_interval():
@@ -86,6 +134,28 @@ def test_single_point_interval():
 def test_incomparable_raises():
     with pytest.raises(IncomparableError):
         maximal_chains(PatternPoset(), (1, 2), (2, 1))
+
+
+def test_a_one_bottom_walk_builds_only_that_bottom_s_chains(monkeypatch):
+    built = []
+
+    def counting(elements, windows, labels):
+        built.append(elements[-1])
+        return MaximalChain(elements, windows, labels)
+
+    monkeypatch.setattr(chains_module, "MaximalChain", counting)
+    p, top = PatternPoset(), (2, 1, 3, 5, 4, 6)
+    for bottom in ((1,), (1, 2), (1, 2, 3), (2, 1, 3)):
+        built.clear()
+        chains = maximal_chains(p, bottom, top)
+        assert chains == sorted_chains(p, bottom, top)
+        assert built == [bottom] * len(chains)
+        built.clear()
+        walk = walk_chains(p, top, [bottom])
+        assert list(walk) == [bottom] and walk[bottom][0] == chains
+        assert built == [bottom] * len(chains)
+    built.clear()
+    assert walk_chains(p, top, []) == {} and built == []
 
 
 def test_chain_count_matches_naive_descent():

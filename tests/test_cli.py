@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import shutil
 import signal
 import subprocess
 import sys
@@ -246,7 +247,18 @@ def test_iso_search_rejects_a_negative_cap(capsys, monkeypatch, flag, name):
     monkeypatch.setattr(isosearch, "interval_structure", no_interval)
     code, out, err = run_cli(capsys, "iso-search", flag, "-3")
     assert code == 3 and out == ""
-    assert f"{name} cap must be at least 0, got -3" in err
+    least = {"pattern": 1, "word": 0}[name]
+    assert f"{name} cap must be at least {least}, got -3" in err
+
+
+def test_iso_search_rejects_a_pattern_cap_that_searches_nothing(capsys, monkeypatch):
+    def no_interval(*args, **kwargs):
+        raise AssertionError("an interval was computed")
+
+    monkeypatch.setattr(isosearch, "interval_structure", no_interval)
+    code, out, err = run_cli(capsys, "iso-search", "--pattern-cap", "0")
+    assert code == 3 and out == ""
+    assert "pattern cap must be at least 1, got 0" in err
 
 
 def test_alphabet_flag(capsys):
@@ -418,7 +430,43 @@ def test_crosscheck_force_lifts_the_max_size_guardrail(capsys):
 def test_crosscheck_rejects_a_negative_max_size(capsys):
     code, out, err = run_cli(capsys, "crosscheck", "--max-size", "-1")
     assert code == 3
+    assert out == "" and "max size must be at least 1, got -1" in err
+    code, out, err = run_cli(capsys, "crosscheck", "--poset", "factor", "--max-size", "-1")
+    assert code == 3
     assert out == "" and "max size must be at least 0, got -1" in err
+
+
+def test_a_pattern_sweep_that_checks_nothing_exits_three(capsys, monkeypatch):
+    # the pattern poset has no element of rank 0
+    def no_interval(*args, **kwargs):
+        raise AssertionError("an interval was computed")
+
+    monkeypatch.setattr(crosscheck, "check_interval", no_interval)
+    code, out, err = run_cli(capsys, "crosscheck", "--max-size", "0")
+    assert code == 3
+    assert out == "" and "max size must be at least 1, got 0" in err
+
+
+def test_a_factor_sweep_of_size_zero_checks_the_empty_word(capsys):
+    code, out, _ = run_cli(capsys, "crosscheck", "--poset", "factor", "--max-size", "0",
+                           "--jobs", "1")
+    assert code == 0
+    assert "intervals checked: 1\n" in out
+
+
+def test_an_interrupt_while_the_package_imports_exits_130(tmp_path):
+    # the real __init__ and __main__ over a cli module whose import is cut
+    # short, as by a Ctrl-C in the first tenth of a second of a run
+    package = pathlib.Path(cli.__file__).parent
+    stub = tmp_path / "posetmorse"
+    stub.mkdir()
+    for name in ("__init__.py", "__main__.py"):
+        shutil.copy(package / name, stub / name)
+    (stub / "cli.py").write_text("exec('raise KeyboardInterrupt')\n")
+    proc = subprocess.run([sys.executable, "-m", "posetmorse", "table1"],
+                          env=dict(os.environ, PYTHONPATH=str(tmp_path)),
+                          capture_output=True, text=True, timeout=60, check=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (130, "", "interrupted\n")
 
 
 def _exit_code(capsys, *argv):

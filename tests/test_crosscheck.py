@@ -11,12 +11,11 @@ import pytest
 
 import posetmorse.cli as cli
 import posetmorse.crosscheck as crosscheck
+import posetmorse.morse as morse
 import posetmorse.perms as perms
-from posetmorse.chains import maximal_chains
-from posetmorse.morse import (all_minimal_skipped_intervals,
-                              minimal_skipped_intervals)
 from posetmorse.posets import (FactorPoset, PatternPoset,
                                euler_characteristic, interval_structure)
+from test_morse import assert_walk_msis_match_the_oracle
 from test_posets import assert_columns_match_the_oracles, euler_by_walk
 
 
@@ -126,9 +125,7 @@ def test_seeded_interval_passes_every_check(poset, bottom, top):
 
 @pytest.mark.parametrize("poset, bottom, top", SEEDED)
 def test_seeded_keyed_msis_match_the_oracle(poset, bottom, top):
-    chains = maximal_chains(poset, bottom, top)
-    assert all_minimal_skipped_intervals(chains) == [
-        minimal_skipped_intervals(c, chains[:k]) for k, c in enumerate(chains)]
+    assert_walk_msis_match_the_oracle(poset, top, [bottom])
 
 
 @pytest.mark.parametrize("poset, bottom, top", SEEDED)
@@ -140,6 +137,36 @@ def test_seeded_euler_characteristic_matches_the_chain_walk(poset, bottom, top):
 @pytest.mark.parametrize("poset, bottom, top", SEEDED)
 def test_seeded_top_columns_match_the_forward_oracles(poset, bottom, top):
     assert_columns_match_the_oracles(poset, top, [bottom])
+
+
+@pytest.mark.parametrize("seed, count", [
+    (909, 4), pytest.param(9090, 150, marks=pytest.mark.slow)])
+def test_seeded_length_nine_tops_pass_with_every_bottom(seed, count):
+    # the sweep's own path: one top's columns and one Morse walk serve
+    # every bottom under it
+    rng = random.Random(seed)
+    poset = PatternPoset()
+    tops = [_draw(rng, poset, 9) for _ in range(count)]
+    records = crosscheck._interval_records(poset, tops)
+    assert len(records) == sum(len(poset.down_set(top)) for top in tops)
+    assert [(r.bottom, r.top, r.problems) for r in records if r.problems] == []
+
+
+def test_a_sweep_walks_each_top_once(monkeypatch):
+    walks = []
+    real = morse.walk_chains
+
+    def counting(poset, top, bottoms):
+        walks.append((top, tuple(bottoms)))
+        return real(poset, top, bottoms)
+
+    monkeypatch.setattr(morse, "walk_chains", counting)
+    crosscheck.top_routes.cache_clear()
+    poset = PatternPoset()
+    report = crosscheck.run_crosscheck(poset, 4)
+    assert report.ok and report.total == 167
+    assert len(walks) == len({top for top, _ in walks}) == 1 + 2 + 6 + 24
+    assert all(set(bottoms) == poset.down_set(top) for top, bottoms in walks)
 
 
 @pytest.fixture

@@ -9,9 +9,11 @@ import pytest
 from posetmorse.chains import maximal_chains
 from posetmorse.morse import (all_minimal_skipped_intervals, disjoint_family,
                               homotopy_type, minimal_skipped_intervals,
-                              mobius_morse, morse_report, skipped_intervals)
+                              mobius_morse, morse_report, morse_reports,
+                              skipped_intervals)
 from posetmorse.posets import (FactorPoset, PatternPoset, interval_structure,
                                mobius_bruteforce)
+from test_chains import assert_walk_matches_the_oracle
 
 # per-chain minimal skipped intervals of [1, 213546], in chain id order
 TABLE_MSIS = [
@@ -84,17 +86,31 @@ def _containment_minimal(spans):
             if not any(t != s and s[0] <= t[0] and t[1] <= s[1] for t in spans)]
 
 
+def assert_walk_msis_match_the_oracle(poset, top, bottoms) -> None:
+    """One walk for all of bottoms lists each bottom's chains as the sorted
+    oracle does, and the keyed pass on each bottom's listing gives the
+    difference-block MSIs against the earlier chains, as does the report."""
+    walk = assert_walk_matches_the_oracle(poset, top, bottoms)
+    reports = morse_reports(poset, top, bottoms)
+    for bottom, (chains, prefixes) in walk.items():
+        want = [minimal_skipped_intervals(c, chains[:k]) for k, c in enumerate(chains)]
+        assert all_minimal_skipped_intervals(chains, prefixes) == want
+        assert [list(d.msis) for d in reports[bottom].chains] == want
+
+
 def test_msis_fast_pattern_matches_bruteforce():
     # the difference-block route against the definition on every chain, the
-    # keyed pass and each poset's fast law against both
+    # keyed pass of one walk per top and each poset's fast law against both
     p, f = PatternPoset(), FactorPoset()
     tops = [(p, top) for n in range(2, 6)
             for top in itertools.permutations(range(1, n + 1))]
     tops += [(f, top) for n in range(6) for top in itertools.product("ab", repeat=n)]
     for poset, top in tops:
-        for bottom in sorted(poset.down_set(top)):
-            chains = maximal_chains(poset, bottom, top)
-            keyed = all_minimal_skipped_intervals(chains)
+        bottoms = sorted(poset.down_set(top))
+        reports = morse_reports(poset, top, bottoms)
+        for bottom in bottoms:
+            chains = [d.chain for d in reports[bottom].chains]
+            keyed = [list(d.msis) for d in reports[bottom].chains]
             for k, chain in enumerate(chains):
                 msis = minimal_skipped_intervals(chain, chains[:k])
                 brute = _containment_minimal(skipped_intervals(chain, chains[:k]))
@@ -104,25 +120,24 @@ def test_msis_fast_pattern_matches_bruteforce():
 
 
 def test_keyed_msis_of_no_chain_and_of_one_step_chains():
-    assert all_minimal_skipped_intervals([]) == []
-    chains = maximal_chains(PatternPoset(), (1,), (1, 2))
-    assert all_minimal_skipped_intervals(chains) == [[]]
+    assert all_minimal_skipped_intervals([], []) == []
+    p = PatternPoset()
+    assert [d.msis for d in morse_report(p, (1,), (1, 2)).chains] == [()]
+    assert [d.msis for d in morse_report(p, (2, 1), (2, 1)).chains] == [()]
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("poset, max_size", [
     (PatternPoset(), 6), (FactorPoset(), 6), (FactorPoset(("a", "b", "c")), 5)],
     ids=["pattern-6", "factor-ab-6", "factor-abc-5"])
 def test_keyed_msis_match_the_oracle_on_the_acceptance_sweeps(poset, max_size):
+    # one walk per top, every bottom against the sorted listing and the
+    # difference blocks
     intervals = 0
     for n in range(poset.min_rank, max_size + 1):
         for top in poset.elements_of_rank(n):
-            for bottom in poset.down_set(top):
-                chains = maximal_chains(poset, bottom, top)
-                assert all_minimal_skipped_intervals(chains) == [
-                    minimal_skipped_intervals(c, chains[:k])
-                    for k, c in enumerate(chains)]
-                intervals += 1
+            bottoms = sorted(poset.down_set(top))
+            assert_walk_msis_match_the_oracle(poset, top, bottoms)
+            intervals += len(bottoms)
     assert intervals == {"pattern": 10087, "factor:a,b": 1537,
                          "factor:a,b,c": 4075}[poset.tag]
 
