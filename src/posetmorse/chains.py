@@ -75,7 +75,8 @@ def walk_chains(poset, top, bottoms) -> dict:
 
     Maps each bottom to its chains and the walk's node ids of each chain's
     elements.  A node id names a path from the top, so ids[i] is an id of
-    the prefix elements[:i + 1] across the whole walk.
+    the prefix elements[:i + 1] across the whole walk, and each bottom's
+    chains through one node stand together, as the MSI pass needs.
     """
     found = {b: ([], []) for b in bottoms}
     floor = min((poset.rank(b) for b in bottoms), default=poset.rank(top))

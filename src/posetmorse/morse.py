@@ -14,16 +14,13 @@ C are therefore its containment-minimal difference blocks.
 
 The chains of every bottom under a top come from one walk from the top
 (chains.walk_chains), already in that order.  Their MSIs are found in one
-pass per bottom, linear in the number of chains, without comparing chains
-pairwise: every element prefix and suffix has a small int id, and (i, j)
-is skipped exactly when an earlier chain produced the key (id of
-elements[:i], id of elements[j+1:]).  The walk's node ids serve as prefix
-ids; only suffix ids are interned.  The MSIs are resolved into a disjoint
-family in one left-to-right pass that truncates each member's start past
-everything already chosen; C is critical when the family covers
-all of C's interior, and contributes (-1)^(size-1) to the Mobius function.
-Zero critical chains mean a contractible complex, one critical chain a
-sphere of the matching dimension.
+pass per bottom without comparing chains pairwise, in O(n log n) time per
+chain of n steps (all_minimal_skipped_intervals).  The MSIs are resolved
+into a disjoint family in one left-to-right pass that truncates each
+member's start past everything already chosen; C is critical when the
+family covers all of C's interior, and contributes (-1)^(size-1) to the
+Mobius function.  Zero critical chains mean a contractible complex, one
+critical chain a sphere of the matching dimension.
 
 A chain interval (i, j) is stored by the closed index range of the chain
 elements it holds, 1 <= i <= j <= steps-1.
@@ -31,6 +28,7 @@ elements it holds, 1 <= i <= j <= steps-1.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .chains import MaximalChain, walk_chains
@@ -85,12 +83,12 @@ def all_minimal_skipped_intervals(chains: list[MaximalChain],
                                   prefixes: list[tuple[int, ...]]) -> list[list[Span]]:
     """
     minimal_skipped_intervals(c, chains[:k]) for every chain c at position
-    k of one bottom's listing by walk_chains, looked up by key, with
-    prefixes[k][i - 1] the walk's id of c.elements[:i].  For each start i
-    from the right, the first end j whose key an earlier chain produced
-    gives the smallest skipped run at i; it is minimal exactly when j is
-    below every end kept so far, so the kept ends strictly fall.  A chain's
-    keys join the set only after its own lookup.
+    k of one bottom's listing by walk_chains, prefixes[k][i - 1] being the
+    walk's id of c.elements[:i].  As the chains through a node stand
+    together, (i, j) is skipped iff the latest chain before c ending with
+    c.elements[j+1:] is at or after the first chain through c.elements[:i].
+    Those positions rise with j, so bisection finds the smallest skipped
+    end at each start i, minimal iff below every end kept to its right.
 
     >>> from .posets import FactorPoset
     >>> top = tuple("abba")
@@ -99,7 +97,8 @@ def all_minimal_skipped_intervals(chains: list[MaximalChain],
     [[], [(3, 3)], [(2, 2)], [(1, 1)], [(2, 2)], [(1, 2), (3, 3)]]
     """
     ids: dict = {}  # (id of a suffix, element before it) -> id; 0 is empty
-    keys: set = set()
+    first: dict = {}  # walk node id -> position of the first chain through it
+    last: dict = {}  # suffix id -> position of the latest chain ending with it
     out = []
     for k, (chain, pre) in enumerate(zip(chains, prefixes)):
         e = chain.elements
@@ -107,17 +106,16 @@ def all_minimal_skipped_intervals(chains: list[MaximalChain],
         suf = [0] * (n + 1)  # suf[j] is the id of e[j+1:], for j >= 1
         for j in range(n - 1, 0, -1):
             suf[j] = ids.setdefault((suf[j + 1], e[j + 1]), len(ids) + 1)
-        msis, last = [], n
+        ends = [last.get(s, -1) for s in suf]  # rises over 1 <= j < n
+        msis, kept = [], n
         for i in range(n - 1, 0, -1):
-            p = pre[i - 1]
-            for j in range(i, last):
-                if (p, suf[j]) in keys:
-                    msis.append((i, j))
-                    last = j
-                    break
+            j = bisect_left(ends, first.setdefault(pre[i - 1], k), i, n)
+            if j < kept:
+                msis.append((i, j))
+                kept = j
         out.append(msis[::-1])
-        if k < len(chains) - 1:
-            keys.update((pre[i - 1], suf[j]) for i in range(1, n) for j in range(i, n))
+        for j in range(1, n):
+            last[suf[j]] = k
     return out
 
 

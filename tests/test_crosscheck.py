@@ -152,6 +152,19 @@ def test_seeded_length_nine_tops_pass_with_every_bottom(seed, count):
     assert [(r.bottom, r.top, r.problems) for r in records if r.problems] == []
 
 
+def test_keyed_msis_match_the_oracle_on_every_bottom_of_seeded_tops():
+    # the four length-9 tops above and seeded {a,b} words of length 9 and
+    # 10, every bottom's walk against the pairwise MSIs
+    rng = random.Random(909)
+    pattern = PatternPoset()
+    tops = [(pattern, _draw(rng, pattern, 9)) for _ in range(4)]
+    rng = random.Random(910)
+    factor = FactorPoset()
+    tops += [(factor, _draw(rng, factor, n)) for n in (9, 9, 10, 10)]
+    for poset, top in tops:
+        assert_walk_msis_match_the_oracle(poset, top, sorted(poset.down_set(top)))
+
+
 def test_a_sweep_walks_each_top_once(monkeypatch):
     walks = []
     real = morse.walk_chains
