@@ -4,15 +4,15 @@ cap, every Mobius route, and every structural invariant the machinery is
 supposed to satisfy.
 
 evaluate runs every Mobius route on one interval, for this harness and for
-the mobius subcommand alike.  Brute force, the Euler characteristic and
-the chain count read only the order relation, so they are computed per top
-and read per bottom: top_routes enumerates a top's down-set once and holds
-a column of each route with one entry per element under the top.  Brute
-force thus gives a value for every interval; a cache file is only checked
-against those values and appended to, never read in their place.  A
-sweep runs the Morse route per top as well: one walk from the top lists
-the chains of every bottom under it (morse.morse_reports), and each
-interval's check reads its bottom's report.
+the mobius subcommand alike; it is the one-bottom case of top_routes.
+Brute force, the Euler characteristic and the chain count read only the
+order relation, so they are computed per top and read per bottom:
+top_routes enumerates a top's down-set once for a column of each, and
+one Morse walk from the top lists the chains of every bottom asked for
+(morse.morse_reports).  No route value is memoized across calls, so a
+check reads only values computed in its own call.  A cache file is only
+checked against the brute-force values and appended to, never read in
+their place.
 
 Per interval the harness verifies that the closed form, the critical-chain
 count, and the brute-force recursion agree (plus the reduced Euler
@@ -27,7 +27,6 @@ value.
 
 from __future__ import annotations
 
-import functools
 import multiprocessing
 import os
 import signal
@@ -35,7 +34,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .chains import StepClass, classify_steps, is_poset_lex
-from .morse import MorseReport, morse_report, morse_reports
+from .morse import MorseReport, morse_reports
 from .posets import (IntervalStructure, MobiusCache, euler_characteristic,
                      interval_structure, mobius_bruteforce)
 
@@ -52,43 +51,37 @@ class Routes:
     euler: int | None
 
 
-@dataclass(frozen=True)
-class TopRoutes:
-    """The down-set of one top, [minimum, top], with the position of each
-    element in it and the column of each order-relation route."""
+def top_routes(poset, top, bottoms=None) -> dict:
+    """
+    The Routes of [b, top] for every b in bottoms, every element under the
+    top when bottoms is None.  Given bottoms, their closed forms run first
+    (they reject an incomparable pair); then one enumeration of the top's
+    down-set gives the columns of brute force, the Euler characteristic
+    and the chain count, and one Morse walk the chains of every bottom.
 
-    interval: IntervalStructure
-    position: dict
-    brute: tuple[int, ...]
-    euler: tuple
-    chain_count: tuple[int, ...]
-
-
-@functools.lru_cache(maxsize=32)
-def top_routes(poset, top) -> TopRoutes:
-    """Brute force, the Euler characteristic and the chain count of every
-    interval under top, from one enumeration of its down-set."""
+    >>> from posetmorse.posets import PatternPoset
+    >>> p, top = PatternPoset(), (2, 1, 3, 5, 4, 6)
+    >>> top_routes(p, top)[(1,)] == evaluate(p, (1,), top)
+    True
+    """
+    if bottoms is not None:
+        closed = [poset.mobius_closed_form(b, top) for b in bottoms]
     interval = interval_structure(poset, poset.minimum, top)
-    return TopRoutes(interval, {e: i for i, e in enumerate(interval.elements)},
-                     mobius_bruteforce(poset, interval),
-                     euler_characteristic(poset, interval),
-                     naive_chain_count(poset, interval))
+    if bottoms is None:
+        bottoms = interval.elements
+        closed = [poset.mobius_closed_form(b, top) for b in bottoms]
+    position = {e: i for i, e in enumerate(interval.elements)}
+    brute = mobius_bruteforce(poset, interval)
+    euler = euler_characteristic(poset, interval)
+    chain_count = naive_chain_count(poset, interval)
+    reports = morse_reports(poset, top, bottoms)
+    return {b: Routes(mu, reports[b], chain_count[i], brute[i], euler[i])
+            for b, mu in zip(bottoms, closed) for i in (position[b],)}
 
 
-def evaluate(poset, bottom, top, report: MorseReport | None = None) -> Routes:
-    """
-    The closed form first (it rejects an incomparable pair), then the Morse
-    report unless the caller's walk gave it, then brute force, the Euler
-    characteristic (None at rank gap zero) and the chain count, read at the
-    bottom from the top's columns.
-    """
-    closed = poset.mobius_closed_form(bottom, top)
-    if report is None:
-        report = morse_report(poset, bottom, top)
-    routes = top_routes(poset, top)
-    i = routes.position[bottom]
-    return Routes(closed, report, routes.chain_count[i], routes.brute[i],
-                  routes.euler[i])
+def evaluate(poset, bottom, top) -> Routes:
+    """Every route on [bottom, top]: the one-bottom case of top_routes."""
+    return top_routes(poset, top, (bottom,))[bottom]
 
 
 @dataclass(frozen=True)
@@ -135,11 +128,13 @@ def naive_chain_count(poset, interval: IntervalStructure) -> tuple[int, ...]:
 
 
 def check_interval(poset, bottom, top,
-                   report: MorseReport | None = None) -> IntervalRecord:
-    """Run every route and invariant suite on one interval."""
+                   routes: Routes | None = None) -> IntervalRecord:
+    """Run every invariant suite on one interval, over its routes unless
+    the caller's top_routes gave them."""
     problems: list[str] = []
     gap = poset.rank(top) - poset.rank(bottom)
-    routes = evaluate(poset, bottom, top, report)
+    if routes is None:
+        routes = evaluate(poset, bottom, top)
     report = routes.report
     mu_closed, mu_morse, mu_brute = routes.closed, report.mobius, routes.brute
     # at rank gap one the open interval is empty: Euler reads -1 and checks nothing
@@ -232,13 +227,9 @@ def check_interval(poset, bottom, top,
 
 
 def _interval_records(poset, tops) -> list[IntervalRecord]:
-    """Every interval under the given tops, from one Morse walk per top."""
-    records = []
-    for top in tops:
-        bottoms = top_routes(poset, top).interval.elements
-        reports = morse_reports(poset, top, bottoms)
-        records.extend(check_interval(poset, b, top, reports[b]) for b in bottoms)
-    return records
+    """Every interval under the given tops, from one top_routes call per top."""
+    return [check_interval(poset, b, top, routes)
+            for top in tops for b, routes in top_routes(poset, top).items()]
 
 
 def _worker(args) -> list[IntervalRecord]:

@@ -234,9 +234,9 @@ def _report(poset, bottom, top, chains, all_msis) -> MorseReport:
     data = []
     for chain, msis in zip(chains, all_msis):
         family = disjoint_family(msis)
-        # critical when the family covers the whole interior of the chain
+        # critical when the family covers the whole interior; [x, x] has none
         covered = {k for a, b in family for k in range(a, b + 1)}
-        critical = covered == set(chain.open_indices())
+        critical = gap > 0 and covered == set(chain.open_indices())
         data.append(ChainMorseData(chain, tuple(msis), tuple(family), critical,
                                    len(family) - 1 if critical else None))
     if gap == 0:

@@ -7,16 +7,18 @@ deletes one letter from an end of a contiguous window.  PatternPoset is
 the consecutive pattern order on permutations; FactorPoset is factor order
 on words over a fixed alphabet, empty word included.
 
-interval_structure enumerates an interval once, with its order relation.
-The ground-truth routes are computed per top and read per bottom: each
-takes the structure of [bottom, top] and returns a column indexed like its
-elements, the value of [x, top] for every element x, by one backward pass
-from the top; entry 0 is the value of the interval itself.  Run on the
-down-set of a top, [minimum, top], one pass serves every bottom under it.
-mobius_bruteforce recurses over that structure and is the reference
-implementation everything else is checked against; euler_characteristic
-counts the chains of each open interval by length without listing them, a
-second independent route to the same number at rank gap two or more.
+interval_structure enumerates an interval once, with its order relation
+read off the memoized down-sets of its elements.  The ground-truth routes
+are computed per top and read per bottom: each takes the structure of
+[bottom, top] and returns a column indexed like its elements, the value of
+[x, top] for every element x, by one backward pass from the top; entry 0
+is the value of the interval itself.  Run on the down-set of a top,
+[minimum, top], one pass serves every bottom under it.  No column is
+memoized across calls.  mobius_bruteforce recurses over that structure and
+is the reference implementation everything else is checked against;
+euler_characteristic counts the chains of each open interval by length
+without listing them, a second independent route to the same number at
+rank gap two or more.
 """
 
 from __future__ import annotations
@@ -173,15 +175,19 @@ class IntervalStructure:
 
 
 def interval_structure(poset, bottom, top) -> IntervalStructure:
-    """Enumerate [bottom, top] once, with its order relation.  Elements of
-    equal rank are incomparable, so only later ones can lie above."""
+    """Enumerate [bottom, top] once, with its order relation read off the
+    memoized down-set of each element: downs[j] holds the elements of
+    down_set(elements[j]) inside the interval, less j."""
     elems = tuple(sorted(interval_elements(poset, bottom, top),
                          key=lambda e: (poset.rank(e), poset.format(e))))
-    n = len(elems)
-    ups = tuple(frozenset(j for j in range(i + 1, n) if poset.leq(x, elems[j]))
-                for i, x in enumerate(elems))
-    downs = tuple(frozenset(i for i in range(j) if j in ups[i]) for j in range(n))
-    return IntervalStructure(elems, ups, downs)
+    index = {e: i for i, e in enumerate(elems)}
+    downs = tuple(frozenset(index[z] for z in poset.down_set(y) if z in index) - {j}
+                  for j, y in enumerate(elems))
+    ups: list[list[int]] = [[] for _ in elems]
+    for j, below in enumerate(downs):
+        for i in below:
+            ups[i].append(j)
+    return IntervalStructure(elems, tuple(map(frozenset, ups)), downs)
 
 
 def mobius_bruteforce(poset, interval: IntervalStructure) -> tuple[int, ...]:

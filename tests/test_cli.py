@@ -340,25 +340,14 @@ def test_poisoned_cache_is_named_with_two_jobs(capsys, tmp_path, two_cpus):
     assert path.read_text() == POISONED_SWEEP
 
 
-@pytest.fixture
-def fresh_top_routes():
-    """Clear the per-top memo of the order-relation routes before and after
-    a test that patches one, so that no warm memo hides the patch and no
-    patched column outlives the test."""
-    crosscheck.top_routes.cache_clear()
-    yield
-    crosscheck.top_routes.cache_clear()
-
-
 def test_a_warm_cache_does_not_hide_a_wrong_brute_force(
-        capsys, tmp_path, monkeypatch, fresh_top_routes):
+        capsys, tmp_path, monkeypatch):
     path = tmp_path / "mu.cache"
     argv = ("crosscheck", "--max-size", "4", "--jobs", "1", "--cache",
             str(path), "--format", "json")
     assert run_cli(capsys, *argv)[0] == 0
     monkeypatch.setattr(crosscheck, "mobius_bruteforce",
                         lambda poset, interval: (7,) * interval.size)
-    crosscheck.top_routes.cache_clear()  # as in a fresh process
     code, out, _ = run_cli(capsys, *argv)
     assert code == 1
     assert (f"[1, 12] cache: {path} holds -1, brute force gives 7"
@@ -366,20 +355,30 @@ def test_a_warm_cache_does_not_hide_a_wrong_brute_force(
 
 
 def test_brute_force_runs_on_every_interval_cold_and_warm(
-        capsys, tmp_path, monkeypatch, fresh_top_routes):
+        capsys, tmp_path, monkeypatch):
     calls = []
     real = crosscheck.mobius_bruteforce
     monkeypatch.setattr(crosscheck, "mobius_bruteforce",
                         lambda *args: calls.append(args) or real(*args))
     for _ in ("cold", "warm"):
         calls.clear()
-        crosscheck.top_routes.cache_clear()  # as in a fresh process
         code, _, _ = run_cli(capsys, "crosscheck", "--max-size", "4",
                              "--jobs", "1", "--cache", str(tmp_path / "mu.cache"))
         # one call per top, whose column holds a value for every interval
         # under it
         assert code == 0 and len(calls) == 33
         assert sum(interval.size for _, interval in calls) == 167
+
+
+def test_a_second_mobius_call_in_one_process_recomputes_brute_force(
+        capsys, monkeypatch):
+    # no route value outlives the call that computed it
+    assert run_cli(capsys, "mobius", "1", "213546")[0] == 0
+    monkeypatch.setattr(crosscheck, "mobius_bruteforce",
+                        lambda poset, interval: (7,) * interval.size)
+    code, out, _ = run_cli(capsys, "mobius", "1", "213546")
+    assert code == 1
+    assert "brute force: 7" in out and "mismatch: methods disagree" in out
 
 
 def test_crosscheck_with_two_jobs_cuts_a_torn_final_line(

@@ -13,7 +13,7 @@ import posetmorse.cli as cli
 import posetmorse.crosscheck as crosscheck
 import posetmorse.morse as morse
 import posetmorse.perms as perms
-from posetmorse.posets import (FactorPoset, PatternPoset,
+from posetmorse.posets import (FactorPoset, IncomparableError, PatternPoset,
                                euler_characteristic, interval_structure)
 from test_morse import assert_walk_msis_match_the_oracle
 from test_posets import assert_columns_match_the_oracles, euler_by_walk
@@ -174,7 +174,6 @@ def test_a_sweep_walks_each_top_once(monkeypatch):
         return real(poset, top, bottoms)
 
     monkeypatch.setattr(morse, "walk_chains", counting)
-    crosscheck.top_routes.cache_clear()
     poset = PatternPoset()
     report = crosscheck.run_crosscheck(poset, 4)
     assert report.ok and report.total == 167
@@ -182,14 +181,35 @@ def test_a_sweep_walks_each_top_once(monkeypatch):
     assert all(set(bottoms) == poset.down_set(top) for top, bottoms in walks)
 
 
+def test_top_routes_of_every_bottom_equal_the_one_bottom_case():
+    # every b under every pattern and {a,b} top of length <= 5
+    for poset in (PatternPoset(), FactorPoset(("a", "b"))):
+        for n in range(poset.min_rank, 6):
+            for top in poset.elements_of_rank(n):
+                routes = crosscheck.top_routes(poset, top)
+                assert set(routes) == poset.down_set(top)
+                for b, r in routes.items():
+                    assert r == crosscheck.evaluate(poset, b, top)
+
+
+def test_an_incomparable_pair_is_rejected_by_the_closed_form_first(monkeypatch):
+    def unreached(*args, **kwargs):
+        raise AssertionError("the interval was enumerated")
+
+    monkeypatch.setattr(crosscheck, "interval_structure", unreached)
+    monkeypatch.setattr(crosscheck, "morse_reports", unreached)
+    with pytest.raises(IncomparableError,
+                       match="sigma is not a consecutive pattern of tau"):
+        crosscheck.evaluate(PatternPoset(), (1, 2), (2, 1))
+
+
 @pytest.fixture
 def monotone_132(monkeypatch):
     """Treat 132 as monotone, a wrong cover rule.  The memoized permutation
-    operators and the per-top routes are cleared before the patch, so that
-    it reaches the cover rule, and again after it is undone, so that no
-    patched value outlives the test."""
-    memos = (perms.down_covers, perms.interior, perms.exterior,
-             crosscheck.top_routes)
+    operators are cleared before the patch, so that it reaches the cover
+    rule, and again after it is undone, so that no patched value outlives
+    the test."""
+    memos = (perms.down_covers, perms.interior, perms.exterior)
     for memo in memos:
         memo.cache_clear()
     real = perms.is_monotone

@@ -8,6 +8,7 @@ import pytest
 
 import posetmorse.bijection
 import posetmorse.closed_form
+import posetmorse.crosscheck
 import posetmorse.morse
 import posetmorse.perms
 import posetmorse.words
@@ -15,6 +16,7 @@ import posetmorse.words
 MODULES = [
     posetmorse.bijection,
     posetmorse.closed_form,
+    posetmorse.crosscheck,
     posetmorse.morse,
     posetmorse.perms,
     posetmorse.words,

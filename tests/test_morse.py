@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 
+from posetmorse import render
 from posetmorse.chains import maximal_chains
 from posetmorse.morse import (all_minimal_skipped_intervals, disjoint_family,
                               homotopy_type, minimal_skipped_intervals,
@@ -244,3 +245,17 @@ def test_degenerate_intervals():
     report = morse_report(p, (1,), (1, 2))
     assert report.mobius == -1
     assert report.homotopy is None
+
+
+def test_a_single_element_has_no_critical_chain():
+    # a critical (-1)-cell would carry sign -1 against mu = 1
+    p = PatternPoset()
+    for n in range(1, 5):
+        for top in p.elements_of_rank(n):
+            for x in p.down_set(top):
+                report = morse_report(p, x, x)
+                assert report.mobius == 1 and report.critical_count == 0
+                assert [d.critical for d in report.chains] == [False]
+                obj = render.morse_report_json(p, report)
+                assert obj["critical_count"] == 0 and obj["mobius"] == 1
+                assert obj["chains"][0]["critical_dim"] is None

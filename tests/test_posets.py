@@ -7,7 +7,8 @@ import itertools
 import pytest
 
 from posetmorse import perms, words
-from posetmorse.crosscheck import run_crosscheck, top_routes
+import posetmorse.crosscheck as crosscheck
+from posetmorse.crosscheck import naive_chain_count, run_crosscheck
 from posetmorse.posets import (FactorPoset, IncomparableError, MobiusCache,
                                PatternPoset, SizeLimitError,
                                euler_characteristic, interval_elements,
@@ -171,13 +172,16 @@ def cover_paths(poset, interval) -> int:
 def assert_columns_match_the_oracles(poset, top, bottoms) -> None:
     """The entry of each x in bottoms in top's columns equals the forward
     recursion, the chain walk and the cover-path count on [x, top]."""
-    routes = top_routes(poset, top)
+    down = interval_structure(poset, poset.minimum, top)
+    brute = mobius_bruteforce(poset, down)
+    euler = euler_characteristic(poset, down)
+    chain_count = naive_chain_count(poset, down)
     for x in bottoms:
-        i = routes.position[x]
+        i = down.elements.index(x)
         s = interval_structure(poset, x, top)
-        assert routes.brute[i] == mobius_by_recursion(s)
-        assert routes.euler[i] == (euler_by_walk(poset, s) if x != top else None)
-        assert routes.chain_count[i] == cover_paths(poset, s)
+        assert brute[i] == mobius_by_recursion(s)
+        assert euler[i] == (euler_by_walk(poset, s) if x != top else None)
+        assert chain_count[i] == cover_paths(poset, s)
 
 
 def test_top_columns_match_the_forward_oracles():
@@ -186,7 +190,7 @@ def test_top_columns_match_the_forward_oracles():
     for poset in (PatternPoset(), FactorPoset(("a", "b"))):
         for n in range(poset.min_rank, 6):
             for top in poset.elements_of_rank(n):
-                elements = top_routes(poset, top).interval.elements
+                elements = interval_structure(poset, poset.minimum, top).elements
                 assert set(elements) == poset.down_set(top)
                 assert_columns_match_the_oracles(poset, top, elements)
 
@@ -264,7 +268,7 @@ def test_interval_structure_matches_the_order_oracle():
 
 def test_process_wide_down_set_caches_are_bounded():
     for cached in (perms._window_patterns, words._factor_set, perms.exterior,
-                   perms.interior, perms.down_covers, top_routes):
+                   perms.interior, perms.down_covers):
         assert cached.cache_info().maxsize is not None
 
 
@@ -277,7 +281,10 @@ def test_a_sweep_computes_each_operator_once_per_permutation():
     assert info.hits > info.misses
 
 
-def test_a_sweep_builds_each_top_once():
-    top_routes.cache_clear()
+def test_a_sweep_builds_each_top_once(monkeypatch):
+    built = []
+    real = crosscheck.interval_structure
+    monkeypatch.setattr(crosscheck, "interval_structure",
+                        lambda *args: built.append(args) or real(*args))
     assert run_crosscheck(PatternPoset(), 4).ok
-    assert top_routes.cache_info().misses == 1 + 2 + 6 + 24  # one per top
+    assert len(built) == 1 + 2 + 6 + 24  # one per top
