@@ -89,11 +89,11 @@ def _emit(args, text_fn, json_obj) -> None:
 
 def parse_interval(args):
     """The poset, bottom and top of an interval subcommand, with the top
-    checked against the size guardrail."""
+    checked against the size guardrail and then the bottom against it."""
     poset = make_poset(args)
     bottom = poset.parse(args.bottom)
     top = poset.parse(args.top)
-    poset.check_top(top)
+    poset.check_pair(bottom, top)
     return poset, bottom, top
 
 

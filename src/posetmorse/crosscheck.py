@@ -12,7 +12,8 @@ one Morse walk from the top lists the chains of every bottom asked for
 (morse.morse_reports).  No route value is memoized across calls, so a
 check reads only values computed in its own call.  A cache file is only
 checked against the brute-force values and appended to, never read in
-their place.
+their place.  A parallel sweep maps runs of consecutive tops in order,
+so its records arrive in sweep order, as in a serial one.
 
 Per interval the harness verifies that the closed form, the critical-chain
 count, and the brute-force recursion agree (plus the reduced Euler
@@ -127,14 +128,11 @@ def naive_chain_count(poset, interval: IntervalStructure) -> tuple[int, ...]:
     return tuple(paths)
 
 
-def check_interval(poset, bottom, top,
-                   routes: Routes | None = None) -> IntervalRecord:
-    """Run every invariant suite on one interval, over its routes unless
-    the caller's top_routes gave them."""
+def check_interval(poset, bottom, top, routes: Routes) -> IntervalRecord:
+    """Run every invariant suite on one interval over its routes, from
+    top_routes or evaluate."""
     problems: list[str] = []
     gap = poset.rank(top) - poset.rank(bottom)
-    if routes is None:
-        routes = evaluate(poset, bottom, top)
     report = routes.report
     mu_closed, mu_morse, mu_brute = routes.closed, report.mobius, routes.brute
     # at rank gap one the open interval is empty: Euler reads -1 and checks nothing
@@ -243,11 +241,12 @@ def run_crosscheck(poset, max_size: int, cache: MobiusCache | None = None,
     Check every interval [bottom, top] with rank(top) <= max_size, which
     must be within the poset's size guardrail and at least its smallest
     rank: a sweep that checks no interval would pass vacuously.  The unit
-    of parallel work is all intervals under one top.  At most one worker
-    process runs per CPU; jobs=None asks for one per CPU.  After
-    the sweep, in sweep order, each interval's brute-force value is checked
-    against the cache, and appended to it when the file holds no record;
-    a held record that differs is one more problem of that interval.
+    of parallel work is a run of consecutive tops, about four runs per
+    worker, and the runs come back in sweep order.  At most one worker
+    process runs per CPU; jobs=None asks for one per CPU.  After the sweep,
+    in sweep order, each interval's brute-force value is checked against
+    the cache, and appended to it when the file holds no record; a held
+    record that differs is one more problem of that interval.
     """
     if max_size < poset.min_rank:
         raise ValueError(f"max size must be at least {poset.min_rank}, got {max_size}")
@@ -263,20 +262,19 @@ def run_crosscheck(poset, max_size: int, cache: MobiusCache | None = None,
         for e in poset.elements_of_rank(d)
     ]
     if jobs > 1 and len(tops) > 1:
-        chunks = [tops[i::jobs] for i in range(jobs)]
-        chunks = [c for c in chunks if c]
+        # about four runs per worker, so one that draws cheap tops takes another
+        size = -(-len(tops) // (4 * jobs))
+        chunks = [tops[i:i + size] for i in range(0, len(tops), size)]
         # workers ignore SIGINT; on an interrupt, stop them mid-chunk
-        with ProcessPoolExecutor(max_workers=len(chunks), initializer=signal.signal,
+        with ProcessPoolExecutor(min(jobs, len(chunks)), initializer=signal.signal,
                                  initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
             try:
-                parts = list(pool.map(_worker, [(poset, chunk) for chunk in chunks]))
+                records = [r for part in pool.map(_worker, [(poset, c) for c in chunks])
+                           for r in part]
             except KeyboardInterrupt:
                 for worker in multiprocessing.active_children():
                     worker.terminate()
                 raise
-        position = {poset.format(t): k for k, t in enumerate(tops)}
-        records = sorted((r for part in parts for r in part),
-                         key=lambda r: position[r.top])
     else:
         records = _interval_records(poset, tops)
 

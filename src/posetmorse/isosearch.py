@@ -110,15 +110,8 @@ def _canonical_words(alphabet: tuple[str, ...], max_len: int):
     relabelings that give isomorphic intervals."""
     for n in range(max_len + 1):
         for w in itertools.product(alphabet, repeat=n):
-            seen: list[str] = []
-            ok = True
-            for s in w:
-                if s not in seen:
-                    if s != alphabet[len(seen)]:
-                        ok = False
-                        break
-                    seen.append(s)
-            if ok:
+            firsts = list(dict.fromkeys(w))
+            if firsts == list(alphabet[:len(firsts)]):
                 yield w
 
 

@@ -68,6 +68,24 @@ def test_incomparable_exit_code(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", ["mobius", "chains", "morse-report", "homotopy"])
+@pytest.mark.parametrize("poset, bottom, top", [("pattern", "12", "21"),
+                                                ("factor", "aa", "ab")])
+def test_every_interval_command_names_an_incomparable_pair(capsys, command,
+                                                           poset, bottom, top):
+    code, out, err = run_cli(capsys, command, bottom, top, "--poset", poset)
+    assert (code, out, err) == (2, "", f"error: '{bottom}' is not below '{top}'\n")
+
+
+@pytest.mark.parametrize("command", ["mobius", "chains", "morse-report", "homotopy"])
+def test_the_guardrail_is_checked_before_the_pair(capsys, command):
+    # 21 is not below 12...10, which is also above the size guardrail
+    big = ",".join(str(i) for i in range(1, 11))
+    code, _, err = run_cli(capsys, command, "21", big)
+    assert code == 4
+    assert "exceeds the pattern limit" in err
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "mobius", "1", "badinput")
     assert code == 3

@@ -20,12 +20,13 @@ from test_posets import assert_columns_match_the_oracles, euler_by_walk
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and the worker
-    initializer, and runs the chunks in this process, so no real pool is
-    ever started."""
+    """Stands in for ProcessPoolExecutor: records max_workers, the worker
+    initializer and the mapped chunks, and runs the chunks in this process,
+    so no real pool is ever started."""
 
     sizes: list[int] = []
     initializers: list[tuple] = []
+    mapped: list[list] = []
 
     def __init__(self, max_workers, initializer=None, initargs=()):
         RecordingPool.sizes.append(max_workers)
@@ -38,6 +39,8 @@ class RecordingPool:
         return False
 
     def map(self, fn, items):
+        items = list(items)
+        RecordingPool.mapped.append(items)
         return map(fn, items)
 
 
@@ -45,6 +48,7 @@ class RecordingPool:
 def pool(monkeypatch):
     RecordingPool.sizes = []
     RecordingPool.initializers = []
+    RecordingPool.mapped = []
     monkeypatch.setattr(crosscheck, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     return RecordingPool
@@ -70,6 +74,29 @@ def test_pool_workers_ignore_sigint(pool):
     # an interrupt is handled by the parent alone, which stops the workers
     crosscheck.run_crosscheck(PatternPoset(), 3, jobs=2)
     assert pool.initializers == [(signal.signal, (signal.SIGINT, signal.SIG_IGN))]
+
+
+def test_a_parallel_sweep_maps_runs_of_consecutive_tops_in_order(pool):
+    poset = PatternPoset()
+    crosscheck.run_crosscheck(poset, 5, jobs=2)
+    (items,) = pool.mapped
+    chunks = [tops for _, tops in items]
+    tops = [e for n in range(1, 6) for e in poset.elements_of_rank(n)]
+    assert [top for chunk in chunks for top in chunk] == tops
+    assert len(chunks) > pool.sizes[0] == 2
+
+
+def test_a_parallel_sweep_reports_as_a_serial_one(pool, monkeypatch):
+    # a chain count one too high puts a mismatch on every interval
+    real = crosscheck.naive_chain_count
+    monkeypatch.setattr(crosscheck, "naive_chain_count", lambda poset, interval:
+                        tuple(c + 1 for c in real(poset, interval)))
+    serial = crosscheck.run_crosscheck(PatternPoset(), 5, jobs=1)
+    parallel = crosscheck.run_crosscheck(PatternPoset(), 5, jobs=2)
+    assert all(any(p.startswith("chains: found") for p in r.problems)
+               for r in serial.records)
+    assert parallel.records == serial.records
+    assert parallel.mismatches == serial.mismatches
 
 
 @pytest.mark.parametrize("jobs", [0, -1])
@@ -120,7 +147,8 @@ SEEDED = _seeded_intervals()
 
 @pytest.mark.parametrize("poset, bottom, top", SEEDED)
 def test_seeded_interval_passes_every_check(poset, bottom, top):
-    assert crosscheck.check_interval(poset, bottom, top).problems == ()
+    routes = crosscheck.evaluate(poset, bottom, top)
+    assert crosscheck.check_interval(poset, bottom, top, routes).problems == ()
 
 
 @pytest.mark.parametrize("poset, bottom, top", SEEDED)
@@ -224,13 +252,17 @@ def monotone_132(monkeypatch):
 def test_chain_count_catches_a_wrong_cover_rule(monotone_132):
     # treating 132 as monotone drops its cover 12 from the chain listing;
     # the count over the order relation still sees both chains
-    problems = crosscheck.check_interval(PatternPoset(), (1,), (1, 3, 2)).problems
+    poset, bottom, top = PatternPoset(), (1,), (1, 3, 2)
+    routes = crosscheck.evaluate(poset, bottom, top)
+    problems = crosscheck.check_interval(poset, bottom, top, routes).problems
     assert "chains: found 1, naive descent gives 2" in problems
 
 
 def test_a_cover_rule_that_lists_no_chain_is_reported(monotone_132):
     # treating 132 as monotone leaves [12, 132] without a chain
-    problems = crosscheck.check_interval(PatternPoset(), (1, 2), (1, 3, 2)).problems
+    poset, bottom, top = PatternPoset(), (1, 2), (1, 3, 2)
+    routes = crosscheck.evaluate(poset, bottom, top)
+    problems = crosscheck.check_interval(poset, bottom, top, routes).problems
     assert "chains: found 0, naive descent gives 1" in problems
 
 

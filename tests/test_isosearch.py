@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from posetmorse.isosearch import (_canonical_words, certificate,
                                   find_isomorphism, run_iso_search)
 from posetmorse.posets import FactorPoset, PatternPoset, interval_structure
@@ -63,6 +65,29 @@ def test_canonical_words_skip_relabelings():
     assert ("b",) not in words
     assert ("a", "a", "b") in words
     assert ("b", "b", "a") not in words
+
+
+def _stirling2(n, k):
+    """The number of partitions of an n-set into k blocks."""
+    if n == 0 or k == 0:
+        return int(n == k)
+    return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
+
+
+@pytest.mark.parametrize("letters", ["a", "ab", "abc", "abcd"])
+def test_canonical_words_are_counted_by_set_partitions(letters):
+    # a canonical word of length n is a set partition of its positions into
+    # at most k blocks, the blocks named by first appearance
+    k, cap = len(letters), 7
+    by_length = [0] * (cap + 1)
+    for w in _canonical_words(tuple(letters), cap):
+        by_length[len(w)] += 1
+    assert by_length == [1] + [sum(_stirling2(n, j) for j in range(1, k + 1))
+                               for n in range(1, cap + 1)]
+    if k == 2:
+        assert by_length[1:] == [2 ** (n - 1) for n in range(1, cap + 1)]
+    if k == 3:
+        assert by_length[1:] == [(3 ** (n - 1) + 1) // 2 for n in range(1, cap + 1)]
 
 
 def test_run_iso_search_small():
