@@ -10,12 +10,14 @@ chains by it gives a poset lexicographic order: once two chains part
 ways, everything sharing the first one's prefix comes before everything
 sharing the second one's.  Chains are listed per top by one depth-first
 walk that takes covers in increasing label order, so every bottom's
-chains come out in that order with no sort.
+chains come out in that order with no sort, and the same walk finds each
+chain's minimal skipped intervals.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -73,28 +75,45 @@ def walk_chains(poset, top, bottoms) -> dict:
     of [x, top], and each bottom's chains arrive sorted by label sequence;
     a chain is built only where a path reaches an asked bottom.
 
-    Maps each bottom to its chains and the walk's node ids of each chain's
-    elements.  A node id names a path from the top, so ids[i] is an id of
-    the prefix elements[:i + 1] across the whole walk, and each bottom's
-    chains through one node stand together, as the MSI pass needs.
+    Maps each bottom to its chains and their minimal skipped intervals
+    against the bottom's earlier chains, found as the walk descends.  For
+    a path e[0..d], (i, j) with j = d - 1 is skipped iff the walk already
+    reached e[d] inside the subtree of the path's node at depth i - 1: the
+    walk went on from that visit as this path goes on, so an earlier chain
+    agrees with this one outside i..j.  A subtree is a run of preorder indices, so that holds iff the
+    latest visit of e[d] is at or after the ancestor's index, and the
+    largest skipped start S(j) is one bisection over the path's indices.
+    Skipped spans are closed upward under containment, so (S(j), j) is
+    minimal iff S(j) > S(j - 1): a node's MSIs are its parent's plus at
+    most one span, in O(log n) per node.
     """
     found = {b: ([], []) for b in bottoms}
     floor = min((poset.rank(b) for b in bottoms), default=poset.rank(top))
-    count = itertools.count(1)
+    count = itertools.count()
+    latest: dict = {}  # element -> preorder index of its latest visit
+    path: list[int] = []  # preorder indices of the current node's ancestors
 
-    def descend(elems, windows, labels, ids) -> None:
-        at = found.get(elems[-1])
+    def descend(elems, windows, labels, msis, start) -> None:
+        e, j = elems[-1], len(labels) - 1
+        if j > 0:
+            skipped = bisect_right(path, latest.get(e, -1), 0, j)
+            if skipped > start:
+                msis, start = msis + ((skipped, j),), skipped
+        latest[e] = here = next(count)
+        at = found.get(e)
         if at is not None:
             at[0].append(MaximalChain(elems, windows, labels))
-            at[1].append(ids)
+            at[1].append(msis)
         lo, hi = windows[-1]
         if hi - lo > floor:
-            for child, pos in reversed(poset.down_covers(elems[-1])):
+            path.append(here)
+            for child, pos in reversed(poset.down_covers(e)):
                 descend(elems + (child,),
                         windows + (((lo + 1, hi) if pos == 1 else (lo, hi - 1)),),
-                        labels + (lo + pos,), ids + (next(count),))
+                        labels + (lo + pos,), msis, start)
+            path.pop()
 
-    descend((top,), ((0, poset.rank(top)),), (), (0,))
+    descend((top,), ((0, poset.rank(top)),), (), (), 0)
     return found
 
 

@@ -159,6 +159,7 @@ def check_interval(poset, bottom, top, routes: Routes) -> IntervalRecord:
         problems.append("poset-lex: chain order violates the divergence property")
 
     top_len = poset.rank(top)
+    classes = ()
     for d in report.chains:
         chain = d.chain
         lo, hi = chain.windows[-1]
@@ -197,7 +198,8 @@ def check_interval(poset, bottom, top, routes: Routes) -> IntervalRecord:
         problems.append("critical: the critical chain is not the lexicographically last")
     ls = chains[-1].labels if chains else ()
     if len(ls) >= 2 and all(ls[k] > ls[k + 1] for k in range(len(ls) - 1)):
-        if any(c is not StepClass.WEAK_DESCENT for c in classify_steps(chains[-1])[:-1]):
+        # classes are the last chain's, from the loop above
+        if any(c is not StepClass.WEAK_DESCENT for c in classes[:-1]):
             problems.append(
                 "descent-structure: a strictly decreasing id has a strong "
                 "descent before its final step")

@@ -13,14 +13,18 @@ last index where their elements differ.  The minimal skipped intervals of
 C are therefore its containment-minimal difference blocks.
 
 The chains of every bottom under a top come from one walk from the top
-(chains.walk_chains), already in that order.  Their MSIs are found in one
-pass per bottom without comparing chains pairwise, in O(n log n) time per
-chain of n steps (all_minimal_skipped_intervals).  The MSIs are resolved
-into a disjoint family in one left-to-right pass that truncates each
-member's start past everything already chosen; C is critical when the
-family covers all of C's interior, and contributes (-1)^(size-1) to the
-Mobius function.  Zero critical chains mean a contractible complex, one
-critical chain a sphere of the matching dimension.
+(chains.walk_chains), already in that order, and the walk finds their MSIs
+as it descends without comparing chains pairwise: (i, j) is skipped iff
+the walk reached element j+1 of the chain earlier, inside the subtree of
+its node at index i-1.  That costs one dict lookup and one bisection per
+walk node, and a node's MSIs are its parent's plus at most one span.  The
+pairwise functions below are the definition, which the walk is tested
+against.  The MSIs are resolved into a disjoint family in one
+left-to-right pass that truncates each member's start past everything
+already chosen; C is critical when the family covers all of C's interior,
+and contributes (-1)^(size-1) to the Mobius function.  Zero critical
+chains mean a contractible complex, one critical chain a sphere of the
+matching dimension.
 
 A chain interval (i, j) is stored by the closed index range of the chain
 elements it holds, 1 <= i <= j <= steps-1.
@@ -28,7 +32,6 @@ elements it holds, 1 <= i <= j <= steps-1.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .chains import MaximalChain, walk_chains
@@ -77,46 +80,6 @@ def minimal_skipped_intervals(chain: MaximalChain,
     return sorted((i, j) for i, j in blocks
                   if not any(i <= p and q <= j and (p, q) != (i, j)
                              for p, q in blocks))
-
-
-def all_minimal_skipped_intervals(chains: list[MaximalChain],
-                                  prefixes: list[tuple[int, ...]]) -> list[list[Span]]:
-    """
-    minimal_skipped_intervals(c, chains[:k]) for every chain c at position
-    k of one bottom's listing by walk_chains, prefixes[k][i - 1] being the
-    walk's id of c.elements[:i].  As the chains through a node stand
-    together, (i, j) is skipped iff the latest chain before c ending with
-    c.elements[j+1:] is at or after the first chain through c.elements[:i].
-    Those positions rise with j, so bisection finds the smallest skipped
-    end at each start i, minimal iff below every end kept to its right.
-
-    >>> from .posets import FactorPoset
-    >>> top = tuple("abba")
-    >>> chains, prefixes = walk_chains(FactorPoset(), top, [()])[()]
-    >>> all_minimal_skipped_intervals(chains, prefixes)
-    [[], [(3, 3)], [(2, 2)], [(1, 1)], [(2, 2)], [(1, 2), (3, 3)]]
-    """
-    ids: dict = {}  # (id of a suffix, element before it) -> id; 0 is empty
-    first: dict = {}  # walk node id -> position of the first chain through it
-    last: dict = {}  # suffix id -> position of the latest chain ending with it
-    out = []
-    for k, (chain, pre) in enumerate(zip(chains, prefixes)):
-        e = chain.elements
-        n = len(e) - 1
-        suf = [0] * (n + 1)  # suf[j] is the id of e[j+1:], for j >= 1
-        for j in range(n - 1, 0, -1):
-            suf[j] = ids.setdefault((suf[j + 1], e[j + 1]), len(ids) + 1)
-        ends = [last.get(s, -1) for s in suf]  # rises over 1 <= j < n
-        msis, kept = [], n
-        for i in range(n - 1, 0, -1):
-            j = bisect_left(ends, first.setdefault(pre[i - 1], k), i, n)
-            if j < kept:
-                msis.append((i, j))
-                kept = j
-        out.append(msis[::-1])
-        for j in range(1, n):
-            last[suf[j]] = k
-    return out
 
 
 def disjoint_family(msis: list[Span]) -> list[Span]:
@@ -217,10 +180,17 @@ class MorseReport:
 
 
 def morse_reports(poset, top, bottoms) -> dict:
-    """The Morse report of [b, top] for every b in bottoms, from one walk."""
-    return {bottom: _report(poset, bottom, top, chains,
-                            all_minimal_skipped_intervals(chains, prefixes))
-            for bottom, (chains, prefixes) in walk_chains(poset, top, bottoms).items()}
+    """
+    The Morse report of [b, top] for every b in bottoms, from one walk that
+    also finds every chain's minimal skipped intervals.
+
+    >>> from .posets import FactorPoset
+    >>> reports = morse_reports(FactorPoset(), tuple("abba"), [()])
+    >>> [list(d.msis) for d in reports[()].chains]
+    [[], [(3, 3)], [(2, 2)], [(1, 1)], [(2, 2)], [(1, 2), (3, 3)]]
+    """
+    return {bottom: _report(poset, bottom, top, chains, msis)
+            for bottom, (chains, msis) in walk_chains(poset, top, bottoms).items()}
 
 
 def morse_report(poset, bottom, top) -> MorseReport:

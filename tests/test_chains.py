@@ -61,19 +61,24 @@ def sorted_chains(poset, bottom, top) -> list[MaximalChain]:
 
 def assert_walk_matches_the_oracle(poset, top, bottoms) -> dict:
     """One walk for all of bottoms lists each bottom's chains as the sorted
-    oracle does, and its node ids name element prefixes one to one.
+    oracle does, and the MSIs it carries down a path are a function of the
+    path: the spans of a chain that end before rank d are the same for
+    every chain, under any bottom, through the same first d + 1 elements.
+    Each chain's spans lie in its interior and rise in both ends.
     Returns the walk."""
     walk = walk_chains(poset, top, bottoms)
     assert list(walk) == list(bottoms)
-    named = {}
+    carried = {}
     for bottom in bottoms:
-        chains, prefixes = walk[bottom]
+        chains, msis = walk[bottom]
         assert chains == sorted_chains(poset, bottom, top)
-        assert [len(ids) for ids in prefixes] == [len(c.elements) for c in chains]
-        for chain, ids in zip(chains, prefixes):
-            for i, node in enumerate(ids):
-                assert named.setdefault(node, chain.elements[:i + 1]) == chain.elements[:i + 1]
-    assert len(set(named.values())) == len(named)
+        assert len(msis) == len(chains)
+        for chain, spans in zip(chains, msis):
+            assert all(1 <= i <= j < chain.steps for i, j in spans)
+            assert all(a < c and b < d for (a, b), (c, d) in zip(spans, spans[1:]))
+            for d in range(len(chain.elements)):
+                head = tuple(s for s in spans if s[1] < d)
+                assert carried.setdefault(chain.elements[:d + 1], head) == head
     return walk
 
 

@@ -13,6 +13,7 @@ import posetmorse.cli as cli
 import posetmorse.crosscheck as crosscheck
 import posetmorse.morse as morse
 import posetmorse.perms as perms
+from posetmorse.chains import StepClass
 from posetmorse.posets import (FactorPoset, IncomparableError, PatternPoset,
                                euler_characteristic, interval_structure)
 from test_morse import assert_walk_msis_match_the_oracle
@@ -247,6 +248,25 @@ def monotone_132(monkeypatch):
     monkeypatch.undo()
     for memo in memos:
         memo.cache_clear()
+
+
+def test_each_chain_is_classified_once_and_the_last_chain_s_classes_are_checked(
+        monkeypatch):
+    # every step called a strong descent: the strictly decreasing last
+    # chain 6-5-4-3-1 then breaks the descent structure, read from the
+    # classes the per-chain loop already made
+    calls = []
+
+    def strong(chain):
+        calls.append(chain.labels)
+        return (StepClass.STRONG_DESCENT,) * (chain.steps - 1)
+
+    monkeypatch.setattr(crosscheck, "classify_steps", strong)
+    poset, bottom, top = PatternPoset(), (1,), (2, 1, 3, 5, 4, 6)
+    routes = crosscheck.evaluate(poset, bottom, top)
+    problems = crosscheck.check_interval(poset, bottom, top, routes).problems
+    assert len(calls) == len(set(calls)) == 13
+    assert any(p.startswith("descent-structure:") for p in problems)
 
 
 def test_chain_count_catches_a_wrong_cover_rule(monotone_132):

@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
 from posetmorse import render
-from posetmorse.chains import maximal_chains
-from posetmorse.morse import (all_minimal_skipped_intervals, disjoint_family,
-                              homotopy_type, minimal_skipped_intervals,
-                              mobius_morse, morse_report, morse_reports,
-                              skipped_intervals)
+from posetmorse.chains import maximal_chains, walk_chains
+from posetmorse.morse import (disjoint_family, homotopy_type,
+                              minimal_skipped_intervals, mobius_morse,
+                              morse_report, morse_reports, skipped_intervals)
 from posetmorse.posets import (FactorPoset, PatternPoset, interval_structure,
                                mobius_bruteforce)
 from test_chains import assert_walk_matches_the_oracle
@@ -89,42 +89,70 @@ def _containment_minimal(spans):
 
 def assert_walk_msis_match_the_oracle(poset, top, bottoms) -> None:
     """One walk for all of bottoms lists each bottom's chains as the sorted
-    oracle does, and the keyed pass on each bottom's listing gives the
-    difference-block MSIs against the earlier chains, as does the report."""
+    oracle does, with each chain's difference-block MSIs against the
+    earlier chains, as does the report."""
     walk = assert_walk_matches_the_oracle(poset, top, bottoms)
     reports = morse_reports(poset, top, bottoms)
-    for bottom, (chains, prefixes) in walk.items():
+    for bottom, (chains, msis) in walk.items():
         want = [minimal_skipped_intervals(c, chains[:k]) for k, c in enumerate(chains)]
-        assert all_minimal_skipped_intervals(chains, prefixes) == want
+        assert [list(m) for m in msis] == want
         assert [list(d.msis) for d in reports[bottom].chains] == want
 
 
 def test_msis_fast_pattern_matches_bruteforce():
     # the difference-block route against the definition on every chain, the
-    # keyed pass of one walk per top and each poset's fast law against both
+    # MSIs of one walk per top and each poset's fast law against both
     p, f = PatternPoset(), FactorPoset()
     tops = [(p, top) for n in range(2, 6)
             for top in itertools.permutations(range(1, n + 1))]
     tops += [(f, top) for n in range(6) for top in itertools.product("ab", repeat=n)]
     for poset, top in tops:
         bottoms = sorted(poset.down_set(top))
-        reports = morse_reports(poset, top, bottoms)
+        walk = walk_chains(poset, top, bottoms)
         for bottom in bottoms:
-            chains = [d.chain for d in reports[bottom].chains]
-            keyed = [list(d.msis) for d in reports[bottom].chains]
+            chains, walked = walk[bottom]
             for k, chain in enumerate(chains):
                 msis = minimal_skipped_intervals(chain, chains[:k])
                 brute = _containment_minimal(skipped_intervals(chain, chains[:k]))
                 assert msis == brute
-                assert keyed[k] == msis
+                assert list(walked[k]) == msis
                 assert poset.msis_fast(chain) == msis
 
 
 def test_keyed_msis_of_no_chain_and_of_one_step_chains():
-    assert all_minimal_skipped_intervals([], []) == []
     p = PatternPoset()
+    # a bottom the walk never reaches has no chain and no MSIs
+    assert walk_chains(p, (1, 2), [(2, 1)]) == {(2, 1): ([], [])}
     assert [d.msis for d in morse_report(p, (1,), (1, 2)).chains] == [()]
     assert [d.msis for d in morse_report(p, (2, 1), (2, 1)).chains] == [()]
+
+
+@pytest.mark.parametrize("poset, bottom, top", [
+    (FactorPoset(), (), tuple("aab")), (PatternPoset(), (1,), (1, 2, 4, 3))],
+    ids=["factor-aab", "pattern-1243"])
+def test_a_span_is_skipped_only_by_a_visit_under_its_start(poset, bottom, top):
+    # The third chain, labels 3-1-2 (4-1-2 on 1243), reaches the bottom at
+    # index 3 after both earlier chains did, but neither passes through its
+    # element at index 1, so (2, 2) is not skipped: a visit counts only
+    # inside the subtree of the node before the span's start.
+    chains, msis = walk_chains(poset, top, [bottom])[bottom]
+    assert [c.labels[0] for c in chains] == [1, 1, len(top)]
+    assert [list(m) for m in msis] == [[], [(2, 2)], [(1, 1)]]
+    assert [minimal_skipped_intervals(c, chains[:k])
+            for k, c in enumerate(chains)] == [[], [(2, 2)], [(1, 1)]]
+
+
+def test_walk_msis_match_the_oracle_on_seeded_length_ten_tops():
+    # one [1, tau] and one [eps, w] past the exhaustive range, every chain
+    rng = random.Random(2357)
+    tau = tuple(rng.sample(range(1, 11), 10))
+    w = tuple(rng.choice("ab") for _ in range(10))
+    for poset, bottom, top, count in ((PatternPoset(max_top=None), (1,), tau, 234),
+                                      (FactorPoset(max_top=None), (), w, 300)):
+        chains, msis = walk_chains(poset, top, [bottom])[bottom]
+        assert len(chains) == count
+        assert [list(m) for m in msis] == [
+            minimal_skipped_intervals(c, chains[:k]) for k, c in enumerate(chains)]
 
 
 @pytest.mark.parametrize("poset, max_size", [
