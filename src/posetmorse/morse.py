@@ -33,6 +33,7 @@ elements it holds, 1 <= i <= j <= steps-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .chains import MaximalChain, walk_chains
 from .perms import exterior, interior, leq_consecutive
@@ -104,43 +105,54 @@ def disjoint_family(msis: list[Span]) -> list[Span]:
     return family
 
 
-def _msis_fast(chain: MaximalChain, leq, outer, inner) -> list[Span]:
+def _exterior_jump(rho, leq, outer, inner):
+    """The fast law's part read off rho alone, memoized per kind: (x, |rho| - |x|)
+    for x = outer(rho), or (None, 0) when |rho| < 3 or leq(x, inner(rho))."""
+    x = outer(rho) if len(rho) >= 3 else None
+    return (None, 0) if x is None or leq(x, inner(rho)) else (x, len(rho) - len(x))
+
+
+@lru_cache(maxsize=8192)  # every pattern of length <= 7
+def _jump_pattern(rho):
+    return _exterior_jump(rho, leq_consecutive, exterior, interior)
+
+
+@lru_cache(maxsize=8192)  # every word over {a,b} of length <= 12
+def _jump_factor(w):
+    return _exterior_jump(w, is_factor, outer_word, inner_word)
+
+
+def _msis_fast(chain: MaximalChain, jump) -> list[Span]:
     """
-    Minimal skipped intervals of a chain without looking at other chains,
-    given the poset's order test, exterior (outer word) and interior
-    (inner word): singletons where a descent in the labels is followed by
-    deleting the first letter of the window, plus runs from an element
-    down to its exterior when the exterior avoids the interior and the
-    labels across the run strictly decrease (a lone label does not count
-    as decreasing).
+    Minimal skipped intervals of a chain without looking at other chains:
+    singletons where a descent in the labels is followed by deleting the
+    first letter of the window, plus runs from an element down to its
+    exterior, as jump gives it, when the labels across the run strictly
+    decrease (a lone label does not count as decreasing).
     """
-    labels = chain.labels
+    labels, elements = chain.labels, chain.elements
     n = len(labels)
     found: set[Span] = set()
     for i in range(1, n):
         if labels[i - 1] > labels[i] == chain.windows[i][0] + 1:
             found.add((i, i))
     for i in range(0, n - 1):
-        rho = chain.elements[i]
-        if len(rho) < 3:
-            continue
-        x = outer(rho)
-        j = i + len(rho) - len(x)
-        if i + 2 <= j <= n and chain.elements[j] == x and not leq(x, inner(rho)):
-            run = labels[i:j]
-            if all(run[k] > run[k + 1] for k in range(len(run) - 1)):
-                found.add((i + 1, j - 1))
+        x, k = jump(elements[i])
+        if 2 <= k <= n - i and elements[i + k] == x:
+            run = labels[i:i + k]
+            if all(run[t] > run[t + 1] for t in range(k - 1)):
+                found.add((i + 1, i + k - 1))
     return sorted(found)
 
 
 def msis_fast_pattern(chain: MaximalChain) -> list[Span]:
     """The fast law on a pattern chain; its singletons are the strong descents."""
-    return _msis_fast(chain, leq_consecutive, exterior, interior)
+    return _msis_fast(chain, _jump_pattern)
 
 
 def msis_fast_factor(chain: MaximalChain) -> list[Span]:
     """The fast law on a factor-order chain."""
-    return _msis_fast(chain, is_factor, outer_word, inner_word)
+    return _msis_fast(chain, _jump_factor)
 
 
 @dataclass(frozen=True)
@@ -203,17 +215,16 @@ def _report(poset, bottom, top, chains, all_msis) -> MorseReport:
     gap = poset.rank(top) - poset.rank(bottom)
     data = []
     for chain, msis in zip(chains, all_msis):
-        family = disjoint_family(msis)
-        # critical when the family covers the whole interior; [x, x] has none
-        covered = {k for a, b in family for k in range(a, b + 1)}
-        critical = gap > 0 and covered == set(chain.open_indices())
+        if msis:  # critical when the family covers the whole interior
+            family = disjoint_family(msis)
+            critical = {k for a, b in family for k in range(a, b + 1)} == set(chain.open_indices())
+        else:  # critical when the interior is empty; [x, x] has none
+            family, critical = [], gap > 0 and chain.steps < 2
         data.append(ChainMorseData(chain, tuple(msis), tuple(family), critical,
                                    len(family) - 1 if critical else None))
-    if gap == 0:
-        mobius = 1  # a single element: no machinery to run
-    else:
-        mobius = sum(-1 if d.dim % 2 else 1 for d in data if d.critical)
     critical = [d for d in data if d.critical]
+    # [x, x] is a single element: no machinery to run
+    mobius = 1 if gap == 0 else sum(-1 if d.dim % 2 else 1 for d in critical)
     if gap < 2:
         homotopy = None
     elif not critical:

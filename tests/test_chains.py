@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -197,6 +198,29 @@ def test_is_poset_lex_rejects_bad_shuffles():
     shuffled = [chains[0], chains[7]] + chains[1:7] + chains[8:]
     assert not is_poset_lex(shuffled)
     assert not is_poset_lex([chains[0], chains[0]])
+
+
+def test_strictly_rising_label_sequences_are_poset_lex():
+    # in a sorted list of distinct equal-length tuples, the tuples sharing
+    # any prefix stand together: check_interval's strict-rise gate implies
+    # its duplicate, sort and poset-lex checks
+    rng = random.Random(2005)
+    for _ in range(3000):
+        steps, letters = rng.randint(0, 6), rng.randint(1, 4)
+        ids = sorted({tuple(rng.randint(1, letters) for _ in range(steps))
+                      for _ in range(rng.randint(1, 20))})
+        # only the labels are read
+        assert is_poset_lex([MaximalChain((), (), labels) for labels in ids])
+    p = PatternPoset()
+    listings = 0
+    for n in range(1, 7):
+        for top in itertools.permutations(range(1, n + 1)):
+            for chains, _ in walk_chains(p, top, p.down_set(top)).values():
+                ids = [c.labels for c in chains]
+                assert all(a < b for a, b in zip(ids, ids[1:]))
+                assert is_poset_lex(chains)
+                listings += 1
+    assert listings == 10087  # every interval of the size-6 sweep
 
 
 def _is_poset_lex_by_pairs(order):

@@ -551,8 +551,11 @@ def test_an_interrupt_prints_one_line_and_exits_130(capsys, monkeypatch):
 
 def test_sigint_stops_a_serial_sweep_without_a_traceback():
     # the length-7 sweep runs for tens of seconds; SIGINT comes once the
-    # package is imported, so it lands inside the sweep
-    script = ("import sys\nfrom posetmorse.cli import run\n"
+    # package is imported, so it lands inside the sweep.  A child of a
+    # process that ignores SIGINT (a background job) inherits SIG_IGN, so
+    # the script restores Python's handler first
+    script = ("import signal, sys\nfrom posetmorse.cli import run\n"
+              "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
               "sys.argv = ['posetmorse', 'crosscheck', '--max-size', '7', '--jobs', '1']\n"
               "print('ready', flush=True)\nrun()\n")
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))

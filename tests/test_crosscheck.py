@@ -3,6 +3,7 @@ the exhaustive sweeps through every check."""
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import random
 import signal
@@ -238,7 +239,7 @@ def monotone_132(monkeypatch):
     operators are cleared before the patch, so that it reaches the cover
     rule, and again after it is undone, so that no patched value outlives
     the test."""
-    memos = (perms.down_covers, perms.interior, perms.exterior)
+    memos = (perms.down_covers, perms.interior, perms.exterior, morse._jump_pattern)
     for memo in memos:
         memo.cache_clear()
     real = perms.is_monotone
@@ -305,3 +306,35 @@ def test_length_seven_pattern_sweep():
     report = crosscheck.run_crosscheck(PatternPoset(), 7, jobs=None)
     assert report.total == 94675 and report.mismatches == []
     assert report.mu_histogram == {-1: 13764, 0: 67146, 1: 13765}
+
+
+@pytest.mark.parametrize("poset, bottom, top", [
+    (PatternPoset(), (1,), (2, 1, 3, 5, 4, 6)),
+    (FactorPoset(), (), tuple("abba")),
+])
+def test_a_bad_chain_listing_is_worded_line_by_line(poset, bottom, top):
+    # a listing that fails the strict-rise gate gets the lines that apply of
+    # duplicate, sort, chain count and poset-lex, in that order, and then the
+    # critical line when the critical chain no longer comes last
+    routes = crosscheck.evaluate(poset, bottom, top)
+    good = list(routes.report.chains)
+    n, half = len(good), len(good) // 2
+
+    def problems(listing):
+        report = dataclasses.replace(routes.report, chains=tuple(listing))
+        return crosscheck.check_interval(
+            poset, bottom, top, dataclasses.replace(routes, report=report)).problems
+
+    duplicate = "chains: duplicate label sequences"
+    unsorted = "chains: not sorted by label sequence"
+    count = f"chains: found {n + 1}, naive descent gives {n}"
+    lex = "poset-lex: chain order violates the divergence property"
+    last = "critical: the critical chain is not the lexicographically last"
+    assert problems(good) == ()
+    assert problems(good[:1] + good) == (duplicate, count, lex)
+    assert problems(good + good[:1]) == (duplicate, unsorted, count, lex, last)
+    # reversed, every prefix still stands together
+    assert problems(good[::-1]) == (unsorted, last)
+    # a chain from the second half inside the first chain's prefix block
+    assert problems(good[:1] + good[half:half + 1] + good[1:half] + good[half + 1:]) == (
+        unsorted, lex)

@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from posetmorse import perms, words
+from posetmorse import morse, perms, words
 import posetmorse.crosscheck as crosscheck
 from posetmorse.crosscheck import naive_chain_count, run_crosscheck
 from posetmorse.posets import (FactorPoset, IncomparableError, MobiusCache,
@@ -268,16 +268,26 @@ def test_interval_structure_matches_the_order_oracle():
 
 def test_process_wide_down_set_caches_are_bounded():
     for cached in (perms._window_patterns, words._factor_set, perms.exterior,
-                   perms.interior, perms.down_covers):
+                   perms.interior, perms.down_covers, morse._jump_pattern,
+                   morse._jump_factor):
         assert cached.cache_info().maxsize is not None
 
 
 def test_a_sweep_computes_each_operator_once_per_permutation():
-    for op in (perms.exterior, perms.interior, perms.down_covers):
+    for op in (perms.exterior, perms.interior, perms.down_covers, morse._jump_pattern):
         op.cache_clear()
     assert run_crosscheck(PatternPoset(), 4).ok
-    info = perms.exterior.cache_info()
-    assert info.misses <= 1 + 2 + 6 + 24  # permutations of length <= 4
+    for op in (perms.exterior, morse._jump_pattern):
+        info = op.cache_info()
+        assert info.misses <= 1 + 2 + 6 + 24  # permutations of length <= 4
+        assert info.hits > info.misses
+
+
+def test_a_factor_sweep_computes_the_fast_law_s_jump_once_per_word():
+    morse._jump_factor.cache_clear()
+    assert run_crosscheck(FactorPoset(), 4).ok
+    info = morse._jump_factor.cache_info()
+    assert info.misses <= 1 + 2 + 4 + 8 + 16  # words over {a,b} of length <= 4
     assert info.hits > info.misses
 
 
