@@ -51,10 +51,6 @@ class MaximalChain:
         return range(1, len(self.labels))
 
 
-def chain_id_text(chain: MaximalChain) -> str:
-    return "-".join(str(l) for l in chain.labels)
-
-
 def maximal_chains(poset, bottom, top) -> list[MaximalChain]:
     """
     All maximal chains of [bottom, top], sorted by label sequence: the

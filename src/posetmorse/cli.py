@@ -104,7 +104,6 @@ def cmd_mobius(args) -> int:
         stale = cache.check(poset.tag, poset.format(bottom), poset.format(top),
                             routes.brute) if cache is not None else None
     closed, brute, euler = routes.closed, routes.brute, routes.euler
-    gap = poset.rank(top) - poset.rank(bottom)
     methods = {
         "closed_form": closed,
         "morse": routes.report.mobius,
@@ -130,7 +129,7 @@ def cmd_mobius(args) -> int:
 
     _emit(args, text, {
         **render.interval_json(poset, bottom, top),
-        "rank_gap": gap,
+        "rank_gap": routes.report.rank_gap,
         "methods": methods,
         "agree": agree,
         "mobius": closed if agree else None,

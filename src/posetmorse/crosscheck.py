@@ -4,16 +4,18 @@ cap, every Mobius route, and every structural invariant the machinery is
 supposed to satisfy.
 
 evaluate runs every Mobius route on one interval, for this harness and for
-the mobius subcommand alike; it is the one-bottom case of top_routes.
-Brute force, the Euler characteristic and the chain count read only the
-order relation, so they are computed per top and read per bottom:
-top_routes enumerates a top's down-set once for a column of each, and
-one Morse walk from the top lists the chains of every bottom asked for
-(morse.morse_reports).  No route value is memoized across calls, so a
-check reads only values computed in its own call.  A cache file is only
-checked against the brute-force values and appended to, never read in
-their place.  A parallel sweep maps runs of consecutive tops in order,
-so its records arrive in sweep order, as in a serial one.
+the mobius subcommand alike; it checks its pair with poset.check_pair, as
+morse_report and maximal_chains do, and is then the one-bottom case of
+top_routes, whose bottoms must lie under the top.  Brute force, the Euler
+characteristic and the chain count read only the order relation, so they
+are computed per top and read per bottom: top_routes enumerates a top's
+down-set once for a column of each, and one Morse walk from the top lists
+the chains of every bottom asked for (morse.morse_reports).  No route
+value is memoized across calls, so a check reads only values computed in
+its own call.  A cache file is only checked against the brute-force values
+and appended to, never read in their place.  A parallel sweep maps runs of
+consecutive tops in order, so its records arrive in sweep order, as in a
+serial one.
 
 Per interval the harness verifies that the closed form, the critical-chain
 count, and the brute-force recursion agree (plus the reduced Euler
@@ -56,34 +58,33 @@ class Routes:
 
 def top_routes(poset, top, bottoms=None) -> dict:
     """
-    The Routes of [b, top] for every b in bottoms, every element under the
-    top when bottoms is None.  Given bottoms, their closed forms run first
-    (they reject an incomparable pair); then one enumeration of the top's
-    down-set gives the columns of brute force, the Euler characteristic
-    and the chain count, and one Morse walk the chains of every bottom.
+    The Routes of [b, top] for every b in bottoms, which must lie under the
+    top, every element under the top when bottoms is None.  One
+    enumeration of the top's down-set gives the columns of brute force,
+    the Euler characteristic and the chain count, and one Morse walk the
+    chains of every bottom.
 
     >>> from posetmorse.posets import PatternPoset
     >>> p, top = PatternPoset(), (2, 1, 3, 5, 4, 6)
     >>> top_routes(p, top)[(1,)] == evaluate(p, (1,), top)
     True
     """
-    if bottoms is not None:
-        closed = [poset.mobius_closed_form(b, top) for b in bottoms]
     interval = interval_structure(poset, poset.minimum, top)
     if bottoms is None:
         bottoms = interval.elements
-        closed = [poset.mobius_closed_form(b, top) for b in bottoms]
     position = {e: i for i, e in enumerate(interval.elements)}
     brute = mobius_bruteforce(poset, interval)
     euler = euler_characteristic(poset, interval)
     chain_count = naive_chain_count(poset, interval)
     reports = morse_reports(poset, top, bottoms)
-    return {b: Routes(mu, reports[b], chain_count[i], brute[i], euler[i])
-            for b, mu in zip(bottoms, closed) for i in (position[b],)}
+    return {b: Routes(poset.mobius_closed_form(b, top), reports[b],
+                      chain_count[i], brute[i], euler[i])
+            for b in bottoms for i in (position[b],)}
 
 
 def evaluate(poset, bottom, top) -> Routes:
-    """Every route on [bottom, top]: the one-bottom case of top_routes."""
+    """Every route on a checked pair: the one-bottom case of top_routes."""
+    poset.check_pair(bottom, top)
     return top_routes(poset, top, (bottom,))[bottom]
 
 
@@ -134,8 +135,8 @@ def check_interval(poset, bottom, top, routes: Routes) -> IntervalRecord:
     """Run every invariant suite on one interval over its routes, from
     top_routes or evaluate."""
     problems: list[str] = []
-    gap = poset.rank(top) - poset.rank(bottom)
     report = routes.report
+    gap = report.rank_gap
     mu_closed, mu_morse, mu_brute = routes.closed, report.mobius, routes.brute
     # at rank gap one the open interval is empty: Euler reads -1 and checks nothing
     euler = routes.euler if gap >= 2 else None

@@ -181,7 +181,6 @@ class ChainMorseData:
 
 @dataclass(frozen=True)
 class MorseReport:
-    poset_tag: str
     bottom: object
     top: object
     rank_gap: int
@@ -234,7 +233,6 @@ def _report(poset, bottom, top, chains, all_msis) -> MorseReport:
     else:
         homotopy = HomotopyType("cells", tuple(sorted(d.dim for d in critical)))
     return MorseReport(
-        poset_tag=poset.tag,
         bottom=bottom,
         top=top,
         rank_gap=gap,

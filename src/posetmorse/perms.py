@@ -12,8 +12,9 @@ Text form: permutations of length at most nine render as digit strings
 a shorter permutation inside a longer one are written as expansions, digit
 strings padded with zeros outside the occupied window ("000213").
 
-down_covers, interior and exterior are memoized process-wide (8,192 entries,
-like _window_patterns): each permutation is standardized once per process.
+down_covers, interior, exterior and format_permutation are memoized
+process-wide (8,192 entries, like _window_patterns): each permutation is
+standardized and written once per process (a text form is no route value).
 """
 
 from __future__ import annotations
@@ -159,6 +160,7 @@ def exterior(tau: tuple[int, ...]) -> tuple[int, ...]:
     raise AssertionError("unreachable: length-one affixes always agree")
 
 
+@lru_cache(maxsize=8192)
 def format_permutation(p: tuple[int, ...]) -> str:
     """
     Text form of a permutation, or of an expansion (zeros outside the

@@ -5,7 +5,9 @@ routes.
 Both posets are locally finite and graded by length, and every cover
 deletes one letter from an end of a contiguous window.  PatternPoset is
 the consecutive pattern order on permutations; FactorPoset is factor order
-on words over a fixed alphabet, empty word included.
+on words over a fixed alphabet, empty word included.  One expansion rule
+serves both: an element inside a top is the poset's text form of its
+window of the top, padded with the poset's zero symbol (0 or "0").
 
 interval_structure enumerates an interval once, with its order relation
 read off the memoized down-sets of its elements.  The ground-truth routes
@@ -41,8 +43,9 @@ class SizeLimitError(RuntimeError):
 
 
 class _LengthGraded:
-    """What both posets share: rank is length, and max_top bounds the
-    length of interval tops accepted for enumeration (None lifts it)."""
+    """What both posets share: rank is length, max_top bounds the length
+    of interval tops accepted for enumeration (None lifts it), and an
+    element's expansion is its text form padded with the zero symbol."""
 
     def rank(self, e) -> int:
         return len(e)
@@ -56,6 +59,11 @@ class _LengthGraded:
         if not self.leq(bottom, top):
             raise IncomparableError(
                 f"{self.format(bottom)!r} is not below {self.format(top)!r}")
+
+    def expansion_text(self, element, window: tuple[int, int], top_len: int) -> str:
+        lo, hi = window
+        pad = (self.zero,)
+        return self.format(pad * lo + tuple(element[:hi - lo]) + pad * (top_len - hi))
 
     def check_length(self, n: int) -> None:
         if self.max_top is not None and n > self.max_top:
@@ -72,6 +80,7 @@ class PatternPoset(_LengthGraded):
     kind = "pattern"
     tag = "pattern"
     limit_name = "pattern"
+    zero = 0
     min_rank = 1
     minimum = (1,)
 
@@ -89,11 +98,6 @@ class PatternPoset(_LengthGraded):
 
     def format(self, e) -> str:
         return perms.format_permutation(e)
-
-    def expansion_text(self, element, window: tuple[int, int], top_len: int) -> str:
-        lo, hi = window
-        eta = (0,) * lo + tuple(element[:hi - lo]) + (0,) * (top_len - hi)
-        return perms.format_permutation(eta)
 
     def mobius_closed_form(self, bottom, top) -> int:
         return closed_form.mobius_pattern(bottom, top)
@@ -114,6 +118,7 @@ class FactorPoset(_LengthGraded):
 
     kind = "factor"
     limit_name = "factor-order"
+    zero = "0"
     min_rank = 0
     minimum = ()
 
@@ -135,13 +140,6 @@ class FactorPoset(_LengthGraded):
 
     def format(self, e) -> str:
         return words.format_word(e)
-
-    def expansion_text(self, element, window: tuple[int, int], top_len: int) -> str:
-        lo, hi = window
-        symbols = ["0"] * lo + list(element[:hi - lo]) + ["0"] * (top_len - hi)
-        if any(len(s) != 1 for s in symbols):
-            return ",".join(symbols)
-        return "".join(symbols)
 
     def mobius_closed_form(self, bottom, top) -> int:
         return closed_form.mobius_factor(bottom, top)

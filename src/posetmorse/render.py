@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 
-from .chains import MaximalChain, chain_id_text
+from .chains import MaximalChain
 from .morse import MorseReport, Span, morse_report
 
 
@@ -144,7 +144,7 @@ def dump_json(obj) -> str:
 def chain_json(poset, chain: MaximalChain) -> dict:
     top_len = chain.windows[0][1]
     return {
-        "id": chain_id_text(chain),
+        "id": bracketed_id(chain.labels),
         "labels": list(chain.labels),
         "elements": [poset.format(e) for e in chain.elements],
         "expansions": [

@@ -7,7 +7,8 @@ u <= w when u appears as a block of consecutive letters of w.
 
 Text form: words over single-character alphabets render as plain strings
 ("abb"), the empty word as "".  Alphabets with multi-character symbols
-switch to comma-separated form.
+switch to comma-separated form.  format_word is memoized process-wide
+(8,192 entries, like _factor_set), so a sweep writes each word's text once.
 """
 
 from __future__ import annotations
@@ -121,6 +122,7 @@ def down_covers_word(w: Word) -> tuple[tuple[Word, int], ...]:
     return ((w[:-1], len(w)), (w[1:], 1))
 
 
+@lru_cache(maxsize=8192)
 def format_word(w: Word) -> str:
     """
     >>> format_word(("a", "b", "b"))

@@ -8,9 +8,9 @@ import random
 import pytest
 
 import posetmorse.chains as chains_module
-from posetmorse.chains import (MaximalChain, StepClass, chain_id_text,
-                               classify_steps, is_poset_lex, maximal_chains,
-                               walk_chains)
+from posetmorse import render
+from posetmorse.chains import (MaximalChain, StepClass, classify_steps,
+                               is_poset_lex, maximal_chains, walk_chains)
 from posetmorse.crosscheck import naive_chain_count
 from posetmorse.posets import (FactorPoset, IncomparableError, PatternPoset,
                                interval_structure)
@@ -86,8 +86,8 @@ def assert_walk_matches_the_oracle(poset, top, bottoms) -> dict:
 def test_thirteen_chains_of_the_reference_interval():
     chains = maximal_chains(PatternPoset(), (1,), (2, 1, 3, 5, 4, 6))
     assert [c.labels for c in chains] == TABLE_IDS
-    assert chain_id_text(chains[0]) == "1-2-3-4-5"
-    assert chain_id_text(chains[-1]) == "6-5-4-3-1"
+    assert render.bracketed_id(chains[0].labels) == "1-2-3-4-5"
+    assert render.bracketed_id(chains[-1].labels) == "6-5-4-3-1"
 
 
 def test_chain_elements_and_windows():

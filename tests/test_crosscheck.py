@@ -10,13 +10,16 @@ import signal
 
 import pytest
 
+import posetmorse.chains as chains
 import posetmorse.cli as cli
+import posetmorse.closed_form as closed_form
 import posetmorse.crosscheck as crosscheck
 import posetmorse.morse as morse
 import posetmorse.perms as perms
 from posetmorse.chains import StepClass
 from posetmorse.posets import (FactorPoset, IncomparableError, PatternPoset,
-                               euler_characteristic, interval_structure)
+                               SizeLimitError, euler_characteristic,
+                               interval_structure)
 from test_morse import assert_walk_msis_match_the_oracle
 from test_posets import assert_columns_match_the_oracles, euler_by_walk
 
@@ -222,15 +225,30 @@ def test_top_routes_of_every_bottom_equal_the_one_bottom_case():
                     assert r == crosscheck.evaluate(poset, b, top)
 
 
-def test_an_incomparable_pair_is_rejected_by_the_closed_form_first(monkeypatch):
+@pytest.mark.parametrize("route", [
+    (crosscheck, "evaluate"), (morse, "morse_report"), (chains, "maximal_chains")],
+    ids=["evaluate", "morse_report", "maximal_chains"])
+@pytest.mark.parametrize("poset, bottom, top, error, message", [
+    (PatternPoset(), (1, 2), (2, 1), IncomparableError, "'12' is not below '21'"),
+    (FactorPoset(), tuple("aa"), tuple("ab"), IncomparableError,
+     "'aa' is not below 'ab'"),
+    # 21 is not below 12...10 either, but the guardrail comes first
+    (PatternPoset(), (2, 1), tuple(range(1, 11)), SizeLimitError,
+     "top of length 10 exceeds the pattern limit 9"),
+], ids=["pattern", "factor", "oversize"])
+def test_an_incomparable_pair_is_rejected_before_any_route_runs(
+        monkeypatch, route, poset, bottom, top, error, message):
     def unreached(*args, **kwargs):
-        raise AssertionError("the interval was enumerated")
+        raise AssertionError("a route ran")
 
-    monkeypatch.setattr(crosscheck, "interval_structure", unreached)
-    monkeypatch.setattr(crosscheck, "morse_reports", unreached)
-    with pytest.raises(IncomparableError,
-                       match="sigma is not a consecutive pattern of tau"):
-        crosscheck.evaluate(PatternPoset(), (1, 2), (2, 1))
+    for module, name in ((crosscheck, "interval_structure"),
+                         (crosscheck, "morse_reports"), (morse, "walk_chains"),
+                         (chains, "walk_chains"), (closed_form, "mobius_pattern"),
+                         (closed_form, "mobius_factor")):
+        monkeypatch.setattr(module, name, unreached)
+    module, name = route
+    with pytest.raises(error, match=message):
+        getattr(module, name)(poset, bottom, top)
 
 
 @pytest.fixture

@@ -54,6 +54,10 @@ def test_expansion_text():
     assert p.expansion_text((2, 1), (3, 5), 6) == "000210"
     f = FactorPoset()
     assert f.expansion_text(tuple("ba"), (1, 3), 3) == "0ba"
+    # a multi-letter symbol makes the whole expansion comma-separated
+    g = FactorPoset(("a", "bb"))
+    assert g.expansion_text(("bb", "a"), (1, 3), 4) == "0,bb,a,0"
+    assert g.expansion_text(("a",), (2, 3), 3) == "00a"
 
 
 def test_interval_elements_diamond():
@@ -269,8 +273,21 @@ def test_interval_structure_matches_the_order_oracle():
 def test_process_wide_down_set_caches_are_bounded():
     for cached in (perms._window_patterns, words._factor_set, perms.exterior,
                    perms.interior, perms.down_covers, morse._jump_pattern,
-                   morse._jump_factor):
+                   morse._jump_factor, perms.format_permutation,
+                   words.format_word):
         assert cached.cache_info().maxsize is not None
+
+
+@pytest.mark.parametrize("poset, formatter, elements", [
+    (PatternPoset(), perms.format_permutation, 1 + 2 + 6 + 24),
+    (FactorPoset(), words.format_word, 1 + 2 + 4 + 8 + 16),
+], ids=["pattern", "factor"])
+def test_a_sweep_formats_each_element_once(poset, formatter, elements):
+    formatter.cache_clear()
+    assert run_crosscheck(poset, 4).ok
+    info = formatter.cache_info()
+    assert info.misses <= elements  # every element of length <= 4
+    assert info.hits > info.misses
 
 
 def test_a_sweep_computes_each_operator_once_per_permutation():
