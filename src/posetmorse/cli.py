@@ -1,18 +1,16 @@
 """
 Command-line front end.
 
-Exit codes: 0 success, 1 invariant mismatch or a cache record that differs
-from brute force, 2 incomparable input, 3 parse error or usage error, 4 size
-guardrail exceeded (pass --force to lift it), 130 interrupted (Ctrl-C).
-The environment variable POSET_MORSE_CACHE names a default cache file of
-brute-force Mobius values, checked and appended to; --cache overrides it.
+Exit codes: 0 success, 1 invariant mismatch (for crosscheck --cache, also
+a cache record that differs from brute force), 2 incomparable input, 3 parse
+error or usage error, 4 size guardrail exceeded (pass --force to lift it),
+130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import os
 import sys
 from dataclasses import replace
 
@@ -73,13 +71,6 @@ def make_poset(args):
     return replace(poset, max_top=None) if args.force else poset
 
 
-def make_cache(args):
-    """A context manager for the cache file named by --cache or
-    POSET_MORSE_CACHE; it yields None when no file is named."""
-    path = args.cache or os.environ.get("POSET_MORSE_CACHE")
-    return contextlib.closing(MobiusCache(path)) if path else contextlib.nullcontext()
-
-
 def _emit(args, text_fn, json_obj) -> None:
     if args.fmt == "json":
         sys.stdout.write(render.dump_json(json_obj))
@@ -99,10 +90,7 @@ def parse_interval(args):
 
 def cmd_mobius(args) -> int:
     poset, bottom, top = parse_interval(args)
-    with make_cache(args) as cache:
-        routes = evaluate(poset, bottom, top)
-        stale = cache.check(poset.tag, poset.format(bottom), poset.format(top),
-                            routes.brute) if cache is not None else None
+    routes = evaluate(poset, bottom, top)
     closed, brute, euler = routes.closed, routes.brute, routes.euler
     methods = {
         "closed_form": closed,
@@ -134,9 +122,7 @@ def cmd_mobius(args) -> int:
         "agree": agree,
         "mobius": closed if agree else None,
     })
-    if stale:
-        print(stale, file=sys.stderr)
-    return 0 if agree and not stale else 1
+    return 0 if agree else 1
 
 
 def cmd_chains(args) -> int:
@@ -163,11 +149,10 @@ def cmd_morse_report(args) -> int:
 def cmd_homotopy(args) -> int:
     poset, bottom, top = parse_interval(args)
     report = morse_report(poset, bottom, top)
-    if report.homotopy is None:
-        raise ValueError("degenerate interval: rank gap below two")
-    _emit(args, lambda: f"{report.homotopy}\n", {
+    homotopy = report.homotopy_type()
+    _emit(args, lambda: f"{homotopy}\n", {
         **render.interval_json(poset, bottom, top),
-        "homotopy": str(report.homotopy),
+        "homotopy": str(homotopy),
         "mobius": report.mobius,
     })
     return 0
@@ -222,7 +207,8 @@ def cmd_bijection(args) -> int:
 
 def cmd_crosscheck(args) -> int:
     poset = make_poset(args)
-    with make_cache(args) as cache:
+    with (contextlib.closing(MobiusCache(args.cache)) if args.cache
+          else contextlib.nullcontext()) as cache:
         report = run_crosscheck(poset, args.max_size, cache, jobs=args.jobs)
     _emit(args, lambda: crosscheck_text(report),
           crosscheck_json(report))
@@ -267,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("top")
         _add_flags(p, "--poset", "--alphabet", "--format", "--force")
         p.set_defaults(func=func)
-    _add_flags(sub.choices["mobius"], "--cache")
 
     p = sub.add_parser("bijection",
                        help="factor order vs pattern containment on "

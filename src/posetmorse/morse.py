@@ -189,6 +189,12 @@ class MorseReport:
     critical_count: int
     homotopy: HomotopyType | None  # None when the rank gap is below two
 
+    def homotopy_type(self) -> HomotopyType:
+        """The homotopy type; a rank gap below two has none."""
+        if self.homotopy is None:
+            raise ValueError("degenerate interval: rank gap below two")
+        return self.homotopy
+
 
 def morse_reports(poset, top, bottoms) -> dict:
     """
@@ -253,7 +259,4 @@ def homotopy_type(poset, bottom, top) -> HomotopyType:
     Homotopy type of the open interval; needs rank gap at least two
     (shorter intervals have an empty or undefined complex).
     """
-    report = morse_report(poset, bottom, top)
-    if report.homotopy is None:
-        raise ValueError("degenerate interval: rank gap below two")
-    return report.homotopy
+    return morse_report(poset, bottom, top).homotopy_type()

@@ -17,6 +17,8 @@ import posetmorse.cli as cli
 import posetmorse.closed_form as closed_form
 import posetmorse.crosscheck as crosscheck
 import posetmorse.isosearch as isosearch
+from posetmorse.morse import homotopy_type
+from posetmorse.posets import PatternPoset
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -130,6 +132,9 @@ def test_homotopy_command(capsys):
     code, _, err = run_cli(capsys, "homotopy", "1", "12")
     assert code == 3
     assert "degenerate" in err
+    with pytest.raises(ValueError) as exc:
+        homotopy_type(PatternPoset(), (1,), (1, 2))
+    assert err == f"error: {exc.value}\n"
 
 
 def test_bijection_commands(capsys):
@@ -162,26 +167,35 @@ def test_crosscheck_json(capsys):
     assert out == json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def test_cache_flag_writes_file(capsys, tmp_path):
+def test_mobius_cache_flag_is_a_usage_error(capsys, tmp_path):
     path = tmp_path / "mu.cache"
-    code, _, _ = run_cli(capsys, "mobius", "1", "1234",
-                         "--cache", str(path))
-    assert code == 0
-    lines = path.read_text().splitlines()
-    assert "pattern\t1\t1234\t0" in lines
-    # a second run consumes the file without error
-    code, out, _ = run_cli(capsys, "mobius", "1", "1234",
-                           "--cache", str(path))
-    assert code == 0 and "mobius: 0" in out
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["mobius", "1", "12", "--cache", str(path)])
+    out = capsys.readouterr()
+    assert exc.value.code == 3 and out.out == ""
+    assert out.err.startswith("usage: posetmorse")
+    assert not path.exists()
+
+
+def test_the_cache_environment_variable_is_ignored(capsys, tmp_path,
+                                                   monkeypatch):
+    path = tmp_path / "env.cache"
+    monkeypatch.setenv("POSET_MORSE_CACHE", str(path))
+    assert run_cli(capsys, "mobius", "12", "1234")[0] == 0
+    assert run_cli(capsys, "crosscheck", "--max-size", "3", "--jobs", "1")[0] == 0
+    assert not path.exists()
+
+
+# a crosscheck of the five intervals up to size 2, checked against a cache file
+CACHED_SWEEP = ("crosscheck", "--max-size", "2", "--jobs", "1", "--cache")
 
 
 def test_cache_with_torn_final_line(capsys, tmp_path):
     path = tmp_path / "mu.cache"
     path.write_text("pattern\t1\t12\t-1\npattern\t1\t213")
-    code, out, _ = run_cli(capsys, "mobius", "1", "213546", "--cache",
-                           str(path), "--format", "json")
+    code, out, _ = run_cli(capsys, *CACHED_SWEEP, str(path), "--format", "json")
     assert code == 0
-    assert json.loads(out)["mobius"] == 1
+    assert json.loads(out)["mismatches"] == []
     lines = path.read_text().split("\n")
     assert lines[-1] == ""
     assert all(len(line.split("\t")) == 4 for line in lines[:-1])
@@ -191,7 +205,7 @@ def test_cache_with_torn_final_line(capsys, tmp_path):
 def test_cache_with_corrupt_middle_line(capsys, tmp_path):
     path = tmp_path / "mu.cache"
     path.write_text("pattern\t1\t12\t-1\npattern\t1\nfactor:a,b\t\ta\t-1\n")
-    code, _, err = run_cli(capsys, "mobius", "1", "12", "--cache", str(path))
+    code, _, err = run_cli(capsys, *CACHED_SWEEP, str(path))
     assert code == 3
     assert "bad cache record" in err
 
@@ -199,21 +213,21 @@ def test_cache_with_corrupt_middle_line(capsys, tmp_path):
 def test_cache_record_with_a_bad_value_names_its_line(capsys, tmp_path):
     path = tmp_path / "mu.cache"
     path.write_text("pattern\t1\t12\t-1\npattern\t1\t123\tzero\n")
-    code, out, err = run_cli(capsys, "mobius", "1", "12", "--cache", str(path))
+    code, out, err = run_cli(capsys, *CACHED_SWEEP, str(path))
     assert code == 3 and out == ""
     assert f"{path}:2: bad cache record" in err
 
 
 def test_cache_in_a_missing_directory_exits_three(capsys, tmp_path):
     path = tmp_path / "missing" / "mu.cache"
-    code, out, err = run_cli(capsys, "mobius", "1", "12", "--cache", str(path))
+    code, out, err = run_cli(capsys, *CACHED_SWEEP, str(path))
     assert code == 3 and out == ""
     assert str(path) in err and "Traceback" not in err
     assert not path.parent.exists()
 
 
 def test_cache_path_that_is_a_directory_exits_three(capsys, tmp_path):
-    code, out, err = run_cli(capsys, "mobius", "1", "12", "--cache", str(tmp_path))
+    code, out, err = run_cli(capsys, *CACHED_SWEEP, str(tmp_path))
     assert code == 3 and out == ""
     assert f"cache file {tmp_path} is a directory" in err
 
@@ -236,15 +250,6 @@ def test_crosscheck_rejects_jobs_below_one(capsys):
                              "--jobs", "0")
     assert code == 3
     assert out == "" and "jobs" in err
-
-
-def test_cache_env_var(capsys, tmp_path, monkeypatch):
-    path = tmp_path / "env.cache"
-    monkeypatch.setenv("POSET_MORSE_CACHE", str(path))
-    code, _, _ = run_cli(capsys, "mobius", "12", "1234")
-    assert code == 0
-    assert path.exists()
-    assert "pattern\t12\t1234\t0" in path.read_text().splitlines()
 
 
 def test_iso_search_command(capsys):
@@ -301,26 +306,15 @@ POISONED_SWEEP = ("pattern\t1\t12\t5\n"
 def test_poisoned_cache_is_named_in_the_mismatch(capsys, tmp_path):
     path = tmp_path / "poisoned.cache"
     path.write_text("pattern\t1\t12\t5\n")
-    stale = f"cache: {path} holds 5, brute force gives -1"
+    mismatch = f"[1, 12] cache: {path} holds 5, brute force gives -1"
+    # the held record is never rewritten, so a second pass names it again
     for fmt in ("text", "json"):
-        code, out, err = run_cli(capsys, "mobius", "1", "12", "--cache",
-                                 str(path), "--format", fmt)
-        assert code == 1
-        assert ("brute force: -1" in out if fmt == "text"
-                else json.loads(out)["methods"]["bruteforce"] == -1)
-        assert err == stale + "\n"
-    code, out, _ = run_cli(capsys, "crosscheck", "--max-size", "2", "--jobs",
-                           "1", "--cache", str(path), "--format", "json")
-    assert code == 1
-    assert json.loads(out)["mismatches"] == [f"[1, 12] {stale}"]
-    assert path.read_text() == POISONED_SWEEP
-
-
-def test_mobius_cache_writes_one_record(capsys, tmp_path):
-    path = tmp_path / "mu.cache"
-    code, _, _ = run_cli(capsys, "mobius", "1", "213546", "--cache", str(path))
-    assert code == 0
-    assert path.read_text() == "pattern\t1\t213546\t1\n"
+        code, out, err = run_cli(capsys, *CACHED_SWEEP, str(path),
+                                 "--format", fmt)
+        assert code == 1 and err == ""
+        assert (f"mismatches: 1\n  {mismatch}\n" in out if fmt == "text"
+                else json.loads(out)["mismatches"] == [mismatch])
+        assert path.read_text() == POISONED_SWEEP
 
 
 @pytest.fixture
@@ -415,8 +409,9 @@ def test_crosscheck_with_two_jobs_cuts_a_torn_final_line(
 def test_agreeing_cache_hit_prints_no_note(capsys, tmp_path):
     path = tmp_path / "mu.cache"
     path.write_text("pattern\t1\t12\t-1\n")
-    code, _, err = run_cli(capsys, "mobius", "1", "12", "--cache", str(path))
+    code, out, err = run_cli(capsys, *CACHED_SWEEP, str(path), "--format", "json")
     assert code == 0 and err == ""
+    assert json.loads(out)["mismatches"] == []
 
 
 @pytest.mark.parametrize("argv, limit", [
@@ -508,7 +503,7 @@ def test_usage_errors_exit_three(capsys):
 def test_each_subcommand_takes_only_the_flags_it_reads():
     interval = {"--poset", "--alphabet", "--format", "--force"}
     want = {
-        "mobius": interval | {"--cache"},
+        "mobius": interval,
         "chains": interval,
         "morse-report": interval,
         "homotopy": interval,
@@ -534,7 +529,7 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
 
     collect(cli.build_parser(), "")
     assert got == want
-    assert sum(len(flags) for flags in got.values()) == 30
+    assert sum(len(flags) for flags in got.values()) == 29
 
 
 def test_an_interrupt_prints_one_line_and_exits_130(capsys, monkeypatch):
@@ -559,7 +554,6 @@ def test_sigint_stops_a_serial_sweep_without_a_traceback():
               "sys.argv = ['posetmorse', 'crosscheck', '--max-size', '7', '--jobs', '1']\n"
               "print('ready', flush=True)\nrun()\n")
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
-    env.pop("POSET_MORSE_CACHE", None)
     proc = subprocess.Popen([sys.executable, "-c", script], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     try:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import pathlib
+import re
 import shlex
 
 import pytest
@@ -57,6 +58,38 @@ def test_commented_results_are_printed(capsys):
             assert comment == expected[tuple(argv)]
             assert cli.main(argv) == 0
             assert capsys.readouterr().out == comment + "\n"
+
+
+def _table_flags() -> dict[str, set[str]]:
+    """The "Subcommand | Flags" table of the command-line section; a row
+    "`bijection map`, `unmap`" names "bijection map" and "bijection unmap"."""
+    section = README[README.index("## Command line"):README.index("## Library")]
+    rows = section[section.index("| Subcommand | Flags |"):].split("\n\n")[0]
+    got = {}
+    for row in rows.splitlines()[2:]:
+        names_cell, flags_cell = row.strip("|").split("|")
+        first, *rest = re.findall(r"`([^`]+)`", names_cell)
+        prefix = first.rpartition(" ")[0]
+        for name in [first] + [f"{prefix} {n}".strip() for n in rest]:
+            got[name] = set(re.findall(r"`([^`]+)`", flags_cell))
+    return got
+
+
+def _parser_flags(parser, name="") -> dict[str, set[str]]:
+    """The shared flags each leaf subcommand under the parser takes."""
+    got = {}
+    for action in parser._actions:
+        if isinstance(action.choices, dict):  # a subcommand group
+            for child, sub in action.choices.items():
+                got |= _parser_flags(sub, f"{name} {child}".strip())
+    return got or {name: {flag for a in parser._actions
+                          for flag in a.option_strings if flag in cli._FLAGS}}
+
+
+def test_flags_table_matches_the_parser():
+    table = _table_flags()
+    assert len(table) == 10
+    assert table == _parser_flags(cli.build_parser())
 
 
 def test_library_block_runs():
