@@ -1,10 +1,13 @@
 """
 Command-line front end.
 
-Exit codes: 0 success, 1 invariant mismatch (for crosscheck --cache, also
-a cache record that differs from brute force), 2 incomparable input, 3 parse
-error or usage error, 4 size guardrail exceeded (pass --force to lift it),
-130 interrupted (Ctrl-C).
+mobius and crosscheck judge the routes by one rule, crosscheck's
+Routes.problems; only crosscheck goes on to the chain laws.
+
+Exit codes: 0 success, 1 invariant mismatch (a route check, a chain law,
+or a crosscheck --cache record that differs from brute force), 2
+incomparable input, 3 parse error or usage error, 4 size guardrail
+exceeded (pass --force to lift it), 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -79,13 +82,10 @@ def _emit(args, text_fn, json_obj) -> None:
 
 
 def parse_interval(args):
-    """The poset, bottom and top of an interval subcommand, with the top
-    checked against the size guardrail and then the bottom against it."""
+    """The poset, bottom and top of an interval subcommand; the route it
+    calls checks the pair (poset.check_pair) before it does anything else."""
     poset = make_poset(args)
-    bottom = poset.parse(args.bottom)
-    top = poset.parse(args.top)
-    poset.check_pair(bottom, top)
-    return poset, bottom, top
+    return poset, poset.parse(args.bottom), poset.parse(args.top)
 
 
 def cmd_mobius(args) -> int:
@@ -98,8 +98,7 @@ def cmd_mobius(args) -> int:
         "bruteforce": brute,
         "euler": euler,
     }
-    values = {v for v in methods.values() if v is not None}
-    agree = len(values) == 1
+    agree = not routes.problems()
 
     def text() -> str:
         lines = [f"interval {render.interval_label(poset, bottom, top)} "

@@ -13,21 +13,23 @@ down-set once for a column of each, and one Morse walk from the top lists
 the chains of every bottom asked for (morse.morse_reports).  No route
 value is memoized across calls, so a check reads only values computed in
 its own call.  A cache file is only checked against the brute-force values
-and appended to, never read in their place.  A parallel sweep maps runs of
-consecutive tops in order, so its records arrive in sweep order, as in a
-serial one.
+and appended to, never read in their place.  A parallel sweep submits runs
+of consecutive tops in order and reads them in order, so its records
+arrive in sweep order, as in a serial one.
 
-Per interval the harness verifies that the closed form, the critical-chain
-count, and the brute-force recursion agree (plus the reduced Euler
-characteristic when the rank gap is at least two), that the chain listing
-is poset lexicographic with consistent labels and as many chains as the
-order relation has cover paths, that the poset's fast skipped-interval law
-matches the definition, the descent and ascent laws, the disjoint-family
-laws, and that at most one chain, the lexicographically last one, is ever
-critical, with the homotopy type matching the Mobius value.  Label
-sequences that rise strictly are distinct, sorted and poset lexicographic
-(the chains sharing a prefix stand together), so the duplicate, sort and
-poset-lex checks run only when the rise fails.
+Per interval the harness runs the route checks of Routes.problems, as the
+mobius subcommand does: the closed form, the critical-chain count and the
+brute-force recursion agree (plus the reduced Euler characteristic when
+the rank gap is at least two) on a value in {-1, 0, 1}.  Then it verifies
+that the chain listing is poset lexicographic with consistent labels and
+as many chains as the order relation has cover paths, that the poset's
+fast skipped-interval law matches the definition, the descent and ascent
+laws, the disjoint-family laws, and that at most one chain, the
+lexicographically last one, is ever critical, with the homotopy type
+matching the Mobius value.  Label sequences that rise strictly are
+distinct, sorted and poset lexicographic (the chains sharing a prefix
+stand together), so the duplicate, sort and poset-lex checks run only when
+the rise fails.
 """
 
 from __future__ import annotations
@@ -54,6 +56,20 @@ class Routes:
     chain_count: int
     brute: int
     euler: int | None
+
+    def problems(self) -> list[str]:
+        """The route checks that check_interval and cli.cmd_mobius share.
+        At rank gap one the open interval is empty: Euler reads -1 and
+        checks nothing."""
+        closed, morse, brute = self.closed, self.report.mobius, self.brute
+        problems = []
+        if closed not in (-1, 0, 1):
+            problems.append(f"mu-range: closed form returned {closed}")
+        if not closed == morse == brute:
+            problems.append(f"mu-disagreement: closed={closed} morse={morse} brute={brute}")
+        if self.report.rank_gap >= 2 and self.euler != brute:
+            problems.append(f"mu-euler: euler={self.euler} brute={brute}")
+        return problems
 
 
 def top_routes(poset, top, bottoms=None) -> dict:
@@ -134,20 +150,9 @@ def naive_chain_count(poset, interval: IntervalStructure) -> tuple[int, ...]:
 def check_interval(poset, bottom, top, routes: Routes) -> IntervalRecord:
     """Run every invariant suite on one interval over its routes, from
     top_routes or evaluate."""
-    problems: list[str] = []
+    problems = routes.problems()
     report = routes.report
-    gap = report.rank_gap
-    mu_closed, mu_morse, mu_brute = routes.closed, report.mobius, routes.brute
-    # at rank gap one the open interval is empty: Euler reads -1 and checks nothing
-    euler = routes.euler if gap >= 2 else None
-
-    if mu_closed not in (-1, 0, 1):
-        problems.append(f"mu-range: closed form returned {mu_closed}")
-    if not (mu_closed == mu_morse == mu_brute):
-        problems.append(
-            f"mu-disagreement: closed={mu_closed} morse={mu_morse} brute={mu_brute}")
-    if euler is not None and euler != mu_brute:
-        problems.append(f"mu-euler: euler={euler} brute={mu_brute}")
+    gap, mu_brute = report.rank_gap, routes.brute
 
     ids = [d.chain.labels for d in report.chains]
     rising = all(a < b for a, b in zip(ids, ids[1:]))  # see the module docstring
@@ -223,10 +228,10 @@ def check_interval(poset, bottom, top, routes: Routes) -> IntervalRecord:
         bottom=poset.format(bottom),
         top=poset.format(top),
         rank_gap=gap,
-        mu_closed=mu_closed,
-        mu_morse=mu_morse,
+        mu_closed=routes.closed,
+        mu_morse=report.mobius,
         mu_brute=mu_brute,
-        euler=euler,
+        euler=routes.euler if gap >= 2 else None,
         problems=tuple(problems),
     )
 
@@ -272,14 +277,17 @@ def run_crosscheck(poset, max_size: int, cache: MobiusCache | None = None,
         # about four runs per worker, so one that draws cheap tops takes another
         size = -(-len(tops) // (4 * jobs))
         chunks = [tops[i:i + size] for i in range(0, len(tops), size)]
-        # workers ignore SIGINT; on an interrupt, stop them mid-chunk
+        # workers ignore SIGINT; on an interrupt, stop this pool's workers
+        # mid-chunk and no other child.  Each run's future is read in order,
+        # so none is cancelled under the executor as it shuts down
+        others = set(multiprocessing.active_children())
         with ProcessPoolExecutor(min(jobs, len(chunks)), initializer=signal.signal,
                                  initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
             try:
-                records = [r for part in pool.map(_worker, [(poset, c) for c in chunks])
-                           for r in part]
+                runs = [pool.submit(_worker, (poset, c)) for c in chunks]
+                records = [r for run in runs for r in run.result()]
             except KeyboardInterrupt:
-                for worker in multiprocessing.active_children():
+                for worker in set(multiprocessing.active_children()) - others:
                     worker.terminate()
                 raise
     else:

@@ -13,7 +13,7 @@ no claim beyond the sizes it was run at.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .posets import (FactorPoset, IntervalStructure, PatternPoset,
                      interval_structure)
@@ -160,17 +160,7 @@ def iso_search_json(report: IsoSearchReport) -> dict:
         "alphabet": report.alphabet,
         "total": len(report.entries),
         "matched": report.matched,
-        "entries": [
-            {
-                "bottom": e.bottom,
-                "top": e.top,
-                "size": e.size,
-                "matched": e.matched,
-                "word_bottom": e.word_bottom,
-                "word_top": e.word_top,
-            }
-            for e in report.entries
-        ],
+        "entries": [asdict(e) for e in report.entries],
     }
 
 

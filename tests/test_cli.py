@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import json
 import os
 import pathlib
@@ -62,6 +64,22 @@ def test_mobius_disagreement_exits_nonzero(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "mobius", "1", "123")
     assert code == 1
     assert "mismatch: methods disagree" in out
+
+
+def test_mobius_and_check_interval_judge_the_routes_by_one_rule(
+        capsys, monkeypatch):
+    # four routes that agree on 2, a value outside the closed form's range
+    poset, bottom, top = PatternPoset(), (1,), (2, 1, 3, 5, 4, 6)
+    real = crosscheck.evaluate(poset, bottom, top)
+    routes = dataclasses.replace(
+        real, closed=2, brute=2, euler=2,
+        report=dataclasses.replace(real.report, mobius=2))
+    monkeypatch.setattr(cli, "evaluate", lambda *args: routes)
+    code, out, _ = run_cli(capsys, "mobius", "1", "213546")
+    assert code == 1 and out.endswith("mismatch: methods disagree\n")
+    problems = crosscheck.check_interval(poset, bottom, top, routes).problems
+    assert [p for p in problems if p.startswith("mu-")] == [
+        "mu-range: closed form returned 2"]
 
 
 def test_incomparable_exit_code(capsys):
@@ -564,3 +582,52 @@ def test_sigint_stops_a_serial_sweep_without_a_traceback():
     finally:
         proc.kill()
     assert (proc.returncode, out, err) == (130, "", "interrupted\n")
+
+
+def test_sigint_stops_a_parallel_sweep_and_only_its_own_workers(tmp_path):
+    # SIGINT comes once a pool worker has started a run.  The parent stops
+    # its pool's workers, not the bystander child it started before the
+    # sweep, and leaves no process behind in its session
+    marker = tmp_path / "started"
+    script = f"""\
+import functools, multiprocessing, os, pathlib, signal, sys, time
+from posetmorse import crosscheck
+from posetmorse.cli import run
+signal.signal(signal.SIGINT, signal.default_int_handler)
+os.cpu_count = lambda: 2
+worker = crosscheck._worker
+
+@functools.wraps(worker)
+def marked(args):
+    pathlib.Path({str(marker)!r}).touch()
+    return worker(args)
+
+crosscheck._worker = marked
+bystander = multiprocessing.Process(target=time.sleep, args=(60,))
+bystander.start()
+sys.argv = ['posetmorse', 'crosscheck', '--max-size', '7', '--jobs', '2']
+try:
+    run()
+finally:
+    print(bystander.is_alive())
+    bystander.terminate()
+"""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-c", script], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True)
+    try:
+        deadline = time.monotonic() + 30
+        while not marker.exists():
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        time.sleep(1)  # mid-sweep, with some runs finished and some pending
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.kill()
+    assert (proc.returncode, out, err) == (130, "True\n", "interrupted\n")

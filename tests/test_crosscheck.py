@@ -7,6 +7,7 @@ import dataclasses
 import os
 import random
 import signal
+from concurrent.futures import Future
 
 import pytest
 
@@ -26,12 +27,12 @@ from test_posets import assert_columns_match_the_oracles, euler_by_walk
 
 class RecordingPool:
     """Stands in for ProcessPoolExecutor: records max_workers, the worker
-    initializer and the mapped chunks, and runs the chunks in this process,
-    so no real pool is ever started."""
+    initializer and the submitted runs, and runs each in this process, so
+    no real pool is ever started."""
 
     sizes: list[int] = []
     initializers: list[tuple] = []
-    mapped: list[list] = []
+    submitted: list = []
 
     def __init__(self, max_workers, initializer=None, initargs=()):
         RecordingPool.sizes.append(max_workers)
@@ -43,17 +44,18 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        items = list(items)
-        RecordingPool.mapped.append(items)
-        return map(fn, items)
+    def submit(self, fn, item):
+        RecordingPool.submitted.append(item)
+        run = Future()
+        run.set_result(fn(item))
+        return run
 
 
 @pytest.fixture
 def pool(monkeypatch):
     RecordingPool.sizes = []
     RecordingPool.initializers = []
-    RecordingPool.mapped = []
+    RecordingPool.submitted = []
     monkeypatch.setattr(crosscheck, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     return RecordingPool
@@ -84,8 +86,7 @@ def test_pool_workers_ignore_sigint(pool):
 def test_a_parallel_sweep_maps_runs_of_consecutive_tops_in_order(pool):
     poset = PatternPoset()
     crosscheck.run_crosscheck(poset, 5, jobs=2)
-    (items,) = pool.mapped
-    chunks = [tops for _, tops in items]
+    chunks = [tops for _, tops in pool.submitted]
     tops = [e for n in range(1, 6) for e in poset.elements_of_rank(n)]
     assert [top for chunk in chunks for top in chunk] == tops
     assert len(chunks) > pool.sizes[0] == 2
