@@ -12,6 +12,13 @@ sharing the second one's.  Chains are listed per top by one depth-first
 walk that takes covers in increasing label order, so every bottom's
 chains come out in that order with no sort, and the same walk finds each
 chain's minimal skipped intervals.
+
+Every node of the walk ends one chain, the path from the top to it, and a
+child's chain is its parent's plus one step.  The walk keeps only that
+path (Path, one slot per depth) and calls a visitor at every node, so a
+per-chain quantity is folded down the path as an update of the parent's
+value (morse.MorseFold, crosscheck.LawFold).  A chain object is built only
+where a listing asks for one (walk_chains, Path.chain).
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class StepClass(Enum):
@@ -46,10 +53,6 @@ class MaximalChain:
     def steps(self) -> int:
         return len(self.labels)
 
-    def open_indices(self) -> range:
-        """Indices of the elements strictly between top and bottom."""
-        return range(1, len(self.labels))
-
 
 def maximal_chains(poset, bottom, top) -> list[MaximalChain]:
     """
@@ -61,90 +64,128 @@ def maximal_chains(poset, bottom, top) -> list[MaximalChain]:
     return walk_chains(poset, top, (bottom,))[bottom][0]
 
 
-def walk_chains(poset, top, bottoms) -> dict:
+class Path:
     """
-    The maximal chains of [b, top] for every b in bottoms, by one
-    depth-first walk from the top down to the lowest rank asked for.  It
-    reads only the cover rule, taking poset.down_covers last first: a cover
-    at position one deletes the first letter of the window, any other the
-    last, so labels rise.  Every path from the top to x is a maximal chain
-    of [x, top], and each bottom's chains arrive sorted by label sequence;
-    a chain is built only where a path reaches an asked bottom.
+    The walk's current path from the top, one slot per depth: after k
+    covers the path stands at elements[k] in windows[k], labels[k - 1] is
+    the label of cover k, and msis[k] holds the minimal skipped intervals
+    of the chain [elements[k], top] the path makes.  The walk writes a
+    child's slots over the parent's next ones, so slots past the current
+    depth are stale.
+    """
 
-    Maps each bottom to its chains and their minimal skipped intervals
-    against the bottom's earlier chains, found as the walk descends.  For
-    a path e[0..d], (i, j) with j = d - 1 is skipped iff the walk already
-    reached e[d] inside the subtree of the path's node at depth i - 1: the
-    walk went on from that visit as this path goes on, so an earlier chain
-    agrees with this one outside i..j.  A subtree is a run of preorder indices, so that holds iff the
-    latest visit of e[d] is at or after the ancestor's index, and the
-    largest skipped start S(j) is one bisection over the path's indices.
-    Skipped spans are closed upward under containment, so (S(j), j) is
-    minimal iff S(j) > S(j - 1): a node's MSIs are its parent's plus at
-    most one span, in O(log n) per node.
+    def __init__(self, poset, top):
+        n = poset.rank(top)
+        self.elements = [top] * (n + 1)
+        self.windows = [(0, n)] * (n + 1)
+        self.labels = [0] * n
+        self.msis: list[tuple] = [()] * (n + 1)
+
+    def chain(self, d: int) -> MaximalChain:
+        """The chain from the top to the path's element at depth d."""
+        return MaximalChain(tuple(self.elements[:d + 1]), tuple(self.windows[:d + 1]),
+                            tuple(self.labels[:d]))
+
+
+def walk(poset, path: Path, bottoms, visit) -> None:
     """
-    found = {b: ([], []) for b in bottoms}
-    floor = min((poset.rank(b) for b in bottoms), default=poset.rank(top))
+    One depth-first walk from the top down to the lowest rank of bottoms,
+    calling visit(d) at every node once the path's slots up to depth d
+    hold it: every path from the top to x is a maximal chain of [x, top],
+    so every node ends one chain.  It reads only the cover rule, taking
+    poset.down_covers last first: a cover at position one deletes the first
+    letter of the window, any other the last, so labels rise and each
+    bottom's chains arrive sorted by label sequence.
+
+    The walk finds each chain's minimal skipped intervals against the
+    bottom's earlier chains as it descends.  For a path e[0..d], (i, j)
+    with j = d - 1 is skipped iff the walk already reached e[d] inside the
+    subtree of the path's node at depth i - 1: the walk went on from that
+    visit as this path goes on, so an earlier chain agrees with this one
+    outside i..j.  A subtree is a run of preorder indices, so that holds
+    iff the latest visit of e[d] is at or after the ancestor's index, and
+    the largest skipped start S(j) is one bisection over the path's
+    indices.  Skipped spans are closed upward under containment, so
+    (S(j), j) is minimal iff S(j) > S(j - 1): a node's MSIs are its
+    parent's plus at most one span, in O(log n) per node.
+    """
+    elements, windows, labels, msis = path.elements, path.windows, path.labels, path.msis
+    floor = min((poset.rank(b) for b in bottoms), default=poset.rank(elements[0]))
     count = itertools.count()
     latest: dict = {}  # element -> preorder index of its latest visit
-    path: list[int] = []  # preorder indices of the current node's ancestors
+    seen: list[int] = []  # preorder indices of the current node's ancestors
 
-    def descend(elems, windows, labels, msis, start) -> None:
-        e, j = elems[-1], len(labels) - 1
-        if j > 0:
-            skipped = bisect_right(path, latest.get(e, -1), 0, j)
+    def descend(d, start) -> None:
+        e = elements[d]
+        if d > 1:
+            skipped = bisect_right(seen, latest.get(e, -1), 0, d - 1)
             if skipped > start:
-                msis, start = msis + ((skipped, j),), skipped
+                start = skipped
+                msis[d] = msis[d - 1] + ((skipped, d - 1),)
+            else:
+                msis[d] = msis[d - 1]
         latest[e] = here = next(count)
-        at = found.get(e)
-        if at is not None:
-            at[0].append(MaximalChain(elems, windows, labels))
-            at[1].append(msis)
-        lo, hi = windows[-1]
+        visit(d)
+        lo, hi = windows[d]
         if hi - lo > floor:
-            path.append(here)
+            seen.append(here)
             for child, pos in reversed(poset.down_covers(e)):
-                descend(elems + (child,),
-                        windows + (((lo + 1, hi) if pos == 1 else (lo, hi - 1)),),
-                        labels + (lo + pos,), msis, start)
-            path.pop()
+                elements[d + 1] = child
+                windows[d + 1] = (lo + 1, hi) if pos == 1 else (lo, hi - 1)
+                labels[d] = lo + pos
+                descend(d + 1, start)
+            seen.pop()
 
-    descend((top,), ((0, poset.rank(top)),), (), (), 0)
+    descend(0, 0)
+
+
+def walk_chains(poset, top, bottoms) -> dict:
+    """
+    Maps each of bottoms to its maximal chains of [b, top], sorted by
+    label sequence, and their minimal skipped intervals, from one walk; a
+    chain is built only where the walk reaches an asked bottom.
+    """
+    found = {b: ([], []) for b in bottoms}
+    path = Path(poset, top)
+
+    def visit(d) -> None:
+        at = found.get(path.elements[d])
+        if at is not None:
+            at[0].append(path.chain(d))
+            at[1].append(path.msis[d])
+
+    walk(poset, path, bottoms, visit)
     return found
 
 
+def step_class(a: int, b: int) -> StepClass:
+    """The class of a step between labels a and b: an ascent when they
+    rise, a weak descent when they drop by exactly one, a strong descent
+    when they drop further."""
+    if a < b:
+        return StepClass.ASCENT
+    return StepClass.WEAK_DESCENT if a == b + 1 else StepClass.STRONG_DESCENT
+
+
 def classify_steps(chain: MaximalChain) -> tuple[StepClass, ...]:
-    """
-    Classify each interior element by its surrounding labels: ascent when
-    the labels rise, weak descent when they drop by exactly one, strong
-    descent when they drop further.
-    """
+    """Classify each interior element by the step_class of its
+    surrounding labels."""
     ls = chain.labels
-    out = []
-    for i in range(1, len(ls)):
-        a, b = ls[i - 1], ls[i]
-        if a < b:
-            out.append(StepClass.ASCENT)
-        elif a == b + 1:
-            out.append(StepClass.WEAK_DESCENT)
-        else:
-            out.append(StepClass.STRONG_DESCENT)
-    return tuple(out)
+    return tuple(step_class(a, b) for a, b in zip(ls, ls[1:]))
 
 
-def is_poset_lex(order: Sequence[MaximalChain] | Iterable[MaximalChain]) -> bool:
+def is_poset_lex(order: Iterable[tuple[int, ...]]) -> bool:
     """
-    Whether an ordering of one interval's maximal chains is poset
-    lexicographic: whenever C comes before D and they first differ after a
-    common prefix, every chain sharing C's prefix one step past the split
-    comes before every chain sharing D's.  For distinct chains that holds
-    exactly when the chains sharing each label prefix, the empty one
-    included, stand at consecutive positions; a repeated chain admits no
-    consistent order.
+    Whether an ordering of one interval's maximal chains, given by their
+    label tuples, is poset lexicographic: whenever C comes before D and
+    they first differ after a common prefix, every chain sharing C's prefix
+    one step past the split comes before every chain sharing D's.  For
+    distinct chains that holds exactly when the chains sharing each label
+    prefix, the empty one included, stand at consecutive positions; a
+    repeated chain admits no consistent order.
     """
     last: dict[tuple[int, ...], int] = {}
-    for pos, chain in enumerate(order):
-        labels = chain.labels
+    for pos, labels in enumerate(order):
         if labels in last:
             return False
         for t in range(len(labels) + 1):

@@ -7,7 +7,8 @@ Routes.problems; only crosscheck goes on to the chain laws.
 Exit codes: 0 success, 1 invariant mismatch (a route check, a chain law,
 or a crosscheck --cache record that differs from brute force), 2
 incomparable input, 3 parse error or usage error, 4 size guardrail
-exceeded (pass --force to lift it), 130 interrupted (Ctrl-C).
+exceeded (pass --force to lift it), 5 a crosscheck worker process died
+(killed from outside, say by the OOM killer), 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from dataclasses import replace
 from . import render
 from .bijection import perm_to_word, verify_isomorphism, word_to_perm
 from .chains import maximal_chains
-from .crosscheck import (crosscheck_json, crosscheck_text, evaluate,
+from .crosscheck import (WorkerDied, crosscheck_json, crosscheck_text, evaluate,
                          run_crosscheck)
 from .isosearch import iso_search_json, iso_search_text, run_iso_search
-from .morse import morse_report
+from .morse import morse_report, morse_summary
 from .posets import (FactorPoset, IncomparableError, MobiusCache,
                      PatternPoset, SizeLimitError)
 from .perms import format_permutation, parse_permutation
@@ -147,7 +148,7 @@ def cmd_morse_report(args) -> int:
 
 def cmd_homotopy(args) -> int:
     poset, bottom, top = parse_interval(args)
-    report = morse_report(poset, bottom, top)
+    report = morse_summary(poset, bottom, top)
     homotopy = report.homotopy_type()
     _emit(args, lambda: f"{homotopy}\n", {
         **render.interval_json(poset, bottom, top),
@@ -296,6 +297,9 @@ def main(argv=None) -> int:
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except WorkerDied as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -9,19 +9,23 @@ morse_report and maximal_chains do, and is then the one-bottom case of
 top_routes, whose bottoms must lie under the top.  Brute force, the Euler
 characteristic and the chain count read only the order relation, so they
 are computed per top and read per bottom: top_routes enumerates a top's
-down-set once for a column of each, and one Morse walk from the top lists
-the chains of every bottom asked for (morse.morse_reports).  No route
+down-set once for a column of each, and one walk from the top folds the
+Morse route (morse.MorseFold), and the chain laws when asked
+(LawFold), down the chains of every bottom asked for.  No route
 value is memoized across calls, so a check reads only values computed in
 its own call.  A cache file is only checked against the brute-force values
 and appended to, never read in their place.  A parallel sweep submits runs
 of consecutive tops in order and reads them in order, so its records
-arrive in sweep order, as in a serial one.
+arrive in sweep order, as in a serial one.  A worker killed from outside
+(the OOM killer, SIGKILL) breaks the pool: the executor stops the other
+workers, and the sweep raises WorkerDied naming the dead one.
 
 Per interval the harness runs the route checks of Routes.problems, as the
 mobius subcommand does: the closed form, the critical-chain count and the
 brute-force recursion agree (plus the reduced Euler characteristic when
-the rank gap is at least two) on a value in {-1, 0, 1}.  Then it verifies
-that the chain listing is poset lexicographic with consistent labels and
+the rank gap is at least two) on a value in {-1, 0, 1}.  Then, from the
+chain laws the walk folded for the interval, it verifies that the chain
+listing is poset lexicographic with consistent labels and
 as many chains as the order relation has cover paths, that the poset's
 fast skipped-interval law matches the definition, the descent and ascent
 laws, the disjoint-family laws, and that at most one chain, the
@@ -29,7 +33,9 @@ lexicographically last one, is ever critical, with the homotopy type
 matching the Mobius value.  Label sequences that rise strictly are
 distinct, sorted and poset lexicographic (the chains sharing a prefix
 stand together), so the duplicate, sort and poset-lex checks run only when
-the rise fails.
+the rise fails.  The problem lines come in a fixed order: the route
+checks, the listing checks, each chain's law lines in chain order, then
+the critical, descent-structure and homotopy checks.
 """
 
 from __future__ import annotations
@@ -38,24 +44,42 @@ import multiprocessing
 import os
 import signal
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 
-from .chains import StepClass, classify_steps, is_poset_lex
-from .morse import MorseReport, morse_reports
+from .chains import StepClass, is_poset_lex, step_class, walk
+from .morse import MorseFold, MorseReport
 from .posets import (IntervalStructure, MobiusCache, euler_characteristic,
                      interval_structure, mobius_bruteforce)
 
 
+class WorkerDied(RuntimeError):
+    """A pool worker of a parallel sweep died, killed from outside (the
+    OOM killer, SIGKILL) or exited; the sweep cannot finish."""
+
+
+@dataclass(frozen=True)
+class ChainLaws:
+    """What the chain laws found on the chains of one interval: their
+    label tuples and the law problem lines, both in chain order, and the
+    step classes of the last chain."""
+
+    ids: tuple[tuple[int, ...], ...]
+    lines: tuple[str, ...]
+    last_classes: tuple[StepClass, ...]
+
+
 @dataclass(frozen=True)
 class Routes:
-    """Every Mobius route on one interval, and its number of maximal
-    chains by the order relation."""
+    """Every Mobius route on one interval, its number of maximal chains by
+    the order relation, and the chain laws where they were asked for."""
 
     closed: int
     report: MorseReport
     chain_count: int
     brute: int
     euler: int | None
+    laws: ChainLaws | None = None
 
     def problems(self) -> list[str]:
         """The route checks that check_interval and cli.cmd_mobius share.
@@ -72,12 +96,13 @@ class Routes:
         return problems
 
 
-def top_routes(poset, top, bottoms=None) -> dict:
+def top_routes(poset, top, bottoms=None, laws=False) -> dict:
     """
     The Routes of [b, top] for every b in bottoms, which must lie under the
-    top, every element under the top when bottoms is None.  One
-    enumeration of the top's down-set gives the columns of brute force,
-    the Euler characteristic and the chain count, and one Morse walk the
+    top, every element under the top when bottoms is None, with the chain
+    laws when laws is true.  One enumeration of the top's down-set gives
+    the columns of brute force, the Euler characteristic and the chain
+    count, and one walk folds the Morse route, and the laws, down the
     chains of every bottom.
 
     >>> from posetmorse.posets import PatternPoset
@@ -92,16 +117,131 @@ def top_routes(poset, top, bottoms=None) -> dict:
     brute = mobius_bruteforce(poset, interval)
     euler = euler_characteristic(poset, interval)
     chain_count = naive_chain_count(poset, interval)
-    reports = morse_reports(poset, top, bottoms)
-    return {b: Routes(poset.mobius_closed_form(b, top), reports[b],
-                      chain_count[i], brute[i], euler[i])
+    fold = MorseFold(poset, top, bottoms)
+    law_fold = LawFold(poset, fold, bottoms) if laws else None
+    walk(poset, fold.path, bottoms, (law_fold or fold).visit)
+    reports = fold.reports()
+    found = law_fold.laws() if law_fold else {}
+    return {b: Routes(poset.mobius_closed_form(b, top), reports[b], chain_count[i],
+                      brute[i], euler[i], found.get(b))
             for b in bottoms for i in (position[b],)}
 
 
-def evaluate(poset, bottom, top) -> Routes:
+def evaluate(poset, bottom, top, laws=False) -> Routes:
     """Every route on a checked pair: the one-bottom case of top_routes."""
     poset.check_pair(bottom, top)
-    return top_routes(poset, top, (bottom,))[bottom]
+    return top_routes(poset, top, (bottom,), laws)[bottom]
+
+
+class LawFold:
+    """
+    The chain laws folded down one walk beside the Morse route: visit(d)
+    runs fold.visit(d), then checks the laws on the chain the node ends
+    from the chain's own labels, windows and elements, against the MSIs
+    the walk found.  A child's chain is its parent's plus one step, so
+    each law updates the parent's verdict from the newest step alone, but
+    for the fast law, which also reads the falling run of labels ending
+    there:
+    - the labels match the window when the parent's did and the new label
+      names the position the step deleted: a cover position lies in the
+      window, so a position once missed is never labelled later;
+    - the class of step j and the only MSI that can be (j, j) both appear
+      at depth j + 1, where the descent law is decided;
+    - a new MSI (s, j) newly covers only the steps from max(s, e + 1) to
+      j, with e the end of the path's MSI before it, where the ascent law
+      is decided;
+    - the fast law's spans that end at j are the singleton (j, j) when
+      labels j - 1 and j fall and step j deletes the window's first
+      letter, and (i + 1, j) for each i in the strictly falling run of
+      labels that ends at j whose jump reaches this element at this depth;
+    - a new family member is checked against the member before it and the
+      chain's MSIs.
+    A chain that ends at one of bottoms adds its label tuple and its law
+    lines to the bottom's tally, and leaves its step classes there.
+    Slots run by depth, as on the path: classes[j] is the class of step j,
+    set at depth j + 1, and fast[d] the fast law's spans of the chain at
+    depth d, by end.
+    """
+
+    def __init__(self, poset, fold: MorseFold, bottoms):
+        path = fold.path
+        elements, windows, labels, msis = path.elements, path.windows, path.labels, path.msis
+        family, morse_visit, jump, classify = fold.family, fold.visit, poset.jump, step_class
+        ascent, strong = StepClass.ASCENT, StepClass.STRONG_DESCENT
+        n = len(labels)
+        self.classes = classes = [None] * (n + 1)
+        self.fast = fast = [()] * (n + 1)
+        # the verdicts on the chain at depth d: whether its labels match its
+        # window and its fast spans equal its MSIs, the (step, line) lapses
+        # of the descent and ascent laws, and the lines of the family laws
+        labels_ok = [True] * (n + 1)
+        fast_ok = [True] * (n + 1)
+        step_lapses = [()] * (n + 1)
+        family_lapses = [()] * (n + 1)
+        # bottom -> [label tuples, law lines, the last chain's step classes]
+        self.tallies = tallies = {b: [[], [], []] for b in bottoms}
+
+        def lines(d, ids) -> list[str]:
+            out = [] if labels_ok[d] else [f"labels: chain {ids} does not match its window"]
+            out += [line.format(ids) for _, line in step_lapses[d]]
+            if not fast_ok[d]:
+                out.append(f"msi-fast: {sorted(fast[d])} != {list(msis[d])} on chain {ids}")
+            return out + [line.format(ids) for line in family_lapses[d]]
+
+        def visit(d) -> None:
+            morse_visit(d)
+            e = elements[d]
+            if d:
+                label = labels[d - 1]
+                (plo, phi), lo = windows[d - 1], windows[d][0]
+                labels_ok[d] = labels_ok[d - 1] and label == (lo if lo != plo else phi)
+                steps, members, fast_same = step_lapses[d - 1], family_lapses[d - 1], fast_ok[d - 1]
+                if d > 1:
+                    j, m, prior = d - 1, msis[d], labels[d - 2]
+                    new = m[-1] if m is not msis[d - 1] else None
+                    cls = classes[j] = classify(prior, label)
+                    if cls is strong and new != (j, j):
+                        steps += ((j, f"descent-law: strong descent at {j} of {{}} "
+                                      "is not a singleton interval"),)
+                    if new is not None:
+                        rise = [(i, f"ascent-law: ascent at {i} of {{}} lies in a minimal "
+                                    "skipped interval")
+                                for i in range(max(new[0], m[-2][1] + 1 if len(m) > 1 else 1), d)
+                                if classes[i] is ascent]
+                        if rise:
+                            steps = tuple(sorted(steps + tuple(rise)))
+                    spans = [(j, j)] if prior > label == plo + 1 else []
+                    i = j - 1
+                    while i >= 0 and labels[i] > labels[i + 1]:  # the falling run
+                        x, k = jump(elements[i])
+                        if k == d - i and x == e and (i + 1, j) not in spans:
+                            spans.append((i + 1, j))
+                        i -= 1
+                    fast[d] = fast[d - 1] + tuple(spans) if spans else fast[d - 1]
+                    fast_same = fast_same and spans == ([new] if new else [])
+                    fam = family[d]
+                    if fam is not family[d - 1]:
+                        a, b = fam[-1]
+                        if a <= (fam[-2][1] if len(fam) > 1 else 0):
+                            members += ("family: overlapping members on chain {}",)
+                        if not any(p <= a and b <= q for p, q in m):
+                            members += (f"family: member ({a},{b}) of chain {{}} lies in "
+                                        "no minimal interval",)
+                step_lapses[d], family_lapses[d], fast_ok[d] = steps, members, fast_same
+            at = tallies.get(e)
+            if at is not None:
+                ids = tuple(labels[:d])
+                at[0].append(ids)
+                if not (labels_ok[d] and fast_ok[d]) or step_lapses[d] or family_lapses[d]:
+                    at[1].extend(lines(d, ids))
+                at[2] = classes[1:d]
+
+        self.visit = visit
+
+    def laws(self) -> dict:
+        """The ChainLaws of every bottom, once the walk is done."""
+        return {b: ChainLaws(tuple(ids), tuple(lines), tuple(classes))
+                for b, (ids, lines, classes) in self.tallies.items()}
 
 
 @dataclass(frozen=True)
@@ -148,68 +288,33 @@ def naive_chain_count(poset, interval: IntervalStructure) -> tuple[int, ...]:
 
 
 def check_interval(poset, bottom, top, routes: Routes) -> IntervalRecord:
-    """Run every invariant suite on one interval over its routes, from
-    top_routes or evaluate."""
+    """Run every invariant suite on one interval over its routes with the
+    chain laws, from top_routes or evaluate."""
     problems = routes.problems()
-    report = routes.report
+    report, laws = routes.report, routes.laws
     gap, mu_brute = report.rank_gap, routes.brute
 
-    ids = [d.chain.labels for d in report.chains]
+    ids = laws.ids
     rising = all(a < b for a, b in zip(ids, ids[1:]))  # see the module docstring
     if not rising and len(set(ids)) != len(ids):
         problems.append("chains: duplicate label sequences")
-    if not rising and ids != sorted(ids):
+    if not rising and list(ids) != sorted(ids):
         problems.append("chains: not sorted by label sequence")
     expect = routes.chain_count
     if len(ids) != expect:
         problems.append(f"chains: found {len(ids)}, naive descent gives {expect}")
-    if not rising and not is_poset_lex([d.chain for d in report.chains]):
+    if not rising and not is_poset_lex(ids):
         problems.append("poset-lex: chain order violates the divergence property")
-
-    classes = ()
-    expected: dict = {}  # bottom window -> the labels of a chain that ends there
-    for d in report.chains:
-        chain, msis = d.chain, d.msis
-        lo, hi = window = chain.windows[-1]
-        if window not in expected:
-            expected[window] = set(range(1, poset.rank(top) + 1)) - set(range(lo + 1, hi + 1))
-        if set(chain.labels) != expected[window]:
-            problems.append(f"labels: chain {chain.labels} does not match its window")
-        classes = classify_steps(chain)
-        covered = {k for a, b in msis for k in range(a, b + 1)} if msis else ()
-        for idx, cls in enumerate(classes, start=1):
-            if cls is StepClass.STRONG_DESCENT and (idx, idx) not in msis:
-                problems.append(
-                    f"descent-law: strong descent at {idx} of {chain.labels} "
-                    "is not a singleton interval")
-            if cls is StepClass.ASCENT and idx in covered:
-                problems.append(
-                    f"ascent-law: ascent at {idx} of {chain.labels} "
-                    "lies in a minimal skipped interval")
-        fast = poset.msis_fast(chain)
-        if fast != list(msis):
-            problems.append(
-                f"msi-fast: {fast} != {list(msis)} on chain {chain.labels}")
-        if d.family:
-            seen: set[int] = set()
-            for a, b in d.family:
-                pts = set(range(a, b + 1))
-                if pts & seen:
-                    problems.append(f"family: overlapping members on chain {chain.labels}")
-                seen |= pts
-                if not any(p <= a and b <= q for p, q in msis):
-                    problems.append(
-                        f"family: member ({a},{b}) of chain {chain.labels} lies in "
-                        "no minimal interval")
+    problems.extend(laws.lines)
 
     if report.critical_count > 1:
         problems.append(f"critical: {report.critical_count} critical chains")
-    if report.critical_count == 1 and not report.chains[-1].critical:
+    if report.critical_count == 1 and not report.last_critical:
         problems.append("critical: the critical chain is not the lexicographically last")
     ls = ids[-1] if ids else ()
     if len(ls) >= 2 and all(ls[k] > ls[k + 1] for k in range(len(ls) - 1)):
-        # classes are the last chain's, from the loop above
-        if any(c is not StepClass.WEAK_DESCENT for c in classes[:-1]):
+        # the last chain's classes, from the walk
+        if any(c is not StepClass.WEAK_DESCENT for c in laws.last_classes[:-1]):
             problems.append(
                 "descent-structure: a strictly decreasing id has a strong "
                 "descent before its final step")
@@ -218,10 +323,10 @@ def check_interval(poset, bottom, top, routes: Routes) -> IntervalRecord:
         if report.critical_count == 0 and (mu_brute != 0 or h.kind != "contractible"):
             problems.append(f"homotopy: no critical chains but mu={mu_brute}, type={h}")
         if report.critical_count == 1:
-            d0 = next(d for d in report.chains if d.critical)
-            want = -1 if d0.dim % 2 else 1
+            dim = report.critical_dims[0]
+            want = -1 if dim % 2 else 1
             if h.kind != "sphere" or mu_brute != want:
-                problems.append(f"homotopy: one critical chain of dim {d0.dim} "
+                problems.append(f"homotopy: one critical chain of dim {dim} "
                                 f"but mu={mu_brute}, type={h}")
 
     return IntervalRecord(
@@ -239,7 +344,7 @@ def check_interval(poset, bottom, top, routes: Routes) -> IntervalRecord:
 def _interval_records(poset, tops) -> list[IntervalRecord]:
     """Every interval under the given tops, from one top_routes call per top."""
     return [check_interval(poset, b, top, routes)
-            for top in tops for b, routes in top_routes(poset, top).items()]
+            for top in tops for b, routes in top_routes(poset, top, laws=True).items()]
 
 
 def _worker(args) -> list[IntervalRecord]:
@@ -281,15 +386,21 @@ def run_crosscheck(poset, max_size: int, cache: MobiusCache | None = None,
         # mid-chunk and no other child.  Each run's future is read in order,
         # so none is cancelled under the executor as it shuts down
         others = set(multiprocessing.active_children())
-        with ProcessPoolExecutor(min(jobs, len(chunks)), initializer=signal.signal,
-                                 initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
-            try:
-                runs = [pool.submit(_worker, (poset, c)) for c in chunks]
-                records = [r for run in runs for r in run.result()]
-            except KeyboardInterrupt:
-                for worker in set(multiprocessing.active_children()) - others:
-                    worker.terminate()
-                raise
+        workers: set = set()
+        try:
+            with ProcessPoolExecutor(min(jobs, len(chunks)), initializer=signal.signal,
+                                     initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
+                try:
+                    runs = [pool.submit(_worker, (poset, c)) for c in chunks]
+                    workers = set(multiprocessing.active_children()) - others
+                    records = [r for run in runs for r in run.result()]
+                except KeyboardInterrupt:
+                    for worker in set(multiprocessing.active_children()) - others:
+                        worker.terminate()
+                    raise
+        except BrokenProcessPool:
+            # a worker died; the executor stopped and joined the others
+            raise WorkerDied(_death(workers)) from None
     else:
         records = _interval_records(poset, tops)
 
@@ -305,6 +416,19 @@ def run_crosscheck(poset, max_size: int, cache: MobiusCache | None = None,
         for problem in rec.problems:
             report.mismatches.append(f"[{rec.bottom}, {rec.top}] {problem}")
     return report
+
+
+def _death(workers) -> str:
+    """Name the worker of a broken pool that died first: the others end
+    by the executor's SIGTERM."""
+    dead = sorted((w for w in workers if w.exitcode is not None),
+                  key=lambda w: w.exitcode == -signal.SIGTERM)
+    if not dead:
+        return "a crosscheck worker process died"
+    worker, code = dead[0], dead[0].exitcode
+    how = (f"was killed by {signal.Signals(-code).name}" if code < 0
+           else f"exited with code {code}")
+    return f"crosscheck worker {worker.pid} {how}"
 
 
 def crosscheck_json(report: CrosscheckReport) -> dict:

@@ -13,11 +13,11 @@ last index where their elements differ.  The minimal skipped intervals of
 C are therefore its containment-minimal difference blocks.
 
 The chains of every bottom under a top come from one walk from the top
-(chains.walk_chains), already in that order, and the walk finds their MSIs
-as it descends without comparing chains pairwise: (i, j) is skipped iff
-the walk reached element j+1 of the chain earlier, inside the subtree of
-its node at index i-1.  That costs one dict lookup and one bisection per
-walk node, and a node's MSIs are its parent's plus at most one span.  The
+(chains.walk), already in that order, and the walk finds their MSIs as it
+descends without comparing chains pairwise: (i, j) is skipped iff the
+walk reached element j+1 of the chain earlier, inside the subtree of its
+node at index i-1.  That costs one dict lookup and one bisection per walk
+node, and a node's MSIs are its parent's plus at most one span.  The
 pairwise functions below are the definition, which the walk is tested
 against.  The MSIs are resolved into a disjoint family in one
 left-to-right pass that truncates each member's start past everything
@@ -26,16 +26,25 @@ and contributes (-1)^(size-1) to the Mobius function.  Zero critical
 chains mean a contractible complex, one critical chain a sphere of the
 matching dimension.
 
+Every walk node ends one chain, its parent's plus one step, so MorseFold
+carries the family and its covered count down the path: the new span, if
+any, comes last in the pass and adds at most one member.  Each bottom
+keeps only the dimensions of its critical chains and whether its last
+chain is critical, which give the Mobius value and the homotopy type;
+no chain is held.  morse_report alone lists the chains with their data,
+for the commands that print them.  disjoint_family and the fast laws
+below stay the per-chain definitions the fold is tested against.
+
 A chain interval (i, j) is stored by the closed index range of the chain
 elements it holds, 1 <= i <= j <= steps-1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from .chains import MaximalChain, walk_chains
+from .chains import MaximalChain, Path, walk
 from .perms import exterior, interior, leq_consecutive
 from .words import inner_word, is_factor, outer_word
 
@@ -181,77 +190,143 @@ class ChainMorseData:
 
 @dataclass(frozen=True)
 class MorseReport:
+    """The Morse route on [bottom, top]: the dimension of each critical
+    chain in chain order, whether the lexicographically last chain is
+    critical, and the chains themselves only where morse_report lists
+    them."""
+
     bottom: object
     top: object
     rank_gap: int
-    chains: tuple[ChainMorseData, ...]
-    mobius: int
-    critical_count: int
-    homotopy: HomotopyType | None  # None when the rank gap is below two
+    critical_dims: tuple[int, ...]
+    last_critical: bool
+    chains: tuple[ChainMorseData, ...] | None = None
+
+    @property
+    def critical_count(self) -> int:
+        return len(self.critical_dims)
+
+    @property
+    def mobius(self) -> int:
+        """The signed count of critical chains; [x, x] is a single element
+        with no machinery to run, and 1."""
+        if self.rank_gap == 0:
+            return 1
+        return sum(-1 if d % 2 else 1 for d in self.critical_dims)
+
+    @property
+    def homotopy(self) -> HomotopyType | None:
+        """None when the rank gap is below two."""
+        dims = self.critical_dims
+        if self.rank_gap < 2:
+            return None
+        if not dims:
+            return HomotopyType("contractible")
+        if len(dims) == 1:
+            return HomotopyType("sphere", dims)
+        return HomotopyType("cells", tuple(sorted(dims)))
 
     def homotopy_type(self) -> HomotopyType:
         """The homotopy type; a rank gap below two has none."""
-        if self.homotopy is None:
+        if self.rank_gap < 2:
             raise ValueError("degenerate interval: rank gap below two")
         return self.homotopy
 
 
-def morse_reports(poset, top, bottoms) -> dict:
+class MorseFold:
     """
-    The Morse report of [b, top] for every b in bottoms, from one walk that
-    also finds every chain's minimal skipped intervals.
+    The Morse route folded down one walk (chains.walk).  visit(d) extends
+    the parent chain's state by the path's newest step, then tallies the
+    chain the node ends when its element is one of bottoms.  family[d] is
+    the disjoint family of the chain at depth d and covered[d] the number
+    of interior indices it covers.  The path's MSIs rise in both ends and
+    one newly minimal at depth d comes after all of its earlier ones, so
+    disjoint_family's left-to-right pass takes it last: the family gains
+    at most one member, truncated past the last one.  The chain is
+    critical when its family covers the whole interior, covered[d] ==
+    d - 1; the empty chain of [x, x] is not, since 0 != -1.
+    """
 
-    >>> from .posets import FactorPoset
-    >>> reports = morse_reports(FactorPoset(), tuple("abba"), [()])
-    >>> [list(d.msis) for d in reports[()].chains]
-    [[], [(3, 3)], [(2, 2)], [(1, 1)], [(2, 2)], [(1, 2), (3, 3)]]
-    """
-    return {bottom: _report(poset, bottom, top, chains, msis)
-            for bottom, (chains, msis) in walk_chains(poset, top, bottoms).items()}
+    def __init__(self, poset, top, bottoms):
+        self.poset, self.top = poset, top
+        self.path = path = Path(poset, top)
+        n = poset.rank(top)
+        self.family = family = [()] * (n + 1)
+        self.covered = covered = [0] * (n + 1)
+        # bottom -> [critical dims in chain order, whether the last chain is critical]
+        self.tallies = tallies = {b: [[], False] for b in bottoms}
+        elements, msis = path.elements, path.msis
+
+        def visit(d) -> None:
+            if d:
+                fam, count = family[d - 1], covered[d - 1]
+                if msis[d] is not msis[d - 1]:
+                    s, j = msis[d][-1]
+                    k = len(fam)
+                    # dropped when it starts no later than one past the end
+                    # of the member before the last one (-1 and 0 stand in)
+                    if s > (fam[-2][1] if k > 1 else k - 1) + 1:
+                        a = max(s, fam[-1][1] + 1) if k else s
+                        fam, count = fam + ((a, j),), count + j - a + 1
+                family[d], covered[d] = fam, count
+            tally = tallies.get(elements[d])
+            if tally is not None:
+                critical = covered[d] == d - 1
+                if critical:
+                    tally[0].append(len(family[d]) - 1)
+                tally[1] = critical
+
+        self.visit = visit
+
+    def chain_data(self, d: int) -> ChainMorseData:
+        """The chain the node at depth d ends, with its Morse data."""
+        family = self.family[d]
+        critical = self.covered[d] == d - 1
+        return ChainMorseData(self.path.chain(d), self.path.msis[d], family,
+                              critical, len(family) - 1 if critical else None)
+
+    def reports(self) -> dict:
+        """The MorseReport of every bottom, once the walk is done."""
+        rank = self.poset.rank
+        return {b: MorseReport(b, self.top, rank(self.top) - rank(b), tuple(dims), last)
+                for b, (dims, last) in self.tallies.items()}
+
+
+def morse_summary(poset, bottom, top) -> MorseReport:
+    """The Morse report of a checked pair, from one walk that lists no
+    chain."""
+    poset.check_pair(bottom, top)
+    fold = MorseFold(poset, top, (bottom,))
+    walk(poset, fold.path, (bottom,), fold.visit)
+    return fold.reports()[bottom]
 
 
 def morse_report(poset, bottom, top) -> MorseReport:
-    """Chains, skipped-interval data, Mobius value, and homotopy type."""
+    """
+    The Morse report of a checked pair with its chains listed: each one's
+    MSIs, disjoint family, criticality and dimension.
+
+    >>> from .posets import FactorPoset
+    >>> report = morse_report(FactorPoset(), (), tuple("abba"))
+    >>> [list(d.msis) for d in report.chains]
+    [[], [(3, 3)], [(2, 2)], [(1, 1)], [(2, 2)], [(1, 2), (3, 3)]]
+    """
     poset.check_pair(bottom, top)
-    return morse_reports(poset, top, (bottom,))[bottom]
+    fold = MorseFold(poset, top, (bottom,))
+    elements, listed = fold.path.elements, []
 
+    def visit(d) -> None:
+        fold.visit(d)
+        if elements[d] == bottom:
+            listed.append(fold.chain_data(d))
 
-def _report(poset, bottom, top, chains, all_msis) -> MorseReport:
-    gap = poset.rank(top) - poset.rank(bottom)
-    data = []
-    for chain, msis in zip(chains, all_msis):
-        if msis:  # critical when the family covers the whole interior
-            family = disjoint_family(msis)
-            critical = {k for a, b in family for k in range(a, b + 1)} == set(chain.open_indices())
-        else:  # critical when the interior is empty; [x, x] has none
-            family, critical = [], gap > 0 and chain.steps < 2
-        data.append(ChainMorseData(chain, tuple(msis), tuple(family), critical,
-                                   len(family) - 1 if critical else None))
-    critical = [d for d in data if d.critical]
-    # [x, x] is a single element: no machinery to run
-    mobius = 1 if gap == 0 else sum(-1 if d.dim % 2 else 1 for d in critical)
-    if gap < 2:
-        homotopy = None
-    elif not critical:
-        homotopy = HomotopyType("contractible")
-    elif len(critical) == 1:
-        homotopy = HomotopyType("sphere", (critical[0].dim,))
-    else:
-        homotopy = HomotopyType("cells", tuple(sorted(d.dim for d in critical)))
-    return MorseReport(
-        bottom=bottom,
-        top=top,
-        rank_gap=gap,
-        chains=tuple(data),
-        mobius=mobius,
-        critical_count=len(critical),
-        homotopy=homotopy,
-    )
+    walk(poset, fold.path, (bottom,), visit)
+    return replace(fold.reports()[bottom], chains=tuple(listed))
 
 
 def mobius_morse(poset, bottom, top) -> int:
     """Mobius value as the signed count of critical chains."""
-    return morse_report(poset, bottom, top).mobius
+    return morse_summary(poset, bottom, top).mobius
 
 
 def homotopy_type(poset, bottom, top) -> HomotopyType:
@@ -259,4 +334,4 @@ def homotopy_type(poset, bottom, top) -> HomotopyType:
     Homotopy type of the open interval; needs rank gap at least two
     (shorter intervals have an empty or undefined complex).
     """
-    return morse_report(poset, bottom, top).homotopy_type()
+    return morse_summary(poset, bottom, top).homotopy_type()

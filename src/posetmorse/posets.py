@@ -105,6 +105,8 @@ class PatternPoset(_LengthGraded):
     def msis_fast(self, chain) -> list:
         return morse.msis_fast_pattern(chain)
 
+    jump = staticmethod(morse._jump_pattern)  # the fast law's exterior jump
+
     def elements_of_rank(self, d: int) -> Iterator:
         return itertools.permutations(range(1, d + 1))
 
@@ -146,6 +148,8 @@ class FactorPoset(_LengthGraded):
 
     def msis_fast(self, chain) -> list:
         return morse.msis_fast_factor(chain)
+
+    jump = staticmethod(morse._jump_factor)  # the fast law's exterior jump
 
     def elements_of_rank(self, d: int) -> Iterator:
         return itertools.product(self.alphabet, repeat=d)

@@ -68,12 +68,14 @@ def test_mobius_disagreement_exits_nonzero(capsys, monkeypatch):
 
 def test_mobius_and_check_interval_judge_the_routes_by_one_rule(
         capsys, monkeypatch):
-    # four routes that agree on 2, a value outside the closed form's range
+    # four routes that agree on 2, a value outside the closed form's range:
+    # two critical chains of dimension 0 give a Morse sum of 2
     poset, bottom, top = PatternPoset(), (1,), (2, 1, 3, 5, 4, 6)
-    real = crosscheck.evaluate(poset, bottom, top)
+    real = crosscheck.evaluate(poset, bottom, top, laws=True)
     routes = dataclasses.replace(
         real, closed=2, brute=2, euler=2,
-        report=dataclasses.replace(real.report, mobius=2))
+        report=dataclasses.replace(real.report, critical_dims=(0, 0)))
+    assert routes.report.mobius == 2
     monkeypatch.setattr(cli, "evaluate", lambda *args: routes)
     code, out, _ = run_cli(capsys, "mobius", "1", "213546")
     assert code == 1 and out.endswith("mismatch: methods disagree\n")
@@ -631,3 +633,49 @@ finally:
             os.killpg(proc.pid, signal.SIGKILL)
         proc.kill()
     assert (proc.returncode, out, err) == (130, "True\n", "interrupted\n")
+
+
+def test_a_killed_worker_ends_a_parallel_sweep_with_exit_5(tmp_path):
+    # SIGKILL, as the OOM killer sends it, hits one pool worker mid-sweep.
+    # The parent names the dead worker in one error line, exits 5 with no
+    # traceback, and leaves no process behind in its session
+    marker = tmp_path / "worker"
+    script = f"""\
+import functools, os, pathlib, sys
+from posetmorse import crosscheck
+from posetmorse.cli import run
+os.cpu_count = lambda: 2
+worker = crosscheck._worker
+
+@functools.wraps(worker)
+def marked(args):
+    pending = pathlib.Path({str(marker)!r} + f".{{os.getpid()}}")
+    pending.write_text(str(os.getpid()))
+    pending.replace({str(marker)!r})
+    return worker(args)
+
+crosscheck._worker = marked
+sys.argv = ['posetmorse', 'crosscheck', '--max-size', '7', '--jobs', '2']
+run()
+"""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-c", script], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True)
+    try:
+        deadline = time.monotonic() + 30
+        while not marker.exists():
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        time.sleep(0.5)  # mid-run
+        pid = int(marker.read_text())
+        os.kill(pid, signal.SIGKILL)
+        out, err = proc.communicate(timeout=60)
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.kill()
+    assert (proc.returncode, out, err) == (
+        5, "", f"error: crosscheck worker {pid} was killed by SIGKILL\n")

@@ -3,7 +3,9 @@ the exhaustive sweeps through every check."""
 
 from __future__ import annotations
 
+import collections
 import dataclasses
+import hashlib
 import os
 import random
 import signal
@@ -17,7 +19,7 @@ import posetmorse.closed_form as closed_form
 import posetmorse.crosscheck as crosscheck
 import posetmorse.morse as morse
 import posetmorse.perms as perms
-from posetmorse.chains import StepClass
+from posetmorse.chains import StepClass, classify_steps
 from posetmorse.posets import (FactorPoset, IncomparableError, PatternPoset,
                                SizeLimitError, euler_characteristic,
                                interval_structure)
@@ -153,7 +155,7 @@ SEEDED = _seeded_intervals()
 
 @pytest.mark.parametrize("poset, bottom, top", SEEDED)
 def test_seeded_interval_passes_every_check(poset, bottom, top):
-    routes = crosscheck.evaluate(poset, bottom, top)
+    routes = crosscheck.evaluate(poset, bottom, top, laws=True)
     assert crosscheck.check_interval(poset, bottom, top, routes).problems == ()
 
 
@@ -201,18 +203,88 @@ def test_keyed_msis_match_the_oracle_on_every_bottom_of_seeded_tops():
 
 def test_a_sweep_walks_each_top_once(monkeypatch):
     walks = []
-    real = morse.walk_chains
+    real = crosscheck.walk
 
-    def counting(poset, top, bottoms):
-        walks.append((top, tuple(bottoms)))
-        return real(poset, top, bottoms)
+    def counting(poset, path, bottoms, visit):
+        walks.append((path.elements[0], tuple(bottoms)))
+        return real(poset, path, bottoms, visit)
 
-    monkeypatch.setattr(morse, "walk_chains", counting)
+    monkeypatch.setattr(crosscheck, "walk", counting)
     poset = PatternPoset()
     report = crosscheck.run_crosscheck(poset, 4)
     assert report.ok and report.total == 167
     assert len(walks) == len({top for top, _ in walks}) == 1 + 2 + 6 + 24
     assert all(set(bottoms) == poset.down_set(top) for top, bottoms in walks)
+
+
+def assert_the_fold_matches_the_definitions(poset, top) -> int:
+    """At every node of one walk for every bottom under the top, the
+    folded step classes, fast-law spans, disjoint family, criticality and
+    dimension equal the definitions on the chain the node ends: its
+    classify_steps, poset.msis_fast, disjoint_family of its MSIs, and the
+    set-cover rule.  Returns the number of nodes."""
+    bottoms = sorted(poset.down_set(top))
+    fold = morse.MorseFold(poset, top, bottoms)
+    laws = crosscheck.LawFold(poset, fold, bottoms)
+    path, nodes = fold.path, []
+
+    def visit(d):
+        laws.visit(d)
+        chain = path.chain(d)
+        msis = list(path.msis[d])
+        family = morse.disjoint_family(msis)
+        if msis:
+            critical = ({k for a, b in family for k in range(a, b + 1)}
+                        == set(range(1, chain.steps)))
+        else:  # critical when the interior is empty; [x, x] has none
+            gap = poset.rank(top) - poset.rank(chain.elements[-1])
+            critical = gap > 0 and chain.steps < 2
+        data = fold.chain_data(d)
+        assert tuple(laws.classes[1:d]) == classify_steps(chain)
+        assert sorted(laws.fast[d]) == poset.msis_fast(chain)
+        assert (list(data.family), data.critical, data.dim) == (
+            family, critical, len(family) - 1 if critical else None)
+        nodes.append(d)
+
+    chains.walk(poset, path, bottoms, visit)
+    return len(nodes)
+
+
+def test_the_fold_matches_the_definitions_at_every_node_up_to_length_six():
+    nodes = {}
+    for poset in (PatternPoset(), FactorPoset(("a", "b"))):
+        for n in range(poset.min_rank, 7):
+            for top in poset.elements_of_rank(n):
+                count = assert_the_fold_matches_the_definitions(poset, top)
+                nodes[poset.tag] = nodes.get(poset.tag, 0) + count
+    # every node ends one chain of the size-6 sweep
+    assert nodes["pattern"] == 31803
+
+
+def test_the_fold_matches_the_definitions_on_seeded_long_tops():
+    # the seeded tops of length 9 and 10 above, and those whose every
+    # bottom's MSIs are checked against the oracle
+    tops = [(poset, top) for poset, _, top in (p.values for p in SEEDED)
+            if len(top) in (9, 10)]
+    rng = random.Random(909)
+    tops += [(PatternPoset(), _draw(rng, PatternPoset(), 9)) for _ in range(4)]
+    rng = random.Random(910)
+    tops += [(FactorPoset(), _draw(rng, FactorPoset(), n)) for n in (9, 9, 10, 10)]
+    assert len(tops) == 16
+    for poset, top in tops:
+        assert assert_the_fold_matches_the_definitions(poset, top) > 0
+
+
+def test_a_sweep_builds_no_chain_object(monkeypatch):
+    # the sweep folds every chain down the walk; chain objects are built
+    # only for the commands that print chains
+    def unbuilt(*args):
+        raise AssertionError("a chain object was built")
+
+    monkeypatch.setattr(chains, "MaximalChain", unbuilt)
+    monkeypatch.setattr(morse, "ChainMorseData", unbuilt)
+    report = crosscheck.run_crosscheck(PatternPoset(), 4)
+    assert report.ok and report.total == 167
 
 
 def test_top_routes_of_every_bottom_equal_the_one_bottom_case():
@@ -242,10 +314,9 @@ def test_an_incomparable_pair_is_rejected_before_any_route_runs(
     def unreached(*args, **kwargs):
         raise AssertionError("a route ran")
 
-    for module, name in ((crosscheck, "interval_structure"),
-                         (crosscheck, "morse_reports"), (morse, "walk_chains"),
-                         (chains, "walk_chains"), (closed_form, "mobius_pattern"),
-                         (closed_form, "mobius_factor")):
+    for module, name in ((crosscheck, "interval_structure"), (crosscheck, "walk"),
+                         (morse, "walk"), (chains, "walk"), (chains, "walk_chains"),
+                         (closed_form, "mobius_pattern"), (closed_form, "mobius_factor")):
         monkeypatch.setattr(module, name, unreached)
     module, name = route
     with pytest.raises(error, match=message):
@@ -274,26 +345,54 @@ def test_each_chain_is_classified_once_and_the_last_chain_s_classes_are_checked(
         monkeypatch):
     # every step called a strong descent: the strictly decreasing last
     # chain 6-5-4-3-1 then breaks the descent structure, read from the
-    # classes the per-chain loop already made
+    # classes the walk already made.  Each walk node classifies the newest
+    # step of its chain once, in walk order: the walk's nodes with two or
+    # more steps are the label prefixes of the 13 chains, in sorted order
     calls = []
 
-    def strong(chain):
-        calls.append(chain.labels)
-        return (StepClass.STRONG_DESCENT,) * (chain.steps - 1)
+    def strong(a, b):
+        calls.append((a, b))
+        return StepClass.STRONG_DESCENT
 
-    monkeypatch.setattr(crosscheck, "classify_steps", strong)
+    monkeypatch.setattr(crosscheck, "step_class", strong)
     poset, bottom, top = PatternPoset(), (1,), (2, 1, 3, 5, 4, 6)
-    routes = crosscheck.evaluate(poset, bottom, top)
+    routes = crosscheck.evaluate(poset, bottom, top, laws=True)
     problems = crosscheck.check_interval(poset, bottom, top, routes).problems
-    assert len(calls) == len(set(calls)) == 13
+    ids = routes.laws.ids
+    nodes = sorted({c[:k] for c in ids for k in range(2, len(c) + 1)})
+    assert len(ids) == 13 and calls == [node[-2:] for node in nodes]
     assert any(p.startswith("descent-structure:") for p in problems)
+
+
+# The mismatch lines of run_crosscheck(PatternPoset(), n) under monotone_132,
+# pinned before the chain laws were folded down the walk: the number of
+# lines of each kind and the sha256 of the lines joined by newlines.
+WRONG_COVER_RULE = {
+    4: ({"ascent-law": 4, "chains": 18, "critical": 3, "descent-law": 8,
+         "homotopy": 10, "msi-fast": 8, "mu-disagreement": 14},
+        "765ff867b99e5f9182e690f28f52d681baa0f9492b7d1481ea9c14fe2a4eb26a"),
+    5: ({"ascent-law": 44, "chains": 132, "critical": 11, "descent-law": 88,
+         "homotopy": 47, "msi-fast": 88, "mu-disagreement": 54},
+        "f2b8921392c4275c08a02878a2fcd81a9b00d6a24d29c5819539287593411d21"),
+}
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_a_wrong_cover_rule_gets_the_same_lines_in_the_same_order(monotone_132, n):
+    lines = crosscheck.run_crosscheck(PatternPoset(), n).mismatches
+    kinds = collections.Counter(line.split("] ", 1)[1].split(":", 1)[0]
+                                for line in lines)
+    want_kinds, want_sha256 = WRONG_COVER_RULE[n]
+    assert len(lines) == sum(want_kinds.values()) == {4: 65, 5: 464}[n]
+    assert dict(kinds) == want_kinds
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == want_sha256
 
 
 def test_chain_count_catches_a_wrong_cover_rule(monotone_132):
     # treating 132 as monotone drops its cover 12 from the chain listing;
     # the count over the order relation still sees both chains
     poset, bottom, top = PatternPoset(), (1,), (1, 3, 2)
-    routes = crosscheck.evaluate(poset, bottom, top)
+    routes = crosscheck.evaluate(poset, bottom, top, laws=True)
     problems = crosscheck.check_interval(poset, bottom, top, routes).problems
     assert "chains: found 1, naive descent gives 2" in problems
 
@@ -301,7 +400,7 @@ def test_chain_count_catches_a_wrong_cover_rule(monotone_132):
 def test_a_cover_rule_that_lists_no_chain_is_reported(monotone_132):
     # treating 132 as monotone leaves [12, 132] without a chain
     poset, bottom, top = PatternPoset(), (1, 2), (1, 3, 2)
-    routes = crosscheck.evaluate(poset, bottom, top)
+    routes = crosscheck.evaluate(poset, bottom, top, laws=True)
     problems = crosscheck.check_interval(poset, bottom, top, routes).problems
     assert "chains: found 0, naive descent gives 1" in problems
 
@@ -334,15 +433,19 @@ def test_length_seven_pattern_sweep():
 def test_a_bad_chain_listing_is_worded_line_by_line(poset, bottom, top):
     # a listing that fails the strict-rise gate gets the lines that apply of
     # duplicate, sort, chain count and poset-lex, in that order, and then the
-    # critical line when the critical chain no longer comes last
-    routes = crosscheck.evaluate(poset, bottom, top)
-    good = list(routes.report.chains)
+    # critical line when the critical chain no longer comes last.  The
+    # listing's label tuples stand in for the walk's, and its last chain
+    # for the walk's last one
+    routes = crosscheck.evaluate(poset, bottom, top, laws=True)
+    good = list(morse.morse_report(poset, bottom, top).chains)
+    assert routes.laws.ids == tuple(d.chain.labels for d in good)
     n, half = len(good), len(good) // 2
 
     def problems(listing):
-        report = dataclasses.replace(routes.report, chains=tuple(listing))
+        laws = dataclasses.replace(routes.laws, ids=tuple(d.chain.labels for d in listing))
+        report = dataclasses.replace(routes.report, last_critical=listing[-1].critical)
         return crosscheck.check_interval(
-            poset, bottom, top, dataclasses.replace(routes, report=report)).problems
+            poset, bottom, top, dataclasses.replace(routes, report=report, laws=laws)).problems
 
     duplicate = "chains: duplicate label sequences"
     unsorted = "chains: not sorted by label sequence"

@@ -11,7 +11,7 @@ from posetmorse import render
 from posetmorse.chains import maximal_chains, walk_chains
 from posetmorse.morse import (disjoint_family, homotopy_type,
                               minimal_skipped_intervals, mobius_morse,
-                              morse_report, morse_reports, skipped_intervals)
+                              morse_report, skipped_intervals)
 from posetmorse.posets import (FactorPoset, PatternPoset, interval_structure,
                                mobius_bruteforce)
 from test_chains import assert_walk_matches_the_oracle
@@ -90,13 +90,13 @@ def _containment_minimal(spans):
 def assert_walk_msis_match_the_oracle(poset, top, bottoms) -> None:
     """One walk for all of bottoms lists each bottom's chains as the sorted
     oracle does, with each chain's difference-block MSIs against the
-    earlier chains, as does the report."""
+    earlier chains, as does each bottom's listed report."""
     walk = assert_walk_matches_the_oracle(poset, top, bottoms)
-    reports = morse_reports(poset, top, bottoms)
     for bottom, (chains, msis) in walk.items():
         want = [minimal_skipped_intervals(c, chains[:k]) for k, c in enumerate(chains)]
         assert [list(m) for m in msis] == want
-        assert [list(d.msis) for d in reports[bottom].chains] == want
+        listed = morse_report(poset, bottom, top).chains
+        assert [list(d.msis) for d in listed] == want
 
 
 def test_msis_fast_pattern_matches_bruteforce():
