@@ -10,21 +10,18 @@ chains by it gives a poset lexicographic order: once two chains part
 ways, everything sharing the first one's prefix comes before everything
 sharing the second one's.  Chains are listed per top by one depth-first
 walk that takes covers in increasing label order, so every bottom's
-chains come out in that order with no sort, and the same walk finds each
-chain's minimal skipped intervals.
+chains come out in that order with no sort.
 
 Every node of the walk ends one chain, the path from the top to it, and a
 child's chain is its parent's plus one step.  The walk keeps only that
-path (Path, one slot per depth) and calls a visitor at every node, so a
-per-chain quantity is folded down the path as an update of the parent's
-value (morse.MorseFold, crosscheck.LawFold).  A chain object is built only
-where a listing asks for one (walk_chains, Path.chain).
+path (Path, one slot per depth) and calls a visitor at every node in
+preorder, so a per-chain quantity is folded down the path as an update of
+the parent's value (morse.MorseFold, crosscheck.LawFold).  A chain object
+is built only where a listing asks for one (maximal_chains, Path.chain).
 """
 
 from __future__ import annotations
 
-import itertools
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -56,22 +53,27 @@ class MaximalChain:
 
 def maximal_chains(poset, bottom, top) -> list[MaximalChain]:
     """
-    All maximal chains of [bottom, top], sorted by label sequence: the
-    one-bottom case of walk_chains.  The order relation serves just to
-    reject an incomparable pair.
+    All maximal chains of [bottom, top], sorted by label sequence, from one
+    walk that builds a chain only where it reaches the bottom.  The order
+    relation serves just to reject an incomparable pair.
     """
     poset.check_pair(bottom, top)
-    return walk_chains(poset, top, (bottom,))[bottom][0]
+    path, found = Path(poset, top), []
+
+    def visit(d) -> None:
+        if path.elements[d] == bottom:
+            found.append(path.chain(d))
+
+    walk(poset, path, (bottom,), visit)
+    return found
 
 
 class Path:
     """
     The walk's current path from the top, one slot per depth: after k
-    covers the path stands at elements[k] in windows[k], labels[k - 1] is
-    the label of cover k, and msis[k] holds the minimal skipped intervals
-    of the chain [elements[k], top] the path makes.  The walk writes a
-    child's slots over the parent's next ones, so slots past the current
-    depth are stale.
+    covers the path stands at elements[k] in windows[k], and labels[k - 1]
+    is the label of cover k.  The walk writes a child's slots over the
+    parent's next ones, so slots past the current depth are stale.
     """
 
     def __init__(self, poset, top):
@@ -79,7 +81,6 @@ class Path:
         self.elements = [top] * (n + 1)
         self.windows = [(0, n)] * (n + 1)
         self.labels = [0] * n
-        self.msis: list[tuple] = [()] * (n + 1)
 
     def chain(self, d: int) -> MaximalChain:
         """The chain from the top to the path's element at depth d."""
@@ -97,65 +98,25 @@ def walk(poset, path: Path, bottoms, visit) -> None:
     letter of the window, any other the last, so labels rise and each
     bottom's chains arrive sorted by label sequence.
 
-    The walk finds each chain's minimal skipped intervals against the
-    bottom's earlier chains as it descends.  For a path e[0..d], (i, j)
-    with j = d - 1 is skipped iff the walk already reached e[d] inside the
-    subtree of the path's node at depth i - 1: the walk went on from that
-    visit as this path goes on, so an earlier chain agrees with this one
-    outside i..j.  A subtree is a run of preorder indices, so that holds
-    iff the latest visit of e[d] is at or after the ancestor's index, and
-    the largest skipped start S(j) is one bisection over the path's
-    indices.  Skipped spans are closed upward under containment, so
-    (S(j), j) is minimal iff S(j) > S(j - 1): a node's MSIs are its
-    parent's plus at most one span, in O(log n) per node.
+    Nodes are visited in preorder, each before its children, so a subtree
+    is one run of visits, and a visitor that writes slot d at depth d
+    holds the current node's ancestors in slots 0..d-1, in preorder, with
+    no push or pop.
     """
-    elements, windows, labels, msis = path.elements, path.windows, path.labels, path.msis
+    elements, windows, labels = path.elements, path.windows, path.labels
     floor = min((poset.rank(b) for b in bottoms), default=poset.rank(elements[0]))
-    count = itertools.count()
-    latest: dict = {}  # element -> preorder index of its latest visit
-    seen: list[int] = []  # preorder indices of the current node's ancestors
 
-    def descend(d, start) -> None:
-        e = elements[d]
-        if d > 1:
-            skipped = bisect_right(seen, latest.get(e, -1), 0, d - 1)
-            if skipped > start:
-                start = skipped
-                msis[d] = msis[d - 1] + ((skipped, d - 1),)
-            else:
-                msis[d] = msis[d - 1]
-        latest[e] = here = next(count)
+    def descend(d) -> None:
         visit(d)
         lo, hi = windows[d]
         if hi - lo > floor:
-            seen.append(here)
-            for child, pos in reversed(poset.down_covers(e)):
+            for child, pos in reversed(poset.down_covers(elements[d])):
                 elements[d + 1] = child
                 windows[d + 1] = (lo + 1, hi) if pos == 1 else (lo, hi - 1)
                 labels[d] = lo + pos
-                descend(d + 1, start)
-            seen.pop()
+                descend(d + 1)
 
-    descend(0, 0)
-
-
-def walk_chains(poset, top, bottoms) -> dict:
-    """
-    Maps each of bottoms to its maximal chains of [b, top], sorted by
-    label sequence, and their minimal skipped intervals, from one walk; a
-    chain is built only where the walk reaches an asked bottom.
-    """
-    found = {b: ([], []) for b in bottoms}
-    path = Path(poset, top)
-
-    def visit(d) -> None:
-        at = found.get(path.elements[d])
-        if at is not None:
-            at[0].append(path.chain(d))
-            at[1].append(path.msis[d])
-
-    walk(poset, path, bottoms, visit)
-    return found
+    descend(0)
 
 
 def step_class(a: int, b: int) -> StepClass:

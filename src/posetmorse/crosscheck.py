@@ -138,7 +138,7 @@ class LawFold:
     The chain laws folded down one walk beside the Morse route: visit(d)
     runs fold.visit(d), then checks the laws on the chain the node ends
     from the chain's own labels, windows and elements, against the MSIs
-    the walk found.  A child's chain is its parent's plus one step, so
+    the fold found.  A child's chain is its parent's plus one step, so
     each law updates the parent's verdict from the newest step alone, but
     for the fast law, which also reads the falling run of labels ending
     there:
@@ -164,8 +164,8 @@ class LawFold:
     """
 
     def __init__(self, poset, fold: MorseFold, bottoms):
-        path = fold.path
-        elements, windows, labels, msis = path.elements, path.windows, path.labels, path.msis
+        path, msis = fold.path, fold.msis
+        elements, windows, labels = path.elements, path.windows, path.labels
         family, morse_visit, jump, classify = fold.family, fold.visit, poset.jump, step_class
         ascent, strong = StepClass.ASCENT, StepClass.STRONG_DESCENT
         n = len(labels)

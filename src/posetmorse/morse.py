@@ -13,13 +13,11 @@ last index where their elements differ.  The minimal skipped intervals of
 C are therefore its containment-minimal difference blocks.
 
 The chains of every bottom under a top come from one walk from the top
-(chains.walk), already in that order, and the walk finds their MSIs as it
-descends without comparing chains pairwise: (i, j) is skipped iff the
-walk reached element j+1 of the chain earlier, inside the subtree of its
-node at index i-1.  That costs one dict lookup and one bisection per walk
-node, and a node's MSIs are its parent's plus at most one span.  The
-pairwise functions below are the definition, which the walk is tested
-against.  The MSIs are resolved into a disjoint family in one
+(chains.walk), already in that order, and MorseFold finds their MSIs as
+the walk descends, without comparing chains pairwise, at one dict lookup
+and one bisection per walk node; a node's MSIs are its parent's plus at
+most one span.  The pairwise functions below are the definition the fold
+is tested against.  The MSIs are resolved into a disjoint family in one
 left-to-right pass that truncates each member's start past everything
 already chosen; C is critical when the family covers all of C's interior,
 and contributes (-1)^(size-1) to the Mobius function.  Zero critical
@@ -27,13 +25,13 @@ chains mean a contractible complex, one critical chain a sphere of the
 matching dimension.
 
 Every walk node ends one chain, its parent's plus one step, so MorseFold
-carries the family and its covered count down the path: the new span, if
-any, comes last in the pass and adds at most one member.  Each bottom
-keeps only the dimensions of its critical chains and whether its last
-chain is critical, which give the Mobius value and the homotopy type;
-no chain is held.  morse_report alone lists the chains with their data,
-for the commands that print them.  disjoint_family and the fast laws
-below stay the per-chain definitions the fold is tested against.
+also carries the family and its covered count down the path: the new
+span, if any, comes last in the pass and adds at most one member.  Each
+bottom keeps only the dimensions of its critical chains and whether its
+last chain is critical, which give the Mobius value and the homotopy
+type; no chain is held.  morse_report alone lists the chains with their
+data, for the commands that print them.  disjoint_family and the fast
+laws below stay the per-chain definitions the fold is tested against.
 
 A chain interval (i, j) is stored by the closed index range of the chain
 elements it holds, 1 <= i <= j <= steps-1.
@@ -41,6 +39,8 @@ elements it holds, 1 <= i <= j <= steps-1.
 
 from __future__ import annotations
 
+import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -235,41 +235,67 @@ class MorseReport:
 
 class MorseFold:
     """
-    The Morse route folded down one walk (chains.walk).  visit(d) extends
-    the parent chain's state by the path's newest step, then tallies the
-    chain the node ends when its element is one of bottoms.  family[d] is
-    the disjoint family of the chain at depth d and covered[d] the number
-    of interior indices it covers.  The path's MSIs rise in both ends and
-    one newly minimal at depth d comes after all of its earlier ones, so
-    disjoint_family's left-to-right pass takes it last: the family gains
-    at most one member, truncated past the last one.  The chain is
-    critical when its family covers the whole interior, covered[d] ==
-    d - 1; the empty chain of [x, x] is not, since 0 != -1.
+    The Morse route folded down one walk (chains.walk).  visit(d) finds
+    the MSIs and the disjoint family of the chain the node at depth d
+    ends from its parent's and the path's newest step, then tallies the
+    chain when its element is one of bottoms.
+
+    The MSIs come from the walk's preorder.  For a path e[0..d], (i, j)
+    with j = d - 1 is skipped iff the walk already reached e[d] inside the
+    subtree of the path's node at depth i - 1: the walk went on from that
+    visit as this path goes on, so an earlier chain agrees with this one
+    outside i..j.  A subtree is a run of preorder indices, so that holds
+    iff the latest visit of e[d] is at or after the ancestor's index, and
+    the largest skipped start S(j) is one bisection over the ancestors'
+    indices, which the walk's preorder leaves in seen[0..d-1].  Skipped
+    spans are closed upward under containment, so (S(j), j) is minimal
+    iff S(j) > S(j - 1), which is the start of the path's last MSI, or 0
+    with none: msis[d], the MSIs of the chain at depth d, are its parent's
+    plus at most one span.
+
+    family[d] is the disjoint family of that chain and covered[d] the
+    number of interior indices it covers.  The MSIs rise in both ends and
+    a new one comes after all of them, so disjoint_family's left-to-right
+    pass takes it last: the family gains at most one member, truncated
+    past the last one.  The chain is critical when its family covers the
+    whole interior, covered[d] == d - 1; the empty chain of [x, x] is not,
+    since 0 != -1.
     """
 
     def __init__(self, poset, top, bottoms):
         self.poset, self.top = poset, top
         self.path = path = Path(poset, top)
         n = poset.rank(top)
+        self.msis = msis = [()] * (n + 1)
         self.family = family = [()] * (n + 1)
         self.covered = covered = [0] * (n + 1)
         # bottom -> [critical dims in chain order, whether the last chain is critical]
         self.tallies = tallies = {b: [[], False] for b in bottoms}
-        elements, msis = path.elements, path.msis
+        elements = path.elements
+        latest: dict = {}  # element -> preorder index of its latest visit
+        seen = [0] * (n + 1)  # seen[k]: preorder index of the path's node at depth k
+        order = itertools.count()
 
         def visit(d) -> None:
-            if d:
-                fam, count = family[d - 1], covered[d - 1]
-                if msis[d] is not msis[d - 1]:
-                    s, j = msis[d][-1]
+            e = elements[d]
+            if d > 1:
+                m = msis[d - 1]
+                s = bisect_right(seen, latest.get(e, -1), 0, d - 1)
+                if s > (m[-1][0] if m else 0):
+                    j = d - 1
+                    msis[d] = m + ((s, j),)
+                    fam, count = family[d - 1], covered[d - 1]
                     k = len(fam)
                     # dropped when it starts no later than one past the end
                     # of the member before the last one (-1 and 0 stand in)
                     if s > (fam[-2][1] if k > 1 else k - 1) + 1:
                         a = max(s, fam[-1][1] + 1) if k else s
                         fam, count = fam + ((a, j),), count + j - a + 1
-                family[d], covered[d] = fam, count
-            tally = tallies.get(elements[d])
+                    family[d], covered[d] = fam, count
+                else:
+                    msis[d], family[d], covered[d] = m, family[d - 1], covered[d - 1]
+            latest[e] = seen[d] = next(order)
+            tally = tallies.get(e)
             if tally is not None:
                 critical = covered[d] == d - 1
                 if critical:
@@ -282,7 +308,7 @@ class MorseFold:
         """The chain the node at depth d ends, with its Morse data."""
         family = self.family[d]
         critical = self.covered[d] == d - 1
-        return ChainMorseData(self.path.chain(d), self.path.msis[d], family,
+        return ChainMorseData(self.path.chain(d), self.msis[d], family,
                               critical, len(family) - 1 if critical else None)
 
     def reports(self) -> dict:

@@ -102,9 +102,6 @@ class PatternPoset(_LengthGraded):
     def mobius_closed_form(self, bottom, top) -> int:
         return closed_form.mobius_pattern(bottom, top)
 
-    def msis_fast(self, chain) -> list:
-        return morse.msis_fast_pattern(chain)
-
     jump = staticmethod(morse._jump_pattern)  # the fast law's exterior jump
 
     def elements_of_rank(self, d: int) -> Iterator:
@@ -145,9 +142,6 @@ class FactorPoset(_LengthGraded):
 
     def mobius_closed_form(self, bottom, top) -> int:
         return closed_form.mobius_factor(bottom, top)
-
-    def msis_fast(self, chain) -> list:
-        return morse.msis_fast_factor(chain)
 
     jump = staticmethod(morse._jump_factor)  # the fast law's exterior jump
 

@@ -10,7 +10,7 @@ import pytest
 import posetmorse.chains as chains_module
 from posetmorse import render
 from posetmorse.chains import (MaximalChain, StepClass, classify_steps,
-                               is_poset_lex, maximal_chains, walk_chains)
+                               is_poset_lex, maximal_chains)
 from posetmorse.crosscheck import naive_chain_count
 from posetmorse.posets import (FactorPoset, IncomparableError, PatternPoset,
                                interval_structure)
@@ -33,7 +33,7 @@ TABLE_IDS = [
 
 
 def sorted_chains(poset, bottom, top) -> list[MaximalChain]:
-    """The oracle for walk_chains: every cover path from the top that
+    """The oracle for the chain listing: every cover path from the top that
     reaches the bottom's rank at the bottom itself, taken in the order
     poset.down_covers lists them, then sorted by label sequence."""
     target = poset.rank(bottom)
@@ -58,29 +58,6 @@ def sorted_chains(poset, bottom, top) -> list[MaximalChain]:
     descend()
     found.sort(key=lambda c: c.labels)
     return found
-
-
-def assert_walk_matches_the_oracle(poset, top, bottoms) -> dict:
-    """One walk for all of bottoms lists each bottom's chains as the sorted
-    oracle does, and the MSIs it carries down a path are a function of the
-    path: the spans of a chain that end before rank d are the same for
-    every chain, under any bottom, through the same first d + 1 elements.
-    Each chain's spans lie in its interior and rise in both ends.
-    Returns the walk."""
-    walk = walk_chains(poset, top, bottoms)
-    assert list(walk) == list(bottoms)
-    carried = {}
-    for bottom in bottoms:
-        chains, msis = walk[bottom]
-        assert chains == sorted_chains(poset, bottom, top)
-        assert len(msis) == len(chains)
-        for chain, spans in zip(chains, msis):
-            assert all(1 <= i <= j < chain.steps for i, j in spans)
-            assert all(a < c and b < d for (a, b), (c, d) in zip(spans, spans[1:]))
-            for d in range(len(chain.elements)):
-                head = tuple(s for s in spans if s[1] < d)
-                assert carried.setdefault(chain.elements[:d + 1], head) == head
-    return walk
 
 
 def ids_of(chains) -> list[tuple[int, ...]]:
@@ -160,12 +137,6 @@ def test_a_one_bottom_walk_builds_only_that_bottom_s_chains(monkeypatch):
         chains = maximal_chains(p, bottom, top)
         assert chains == sorted_chains(p, bottom, top)
         assert built == [bottom] * len(chains)
-        built.clear()
-        walk = walk_chains(p, top, [bottom])
-        assert list(walk) == [bottom] and walk[bottom][0] == chains
-        assert built == [bottom] * len(chains)
-    built.clear()
-    assert walk_chains(p, top, []) == {} and built == []
 
 
 def test_chain_count_matches_naive_descent():
@@ -218,8 +189,8 @@ def test_strictly_rising_label_sequences_are_poset_lex():
     listings = 0
     for n in range(1, 7):
         for top in itertools.permutations(range(1, n + 1)):
-            for chains, _ in walk_chains(p, top, p.down_set(top)).values():
-                ids = [c.labels for c in chains]
+            for bottom in p.down_set(top):
+                ids = ids_of(maximal_chains(p, bottom, top))
                 assert all(a < b for a, b in zip(ids, ids[1:]))
                 assert is_poset_lex(ids)
                 listings += 1

@@ -23,7 +23,7 @@ from posetmorse.chains import StepClass, classify_steps
 from posetmorse.posets import (FactorPoset, IncomparableError, PatternPoset,
                                SizeLimitError, euler_characteristic,
                                interval_structure)
-from test_morse import assert_walk_msis_match_the_oracle
+from test_morse import assert_walk_msis_match_the_oracle, msis_fast
 from test_posets import assert_columns_match_the_oracles, euler_by_walk
 
 
@@ -130,11 +130,26 @@ def _first_nonzero(poset, bottom, rng, n):
             return poset, bottom, top
 
 
+def _first_nonzero_above_the_minimum(poset, rng, n):
+    """The first drawn top of length n under which some b has rank at
+    least two, rank gap at least three and a nonzero closed-form Mobius
+    value, with b drawn from every such bottom in the top's down-set: a
+    random bottom almost always gives 0."""
+    while True:
+        top = _draw(rng, poset, n)
+        bottoms = sorted(b for b in poset.down_set(top)
+                         if 2 <= poset.rank(b) <= n - 3 and poset.mobius_closed_form(b, top))
+        if bottoms:
+            return poset, rng.choice(bottoms), top
+
+
 def _seeded_intervals():
     """Six [1, tau] with |tau| = 8..10 and six [eps, w] with w in {a,b}^8..10,
     then, at each length 11 to 14, the first [1, tau] and the first [eps, w]
-    with a critical chain, drawn from a second generator.  The length-14
-    pair is marked slow."""
+    with a critical chain, drawn from a second generator, and at each
+    length 11 to 13 the first [b, tau] and [b, w] with rank(b) >= 2, rank
+    gap >= 3 and a critical chain, drawn from a third.  The length-14 pair
+    is marked slow."""
     rng = random.Random(1107)
     lengths = (8, 8, 9, 9, 10, 10)
     pattern, factor = PatternPoset(max_top=None), FactorPoset(max_top=None)
@@ -144,8 +159,13 @@ def _seeded_intervals():
     for n in (11, 12, 13, 14):
         out.append(_first_nonzero(pattern, (1,), rng, n))
         out.append(_first_nonzero(factor, (), rng, n))
+    rng = random.Random(2005)
+    for n in (11, 12, 13):
+        out.append(_first_nonzero_above_the_minimum(pattern, rng, n))
+        out.append(_first_nonzero_above_the_minimum(factor, rng, n))
     return [pytest.param(poset, bottom, top,
-                         id=f"{poset.kind}-{poset.format(top)}",
+                         id=f"{poset.kind}-{poset.format(top)}" if bottom == poset.minimum
+                         else f"{poset.kind}-{poset.format(bottom)}-{poset.format(top)}",
                          marks=[pytest.mark.slow] if len(top) == 14 else [])
             for poset, bottom, top in out]
 
@@ -221,8 +241,9 @@ def assert_the_fold_matches_the_definitions(poset, top) -> int:
     """At every node of one walk for every bottom under the top, the
     folded step classes, fast-law spans, disjoint family, criticality and
     dimension equal the definitions on the chain the node ends: its
-    classify_steps, poset.msis_fast, disjoint_family of its MSIs, and the
-    set-cover rule.  Returns the number of nodes."""
+    classify_steps, the fast law of the poset's kind, disjoint_family of
+    the MSIs the fold found, and the set-cover rule.  Returns the number
+    of nodes."""
     bottoms = sorted(poset.down_set(top))
     fold = morse.MorseFold(poset, top, bottoms)
     laws = crosscheck.LawFold(poset, fold, bottoms)
@@ -231,7 +252,7 @@ def assert_the_fold_matches_the_definitions(poset, top) -> int:
     def visit(d):
         laws.visit(d)
         chain = path.chain(d)
-        msis = list(path.msis[d])
+        msis = list(fold.msis[d])
         family = morse.disjoint_family(msis)
         if msis:
             critical = ({k for a, b in family for k in range(a, b + 1)}
@@ -241,7 +262,7 @@ def assert_the_fold_matches_the_definitions(poset, top) -> int:
             critical = gap > 0 and chain.steps < 2
         data = fold.chain_data(d)
         assert tuple(laws.classes[1:d]) == classify_steps(chain)
-        assert sorted(laws.fast[d]) == poset.msis_fast(chain)
+        assert sorted(laws.fast[d]) == msis_fast(poset, chain)
         assert (list(data.family), data.critical, data.dim) == (
             family, critical, len(family) - 1 if critical else None)
         nodes.append(d)
@@ -315,7 +336,7 @@ def test_an_incomparable_pair_is_rejected_before_any_route_runs(
         raise AssertionError("a route ran")
 
     for module, name in ((crosscheck, "interval_structure"), (crosscheck, "walk"),
-                         (morse, "walk"), (chains, "walk"), (chains, "walk_chains"),
+                         (morse, "walk"), (chains, "walk"),
                          (closed_form, "mobius_pattern"), (closed_form, "mobius_factor")):
         monkeypatch.setattr(module, name, unreached)
     module, name = route

@@ -7,14 +7,17 @@ import random
 
 import pytest
 
+import posetmorse.cli as cli
+import posetmorse.morse as morse
 from posetmorse import render
-from posetmorse.chains import maximal_chains, walk_chains
-from posetmorse.morse import (disjoint_family, homotopy_type,
+from posetmorse.chains import Path, maximal_chains, walk
+from posetmorse.morse import (MorseFold, disjoint_family, homotopy_type,
                               minimal_skipped_intervals, mobius_morse,
-                              morse_report, skipped_intervals)
+                              morse_report, msis_fast_factor, msis_fast_pattern,
+                              skipped_intervals)
 from posetmorse.posets import (FactorPoset, PatternPoset, interval_structure,
                                mobius_bruteforce)
-from test_chains import assert_walk_matches_the_oracle
+from test_chains import sorted_chains
 
 # per-chain minimal skipped intervals of [1, 213546], in chain id order
 TABLE_MSIS = [
@@ -87,42 +90,94 @@ def _containment_minimal(spans):
             if not any(t != s and s[0] <= t[0] and t[1] <= s[1] for t in spans)]
 
 
+def msis_fast(poset, chain) -> list:
+    """The fast law of the poset's kind on one chain."""
+    return (msis_fast_pattern if poset.kind == "pattern" else msis_fast_factor)(chain)
+
+
+def fold_listing(poset, top, bottoms) -> dict:
+    """Maps each of bottoms to its chains of [b, top] and the MSIs
+    MorseFold found for them, from one walk for all of bottoms, as
+    top_routes makes it."""
+    fold = MorseFold(poset, top, bottoms)
+    path, found = fold.path, {b: ([], []) for b in bottoms}
+
+    def visit(d) -> None:
+        fold.visit(d)
+        at = found.get(path.elements[d])
+        if at is not None:
+            at[0].append(path.chain(d))
+            at[1].append(fold.msis[d])
+
+    walk(poset, path, bottoms, visit)
+    return found
+
+
 def assert_walk_msis_match_the_oracle(poset, top, bottoms) -> None:
     """One walk for all of bottoms lists each bottom's chains as the sorted
     oracle does, with each chain's difference-block MSIs against the
-    earlier chains, as does each bottom's listed report."""
-    walk = assert_walk_matches_the_oracle(poset, top, bottoms)
-    for bottom, (chains, msis) in walk.items():
+    earlier chains, as does each bottom's listed report.  The MSIs the
+    fold carries down a path are a function of the path: the spans of a
+    chain that end before rank d are the same for every chain, under any
+    bottom, through the same first d + 1 elements.  Each chain's spans lie
+    in its interior and rise in both ends."""
+    carried = {}
+    for bottom, (chains, msis) in fold_listing(poset, top, bottoms).items():
+        assert chains == sorted_chains(poset, bottom, top)
         want = [minimal_skipped_intervals(c, chains[:k]) for k, c in enumerate(chains)]
         assert [list(m) for m in msis] == want
+        for chain, spans in zip(chains, msis):
+            assert all(1 <= i <= j < chain.steps for i, j in spans)
+            assert all(a < c and b < d for (a, b), (c, d) in zip(spans, spans[1:]))
+            for d in range(len(chain.elements)):
+                head = tuple(s for s in spans if s[1] < d)
+                assert carried.setdefault(chain.elements[:d + 1], head) == head
         listed = morse_report(poset, bottom, top).chains
         assert [list(d.msis) for d in listed] == want
 
 
 def test_msis_fast_pattern_matches_bruteforce():
     # the difference-block route against the definition on every chain, the
-    # MSIs of one walk per top and each poset's fast law against both
+    # MSIs of one fold walk per top and the fast law of the poset's kind
+    # against both
     p, f = PatternPoset(), FactorPoset()
     tops = [(p, top) for n in range(2, 6)
             for top in itertools.permutations(range(1, n + 1))]
     tops += [(f, top) for n in range(6) for top in itertools.product("ab", repeat=n)]
     for poset, top in tops:
         bottoms = sorted(poset.down_set(top))
-        walk = walk_chains(poset, top, bottoms)
+        listing = fold_listing(poset, top, bottoms)
         for bottom in bottoms:
-            chains, walked = walk[bottom]
+            chains, walked = listing[bottom]
             for k, chain in enumerate(chains):
                 msis = minimal_skipped_intervals(chain, chains[:k])
                 brute = _containment_minimal(skipped_intervals(chain, chains[:k]))
                 assert msis == brute
                 assert list(walked[k]) == msis
-                assert poset.msis_fast(chain) == msis
+                assert msis_fast(poset, chain) == msis
+
+
+def test_a_chain_listing_does_no_morse_work(monkeypatch, capsys):
+    # the walk only walks: MorseFold finds the MSIs, with one bisection per
+    # walk node at depth >= 2, and a listing runs no fold
+    calls = []
+    real = morse.bisect_right
+    monkeypatch.setattr(morse, "bisect_right", lambda *a: calls.append(a) or real(*a))
+    p, bottom, top = PatternPoset(), (1,), (2, 1, 3, 5, 4, 6)
+    assert len(maximal_chains(p, bottom, top)) == 13
+    assert cli.main(["chains", "1", "213546"]) == 0
+    assert "6-5-4-3-1" in capsys.readouterr().out
+    assert calls == []
+    depths = []
+    walk(p, Path(p, top), (bottom,), depths.append)
+    assert morse.morse_summary(p, bottom, top).mobius == 1
+    assert len(calls) == sum(d >= 2 for d in depths) > 13
 
 
 def test_keyed_msis_of_no_chain_and_of_one_step_chains():
     p = PatternPoset()
     # a bottom the walk never reaches has no chain and no MSIs
-    assert walk_chains(p, (1, 2), [(2, 1)]) == {(2, 1): ([], [])}
+    assert fold_listing(p, (1, 2), [(2, 1)]) == {(2, 1): ([], [])}
     assert [d.msis for d in morse_report(p, (1,), (1, 2)).chains] == [()]
     assert [d.msis for d in morse_report(p, (2, 1), (2, 1)).chains] == [()]
 
@@ -135,9 +190,10 @@ def test_a_span_is_skipped_only_by_a_visit_under_its_start(poset, bottom, top):
     # index 3 after both earlier chains did, but neither passes through its
     # element at index 1, so (2, 2) is not skipped: a visit counts only
     # inside the subtree of the node before the span's start.
-    chains, msis = walk_chains(poset, top, [bottom])[bottom]
+    listed = morse_report(poset, bottom, top).chains
+    chains = [d.chain for d in listed]
     assert [c.labels[0] for c in chains] == [1, 1, len(top)]
-    assert [list(m) for m in msis] == [[], [(2, 2)], [(1, 1)]]
+    assert [list(d.msis) for d in listed] == [[], [(2, 2)], [(1, 1)]]
     assert [minimal_skipped_intervals(c, chains[:k])
             for k, c in enumerate(chains)] == [[], [(2, 2)], [(1, 1)]]
 
@@ -149,9 +205,10 @@ def test_walk_msis_match_the_oracle_on_seeded_length_ten_tops():
     w = tuple(rng.choice("ab") for _ in range(10))
     for poset, bottom, top, count in ((PatternPoset(max_top=None), (1,), tau, 234),
                                       (FactorPoset(max_top=None), (), w, 300)):
-        chains, msis = walk_chains(poset, top, [bottom])[bottom]
+        listed = morse_report(poset, bottom, top).chains
+        chains = [d.chain for d in listed]
         assert len(chains) == count
-        assert [list(m) for m in msis] == [
+        assert [list(d.msis) for d in listed] == [
             minimal_skipped_intervals(c, chains[:k]) for k, c in enumerate(chains)]
 
 
