@@ -65,6 +65,9 @@ def parse_alphabet(text: str) -> tuple[str, ...]:
         raise ValueError("alphabet must contain at least one letter")
     if len(set(letters)) != len(letters):
         raise ValueError(f"alphabet has repeated letters: {text!r}")
+    for s in letters:  # each word has its own text (see words)
+        if s != s.strip() or len(s) > 1 and set(s) <= set(letters):
+            raise ValueError(f"ambiguous alphabet {text!r}: letter {s!r} has no text of its own")
     return tuple(letters)
 
 
@@ -222,12 +225,9 @@ def cmd_table1(args) -> int:
 
 def cmd_iso_search(args) -> int:
     alphabet = parse_alphabet(args.alphabet)
-    if not args.force:
-        if args.pattern_cap > 5:
-            raise SizeLimitError(
-                f"pattern cap {args.pattern_cap} above guardrail 5")
-        if args.word_cap > 8:
-            raise SizeLimitError(f"word cap {args.word_cap} above guardrail 8")
+    for name, cap, limit in (("pattern", args.pattern_cap, 5), ("word", args.word_cap, 8)):
+        if cap > limit and not args.force:
+            raise SizeLimitError(f"{name} cap {cap} above guardrail {limit}")
     report = run_iso_search(args.pattern_cap, args.word_cap, alphabet)
     _emit(args, lambda: iso_search_text(report), iso_search_json(report))
     return 0

@@ -3,14 +3,14 @@ The exhaustive cross-check harness: every interval of a poset up to a size
 cap, every Mobius route, and every structural invariant the machinery is
 supposed to satisfy.
 
-evaluate runs every Mobius route on one interval, for this harness and for
-the mobius subcommand alike; it checks its pair with poset.check_pair, as
-morse_report and maximal_chains do, and is then the one-bottom case of
-top_routes, whose bottoms must lie under the top.  Brute force, the Euler
+evaluate runs every Mobius route on one interval for the mobius
+subcommand; it checks its pair with poset.check_pair, as morse_report and
+maximal_chains do, and is then the one-bottom case of top_routes, whose
+bottoms must lie under the top.  Brute force, the Euler
 characteristic and the chain count read only the order relation, so they
 are computed per top and read per bottom: top_routes enumerates a top's
 down-set once for a column of each, and one walk from the top folds the
-Morse route (morse.MorseFold), and the chain laws when asked
+Morse route (morse.MorseFold), and for the sweep the chain laws
 (LawFold), down the chains of every bottom asked for.  No route
 value is memoized across calls, so a check reads only values computed in
 its own call.  A cache file is only checked against the brute-force values
@@ -22,20 +22,20 @@ workers, and the sweep raises WorkerDied naming the dead one.
 
 Per interval the harness runs the route checks of Routes.problems, as the
 mobius subcommand does: the closed form, the critical-chain count and the
-brute-force recursion agree (plus the reduced Euler characteristic when
-the rank gap is at least two) on a value in {-1, 0, 1}.  Then, from the
-chain laws the walk folded for the interval, it verifies that the chain
-listing is poset lexicographic with consistent labels and
-as many chains as the order relation has cover paths, that the poset's
-fast skipped-interval law matches the definition, the descent and ascent
-laws, the disjoint-family laws, and that at most one chain, the
-lexicographically last one, is ever critical, with the homotopy type
-matching the Mobius value.  Label sequences that rise strictly are
-distinct, sorted and poset lexicographic (the chains sharing a prefix
+brute-force recursion agree (plus the reduced Euler characteristic when the
+rank gap is at least two) on a value in {-1, 0, 1}.  Then, from the chain
+laws the walk folded for the interval, it verifies that the chain listing
+is poset lexicographic with consistent labels and as many chains as the
+order relation has cover paths, that the poset's fast skipped-interval law
+matches the definition, the descent and ascent laws, the disjoint-family
+laws, and that at most one chain, the lexicographically last one, is ever
+critical, with brute force giving the report's Mobius value where its
+homotopy type is a point or a sphere.  Label sequences that rise strictly
+are distinct, sorted and poset lexicographic (the chains sharing a prefix
 stand together), so the duplicate, sort and poset-lex checks run only when
-the rise fails.  The problem lines come in a fixed order: the route
-checks, the listing checks, each chain's law lines in chain order, then
-the critical, descent-structure and homotopy checks.
+the rise fails.  The problem lines come in a fixed order: the route checks,
+the listing checks, each chain's law lines in chain order, then the
+critical, descent-structure and homotopy checks.
 """
 
 from __future__ import annotations
@@ -127,10 +127,10 @@ def top_routes(poset, top, bottoms=None, laws=False) -> dict:
             for b in bottoms for i in (position[b],)}
 
 
-def evaluate(poset, bottom, top, laws=False) -> Routes:
+def evaluate(poset, bottom, top) -> Routes:
     """Every route on a checked pair: the one-bottom case of top_routes."""
     poset.check_pair(bottom, top)
-    return top_routes(poset, top, (bottom,), laws)[bottom]
+    return top_routes(poset, top, (bottom,))[bottom]
 
 
 class LawFold:
@@ -289,7 +289,9 @@ def naive_chain_count(poset, interval: IntervalStructure) -> tuple[int, ...]:
 
 def check_interval(poset, bottom, top, routes: Routes) -> IntervalRecord:
     """Run every invariant suite on one interval over its routes with the
-    chain laws, from top_routes or evaluate."""
+    chain laws, from top_routes(..., laws=True).  The homotopy line
+    compares brute force with the report's Mobius value where the report
+    has a homotopy type and at most one critical chain."""
     problems = routes.problems()
     report, laws = routes.report, routes.laws
     gap, mu_brute = report.rank_gap, routes.brute
@@ -318,16 +320,11 @@ def check_interval(poset, bottom, top, routes: Routes) -> IntervalRecord:
             problems.append(
                 "descent-structure: a strictly decreasing id has a strong "
                 "descent before its final step")
-    if gap >= 2:
-        h = report.homotopy
-        if report.critical_count == 0 and (mu_brute != 0 or h.kind != "contractible"):
-            problems.append(f"homotopy: no critical chains but mu={mu_brute}, type={h}")
-        if report.critical_count == 1:
-            dim = report.critical_dims[0]
-            want = -1 if dim % 2 else 1
-            if h.kind != "sphere" or mu_brute != want:
-                problems.append(f"homotopy: one critical chain of dim {dim} "
-                                f"but mu={mu_brute}, type={h}")
+    h = report.homotopy
+    if h is not None and report.critical_count <= 1 and mu_brute != report.mobius:
+        what = (f"one critical chain of dim {report.critical_dims[0]}"
+                if report.critical_dims else "no critical chains")
+        problems.append(f"homotopy: {what} but mu={mu_brute}, type={h}")
 
     return IntervalRecord(
         bottom=poset.format(bottom),

@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 from .posets import (FactorPoset, IntervalStructure, PatternPoset,
                      interval_structure)
+from .words import format_word
 
 
 def certificate(s: IntervalStructure) -> tuple:
@@ -97,7 +98,7 @@ class CatalogEntry:
 class IsoSearchReport:
     pattern_cap: int
     word_cap: int
-    alphabet: str
+    alphabet: tuple[str, ...]
     entries: list[CatalogEntry] = field(default_factory=list)
 
     @property
@@ -121,21 +122,22 @@ def run_iso_search(pattern_cap: int = 4, word_cap: int = 4,
     For each pattern interval with top length at most pattern_cap, look for
     a factor-order interval over ``alphabet`` with top length at most
     word_cap that is isomorphic to it.  The pattern cap must be at least 1,
-    so that some interval is searched, and the word cap at least 0.
+    so that some interval is searched, and the word cap at least 0.  The
+    caps are the only size bound: the posets searched have no guardrail.
     """
     for name, cap, least in (("pattern", pattern_cap, 1), ("word", word_cap, 0)):
         if cap < least:
             raise ValueError(f"{name} cap must be at least {least}, got {cap}")
-    wposet = FactorPoset(alphabet)
+    wposet = FactorPoset(alphabet, max_top=None)
     by_cert: dict[tuple, list[tuple[tuple, tuple, IntervalStructure]]] = {}
     for w in _canonical_words(alphabet, word_cap):
         for u in sorted(wposet.down_set(w), key=lambda e: (len(e), e)):
             s = interval_structure(wposet, u, w)
             by_cert.setdefault(certificate(s), []).append((u, w, s))
 
-    pposet = PatternPoset()
+    pposet = PatternPoset(max_top=None)
     report = IsoSearchReport(pattern_cap=pattern_cap, word_cap=word_cap,
-                             alphabet="".join(alphabet))
+                             alphabet=alphabet)
     for d in range(1, pattern_cap + 1):
         for tau in pposet.elements_of_rank(d):
             for sigma in sorted(pposet.down_set(tau), key=lambda e: (len(e), e)):
@@ -157,7 +159,7 @@ def iso_search_json(report: IsoSearchReport) -> dict:
     return {
         "pattern_cap": report.pattern_cap,
         "word_cap": report.word_cap,
-        "alphabet": report.alphabet,
+        "alphabet": format_word(report.alphabet),
         "total": len(report.entries),
         "matched": report.matched,
         "entries": [asdict(e) for e in report.entries],

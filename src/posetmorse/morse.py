@@ -228,7 +228,7 @@ class MorseReport:
 
     def homotopy_type(self) -> HomotopyType:
         """The homotopy type; a rank gap below two has none."""
-        if self.rank_gap < 2:
+        if self.homotopy is None:
             raise ValueError("degenerate interval: rank gap below two")
         return self.homotopy
 

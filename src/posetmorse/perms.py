@@ -8,9 +8,10 @@ when some contiguous window of tau, read left to right, has its letters in
 the same relative order as sigma.
 
 Text form: permutations of length at most nine render as digit strings
-("213546"); longer ones switch to comma-separated integers.  Embeddings of
-a shorter permutation inside a longer one are written as expansions, digit
-strings padded with zeros outside the occupied window ("000213").
+("213546"); longer ones switch to comma-separated integers.  Parsing
+reads either form, of ASCII digits only.  Embeddings of a shorter
+permutation inside a longer one are written as expansions, digit strings
+padded with zeros outside the occupied window ("000213").
 
 down_covers, interior, exterior and format_permutation are memoized
 process-wide (8,192 entries, like _window_patterns): each permutation is
@@ -178,7 +179,9 @@ def format_permutation(p: tuple[int, ...]) -> str:
 
 def parse_permutation(text: str) -> tuple[int, ...]:
     """
-    Inverse of format_permutation, accepting both text forms.
+    Inverse of format_permutation, accepting both text forms: the text is
+    split on commas, or into characters when it has none, and every part,
+    stripped, must be a run of ASCII digits.
 
     >>> parse_permutation("213546")
     (2, 1, 3, 5, 4, 6)
@@ -186,15 +189,7 @@ def parse_permutation(text: str) -> tuple[int, ...]:
     (2, 1, 3)
     """
     text = text.strip()
-    if not text:
-        raise ValueError("empty permutation text")
-    if "," in text:
-        try:
-            values = [int(part) for part in text.split(",")]
-        except ValueError:
-            raise ValueError(f"bad permutation text {text!r}") from None
-    else:
-        if not text.isdigit():
-            raise ValueError(f"bad permutation text {text!r}")
-        values = [int(ch) for ch in text]
-    return as_permutation(values)
+    parts = [part.strip() for part in (text.split(",") if "," in text else text)]
+    if not parts or not all(part.isascii() and part.isdigit() for part in parts):
+        raise ValueError(f"bad permutation text {text!r}")
+    return as_permutation(map(int, parts))

@@ -5,10 +5,11 @@ A word is a tuple of symbols; the empty tuple is the empty word, which is
 below every word.  Factor order compares by contiguous containment:
 u <= w when u appears as a block of consecutive letters of w.
 
-Text form: words over single-character alphabets render as plain strings
-("abb"), the empty word as "".  Alphabets with multi-character symbols
-switch to comma-separated form.  format_word is memoized process-wide
-(8,192 entries, like _factor_set), so a sweep writes each word's text once.
+Text form: words of one-character letters render as plain strings
+("abb"), the empty word as "", others as comma-separated letters ("a,bb";
+"bb" alone).  cli.parse_alphabet rejects the alphabets in which two words
+share a text.  format_word is memoized process-wide (8,192 entries, like
+_factor_set), so a sweep writes each word's text once.
 """
 
 from __future__ import annotations
@@ -137,16 +138,20 @@ def format_word(w: Word) -> str:
 
 def parse_word(text: str, alphabet: Sequence[str] | None = None) -> Word:
     """
-    Inverse of format_word; accepts "" or the Greek letter epsilon for the
-    empty word.
+    Inverse of format_word: a text that is a letter is that letter, and
+    any other is split on commas, or into characters when it has none.
+    "eps" and the Greek letter epsilon are the empty word, like "", unless
+    they are a word over the alphabet.
 
-    >>> parse_word("abb")
-    ('a', 'b', 'b')
-    >>> parse_word("")
-    ()
+    >>> parse_word("abb"), parse_word(""), parse_word("eps")
+    (('a', 'b', 'b'), (), ())
+    >>> parse_word("eps", ("e", "p", "s")), parse_word("ab", ("ab", "cd"))
+    (('e', 'p', 's'), ('ab',))
     """
     text = text.strip()
-    if text in ("", "ε", "eps"):
-        return ()
+    if text in tuple(alphabet or ()):
+        return (text,)
     symbols = tuple(text.split(",")) if "," in text else tuple(text)
+    if text in ("ε", "eps") and (alphabet is None or not set(symbols) <= set(alphabet)):
+        return ()
     return as_word(symbols, alphabet)

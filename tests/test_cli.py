@@ -71,7 +71,7 @@ def test_mobius_and_check_interval_judge_the_routes_by_one_rule(
     # four routes that agree on 2, a value outside the closed form's range:
     # two critical chains of dimension 0 give a Morse sum of 2
     poset, bottom, top = PatternPoset(), (1,), (2, 1, 3, 5, 4, 6)
-    real = crosscheck.evaluate(poset, bottom, top, laws=True)
+    real = crosscheck.top_routes(poset, top, (bottom,), laws=True)[bottom]
     routes = dataclasses.replace(
         real, closed=2, brute=2, euler=2,
         report=dataclasses.replace(real.report, critical_dims=(0, 0)))
@@ -281,6 +281,23 @@ def test_iso_search_command(capsys):
     assert code == 4
 
 
+def test_iso_search_force_lifts_the_factor_order_limit(capsys):
+    code, out, err = run_cli(capsys, "iso-search", "--pattern-cap", "1",
+                             "--word-cap", "13", "--alphabet", "a", "--force")
+    assert (code, err) == (0, "")
+    assert out.startswith("isomorphism search: pattern tops to 1, word tops to 13 over {a}\n")
+
+
+@pytest.mark.parametrize("alphabet, text, letters", [
+    ("ab", "{a,b}", "ab"), ("a,b", "{a,b}", "ab"), ("ab,cd", "{ab,cd}", "ab,cd")])
+def test_iso_search_names_its_alphabet_by_letters(capsys, alphabet, text, letters):
+    argv = ("iso-search", "--pattern-cap", "2", "--word-cap", "2", "--alphabet", alphabet)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and f"word tops to 2 over {text}\n" in out
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0 and json.loads(out)["alphabet"] == letters
+
+
 @pytest.mark.parametrize("flag, name", [("--pattern-cap", "pattern"),
                                         ("--word-cap", "word")])
 def test_iso_search_rejects_a_negative_cap(capsys, monkeypatch, flag, name):
@@ -315,6 +332,34 @@ def test_alphabet_flag(capsys):
     code, _, err = run_cli(capsys, "mobius", "a", "ab", "--poset", "factor",
                            "--alphabet", "aa")
     assert code == 3
+
+
+@pytest.mark.parametrize("command", ["mobius", "chains", "morse-report", "homotopy"])
+@pytest.mark.parametrize("argv, named", [
+    (("1", "١٢"), "'١٢'"),
+    (("1", "1²"), "'1²'"),
+    (("1", "2,+1"), "'2,+1'"),
+    (("1", "1,2_0"), "'1,2_0'"),
+    (("12,", "213"), "'12,'"),
+    (("1", "1,,2"), "'1,,2'"),
+    (("", "1"), "''"),
+    (("a", "ab", "--poset", "factor", "--alphabet", "a,b,ab"), "'a,b,ab'"),
+    (("a", "ab", "--poset", "factor", "--alphabet", "a, b"), "'a, b'"),
+], ids=["arabic-indic", "superscript", "plus", "underscore", "trailing-comma",
+        "empty-part", "empty", "ambiguous-alphabet", "spaced-letter"])
+def test_malformed_interval_input_is_one_error_line(capsys, command, argv, named):
+    code, out, err = run_cli(capsys, command, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+
+def test_an_ambiguous_alphabet_writes_no_cache(capsys, tmp_path):
+    cache = tmp_path / "mu.cache"
+    code, out, err = run_cli(capsys, "crosscheck", "--poset", "factor", "--alphabet",
+                             "a,b,ab", "--max-size", "2", "--jobs", "1",
+                             "--cache", str(cache))
+    assert (code, out) == (3, "") and "ambiguous alphabet 'a,b,ab'" in err
+    assert not cache.exists()
 
 
 # the records crosscheck --max-size 2 appends after a poisoned [1, 12]

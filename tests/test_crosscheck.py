@@ -175,7 +175,7 @@ SEEDED = _seeded_intervals()
 
 @pytest.mark.parametrize("poset, bottom, top", SEEDED)
 def test_seeded_interval_passes_every_check(poset, bottom, top):
-    routes = crosscheck.evaluate(poset, bottom, top, laws=True)
+    routes = crosscheck.top_routes(poset, top, (bottom,), laws=True)[bottom]
     assert crosscheck.check_interval(poset, bottom, top, routes).problems == ()
 
 
@@ -377,7 +377,7 @@ def test_each_chain_is_classified_once_and_the_last_chain_s_classes_are_checked(
 
     monkeypatch.setattr(crosscheck, "step_class", strong)
     poset, bottom, top = PatternPoset(), (1,), (2, 1, 3, 5, 4, 6)
-    routes = crosscheck.evaluate(poset, bottom, top, laws=True)
+    routes = crosscheck.top_routes(poset, top, (bottom,), laws=True)[bottom]
     problems = crosscheck.check_interval(poset, bottom, top, routes).problems
     ids = routes.laws.ids
     nodes = sorted({c[:k] for c in ids for k in range(2, len(c) + 1)})
@@ -413,7 +413,7 @@ def test_chain_count_catches_a_wrong_cover_rule(monotone_132):
     # treating 132 as monotone drops its cover 12 from the chain listing;
     # the count over the order relation still sees both chains
     poset, bottom, top = PatternPoset(), (1,), (1, 3, 2)
-    routes = crosscheck.evaluate(poset, bottom, top, laws=True)
+    routes = crosscheck.top_routes(poset, top, (bottom,), laws=True)[bottom]
     problems = crosscheck.check_interval(poset, bottom, top, routes).problems
     assert "chains: found 1, naive descent gives 2" in problems
 
@@ -421,7 +421,7 @@ def test_chain_count_catches_a_wrong_cover_rule(monotone_132):
 def test_a_cover_rule_that_lists_no_chain_is_reported(monotone_132):
     # treating 132 as monotone leaves [12, 132] without a chain
     poset, bottom, top = PatternPoset(), (1, 2), (1, 3, 2)
-    routes = crosscheck.evaluate(poset, bottom, top, laws=True)
+    routes = crosscheck.top_routes(poset, top, (bottom,), laws=True)[bottom]
     problems = crosscheck.check_interval(poset, bottom, top, routes).problems
     assert "chains: found 0, naive descent gives 1" in problems
 
@@ -457,7 +457,7 @@ def test_a_bad_chain_listing_is_worded_line_by_line(poset, bottom, top):
     # critical line when the critical chain no longer comes last.  The
     # listing's label tuples stand in for the walk's, and its last chain
     # for the walk's last one
-    routes = crosscheck.evaluate(poset, bottom, top, laws=True)
+    routes = crosscheck.top_routes(poset, top, (bottom,), laws=True)[bottom]
     good = list(morse.morse_report(poset, bottom, top).chains)
     assert routes.laws.ids == tuple(d.chain.labels for d in good)
     n, half = len(good), len(good) // 2

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -269,6 +270,24 @@ def test_interval_structure_matches_the_order_oracle():
                         assert s.downs[i] == {
                             j for j in range(s.size) if i in s.ups[j]}
 
+
+def _seeded_permutations(count, lengths):
+    rng = random.Random(0)
+    return [tuple(rng.sample(range(1, n + 1), n))
+            for n in (rng.choice(lengths) for _ in range(count))]
+
+
+@pytest.mark.parametrize("poset, elements", [
+    (PatternPoset(), [p for n in range(1, 7) for p in itertools.permutations(range(1, n + 1))]
+     + _seeded_permutations(20, (10, 11, 12))),
+] + [
+    (FactorPoset(alphabet), [w for n in range(4) for w in itertools.product(alphabet, repeat=n)])
+    for alphabet in (("a", "b"), ("a", "b", "c"), ("e", "p", "s"), ("a", "bb"), ("ab", "cd"))
+], ids=["pattern", "ab", "abc", "eps", "a-bb", "ab-cd"])
+def test_element_text_round_trips_and_names_one_element(poset, elements):
+    texts = [poset.format(e) for e in elements]
+    assert [poset.parse(t) for t in texts] == elements
+    assert len(set(texts)) == len(texts)
 
 def test_process_wide_down_set_caches_are_bounded():
     for cached in (perms._window_patterns, words._factor_set, perms.exterior,

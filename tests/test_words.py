@@ -91,3 +91,12 @@ def test_format_and_parse_word():
         assert parse_word(empty, ("a", "b")) == ()
     with pytest.raises(ValueError):
         parse_word("abc", ("a", "b"))
+
+
+def test_a_letter_or_a_word_over_the_alphabet_comes_before_eps():
+    assert parse_word("ab", ("ab", "cd")) == ("ab",)
+    assert parse_word("bb", ("a", "bb")) == ("bb",)
+    assert parse_word("eps", ("e", "p", "s")) == w("eps")
+    assert parse_word("eps", ("eps",)) == ("eps",)
+    assert parse_word("ε", ("ε",)) == ("ε",)
+    assert parse_word("eps", ("ab", "cd")) == ()
