@@ -101,13 +101,15 @@ def walk(poset, path: Path, bottoms, visit) -> None:
     Nodes are visited in preorder, each before its children, so a subtree
     is one run of visits, and a visitor that writes slot d at depth d
     holds the current node's ancestors in slots 0..d-1, in preorder, with
-    no push or pop.
+    no push or pop.  A visitor that returns true skips the node's
+    children (morse.MorseFold.pruning_visit).
     """
     elements, windows, labels = path.elements, path.windows, path.labels
     floor = min((poset.rank(b) for b in bottoms), default=poset.rank(elements[0]))
 
     def descend(d) -> None:
-        visit(d)
+        if visit(d):
+            return
         lo, hi = windows[d]
         if hi - lo > floor:
             for child, pos in reversed(poset.down_covers(elements[d])):

@@ -26,7 +26,7 @@ from .crosscheck import (WorkerDied, crosscheck_json, crosscheck_text, evaluate,
 from .isosearch import iso_search_json, iso_search_text, run_iso_search
 from .morse import morse_report, morse_summary
 from .posets import (FactorPoset, IncomparableError, MobiusCache,
-                     PatternPoset, SizeLimitError)
+                     PatternPoset, SizeLimitError, check_alphabet)
 from .perms import format_permutation, parse_permutation
 from .words import format_word, parse_word
 
@@ -59,16 +59,9 @@ def _add_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
 
 
 def parse_alphabet(text: str) -> tuple[str, ...]:
+    """An --alphabet text split on commas, or into characters, and checked."""
     letters = text.split(",") if "," in text else list(text)
-    letters = [s for s in letters if s]
-    if not letters:
-        raise ValueError("alphabet must contain at least one letter")
-    if len(set(letters)) != len(letters):
-        raise ValueError(f"alphabet has repeated letters: {text!r}")
-    for s in letters:  # each word has its own text (see words)
-        if s != s.strip() or len(s) > 1 and set(s) <= set(letters):
-            raise ValueError(f"ambiguous alphabet {text!r}: letter {s!r} has no text of its own")
-    return tuple(letters)
+    return check_alphabet([s for s in letters if s], text)
 
 
 def make_poset(args):

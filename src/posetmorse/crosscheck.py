@@ -103,7 +103,8 @@ def top_routes(poset, top, bottoms=None, laws=False) -> dict:
     laws when laws is true.  One enumeration of the top's down-set gives
     the columns of brute force, the Euler characteristic and the chain
     count, and one walk folds the Morse route, and the laws, down the
-    chains of every bottom.
+    chains of every bottom; without the laws it skips the subtrees of dead
+    nodes (MorseFold.pruning_visit).
 
     >>> from posetmorse.posets import PatternPoset
     >>> p, top = PatternPoset(), (2, 1, 3, 5, 4, 6)
@@ -119,7 +120,7 @@ def top_routes(poset, top, bottoms=None, laws=False) -> dict:
     chain_count = naive_chain_count(poset, interval)
     fold = MorseFold(poset, top, bottoms)
     law_fold = LawFold(poset, fold, bottoms) if laws else None
-    walk(poset, fold.path, bottoms, (law_fold or fold).visit)
+    walk(poset, fold.path, bottoms, law_fold.visit if law_fold else fold.pruning_visit)
     reports = fold.reports()
     found = law_fold.laws() if law_fold else {}
     return {b: Routes(poset.mobius_closed_form(b, top), reports[b], chain_count[i],

@@ -33,6 +33,11 @@ type; no chain is held.  morse_report alone lists the chains with their
 data, for the commands that print them.  disjoint_family and the fast
 laws below stay the per-chain definitions the fold is tested against.
 
+A family only grows down the walk, each new member past the last, so a
+node with an uncovered index below its last member's end has no critical
+chain under it.  The routes alone (morse_summary, and top_routes without
+the chain laws) skip such a dead node's subtree; listings walk it all.
+
 A chain interval (i, j) is stored by the closed index range of the chain
 elements it holds, 1 <= i <= j <= steps-1.
 """
@@ -260,6 +265,13 @@ class MorseFold:
     past the last one.  The chain is critical when its family covers the
     whole interior, covered[d] == d - 1; the empty chain of [x, x] is not,
     since 0 != -1.
+
+    pruning_visit(d) runs visit(d) and returns true at a dead node, where
+    covered[d] is below the end of the family's last member, so no chain
+    under it is critical.  Later nodes read only latest from the subtree,
+    a run of preorder indices holding none of their ancestors, so every
+    element under the node takes the node's index there, and every bottom
+    under it a non-critical last chain: later bisections answer as before.
     """
 
     def __init__(self, poset, top, bottoms):
@@ -302,7 +314,19 @@ class MorseFold:
                     tally[0].append(len(family[d]) - 1)
                 tally[1] = critical
 
-        self.visit = visit
+        def pruning_visit(d) -> bool:
+            visit(d)
+            fam = family[d]
+            if not fam or covered[d] >= fam[-1][1]:
+                return False
+            index = seen[d]
+            for z in poset.down_set(elements[d]):
+                latest[z] = index
+                if z in tallies:
+                    tallies[z][1] = False
+            return True
+
+        self.visit, self.pruning_visit = visit, pruning_visit
 
     def chain_data(self, d: int) -> ChainMorseData:
         """The chain the node at depth d ends, with its Morse data."""
@@ -320,10 +344,10 @@ class MorseFold:
 
 def morse_summary(poset, bottom, top) -> MorseReport:
     """The Morse report of a checked pair, from one walk that lists no
-    chain."""
+    chain and skips the subtrees of dead nodes."""
     poset.check_pair(bottom, top)
     fold = MorseFold(poset, top, (bottom,))
-    walk(poset, fold.path, (bottom,), fold.visit)
+    walk(poset, fold.path, (bottom,), fold.pruning_visit)
     return fold.reports()[bottom]
 
 

@@ -108,9 +108,25 @@ class PatternPoset(_LengthGraded):
         return itertools.permutations(range(1, d + 1))
 
 
+def check_alphabet(letters, text: str | None = None) -> tuple[str, ...]:
+    """The letters as a tuple, when each word over them has its own text
+    (see words): some letter, none repeated, spaced or a run of others.
+    An error names the alphabet by text, or its letters comma-joined."""
+    letters = tuple(letters)
+    text = ",".join(letters) if text is None else text
+    if not letters:
+        raise ValueError("alphabet must contain at least one letter")
+    if len(set(letters)) != len(letters):
+        raise ValueError(f"alphabet has repeated letters: {text!r}")
+    for s in letters:
+        if s != s.strip() or len(s) > 1 and set(s) <= set(letters):
+            raise ValueError(f"ambiguous alphabet {text!r}: letter {s!r} has no text of its own")
+    return letters
+
+
 @dataclass(frozen=True)
 class FactorPoset(_LengthGraded):
-    """Factor order on words over a fixed ordered alphabet."""
+    """Factor order on words over a fixed ordered alphabet (check_alphabet)."""
 
     alphabet: tuple[str, ...] = ("a", "b")
     max_top: int | None = 12
@@ -120,6 +136,9 @@ class FactorPoset(_LengthGraded):
     zero = "0"
     min_rank = 0
     minimum = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "alphabet", check_alphabet(self.alphabet))
 
     @property
     def tag(self) -> str:

@@ -7,9 +7,9 @@ u <= w when u appears as a block of consecutive letters of w.
 
 Text form: words of one-character letters render as plain strings
 ("abb"), the empty word as "", others as comma-separated letters ("a,bb";
-"bb" alone).  cli.parse_alphabet rejects the alphabets in which two words
-share a text.  format_word is memoized process-wide (8,192 entries, like
-_factor_set), so a sweep writes each word's text once.
+"bb" alone).  posets.check_alphabet rejects the alphabets in which two
+words share a text.  format_word is memoized process-wide (8,192
+entries, like _factor_set), so a sweep writes each word's text once.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import hashlib
+import json
 import os
 import random
 import signal
@@ -426,18 +427,35 @@ def test_a_cover_rule_that_lists_no_chain_is_reported(monotone_132):
     assert "chains: found 0, naive descent gives 1" in problems
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("poset, bottom, n", [
-    (PatternPoset(max_top=None), (1,), 16), (FactorPoset(max_top=None), (), 15)],
-    ids=["pattern-16", "factor-15"])
-def test_largest_single_intervals_agree_on_every_route(poset, bottom, n):
+    (PatternPoset(max_top=None), (1,), 16), (FactorPoset(max_top=None), (), 15),
+    (PatternPoset(max_top=None), (1,), 20), (PatternPoset(max_top=None), (1,), 24),
+    (FactorPoset(max_top=None), (), 20),
+    pytest.param(PatternPoset(max_top=None), (1,), 30, marks=pytest.mark.slow),
+    pytest.param(PatternPoset(max_top=None), (1,), 40, marks=pytest.mark.slow)],
+    ids=["pattern-16", "factor-15", "pattern-20", "pattern-24", "factor-20",
+         "pattern-30", "pattern-40"])
+def test_largest_single_intervals_agree_on_every_route(capsys, poset, bottom, n):
     # exit 0: the closed form, the Morse route, brute force and the Euler
-    # characteristic agree on a [1, tau] with |tau| = 16 or an [eps, w] with
-    # |w| = 15 that has a critical chain
+    # characteristic agree on a [1, tau] with |tau| = 16 to 40 or an
+    # [eps, w] with |w| = 15 or 20 that has a critical chain; the Morse
+    # route walks only what the prune leaves of 10^5 to 10^11 chains
     _, _, top = _first_nonzero(poset, bottom, random.Random(1516), n)
     argv = ["mobius", poset.format(bottom), poset.format(top),
-            "--poset", poset.kind, "--force"]
+            "--poset", poset.kind, "--force", "--format", "json"]
     assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["agree"] is True
+
+
+def test_a_large_homotopy_type_agrees_with_the_closed_form(capsys):
+    # the |tau| = 20 draw above: one critical chain, of dimension 3
+    poset = PatternPoset(max_top=None)
+    _, _, top = _first_nonzero(poset, (1,), random.Random(1516), 20)
+    argv = ["homotopy", "1", poset.format(top), "--force", "--format", "json"]
+    assert cli.main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["homotopy"], out["mobius"]) == ("sphere(3)", -1)
+    assert poset.mobius_closed_form((1,), top) == -1
 
 
 @pytest.mark.slow

@@ -8,9 +8,10 @@ import random
 import pytest
 
 import posetmorse.cli as cli
+import posetmorse.crosscheck as crosscheck
 import posetmorse.morse as morse
 from posetmorse import render
-from posetmorse.chains import Path, maximal_chains, walk
+from posetmorse.chains import maximal_chains, walk
 from posetmorse.morse import (MorseFold, disjoint_family, homotopy_type,
                               minimal_skipped_intervals, mobius_morse,
                               morse_report, msis_fast_factor, msis_fast_pattern,
@@ -159,7 +160,8 @@ def test_msis_fast_pattern_matches_bruteforce():
 
 def test_a_chain_listing_does_no_morse_work(monkeypatch, capsys):
     # the walk only walks: MorseFold finds the MSIs, with one bisection per
-    # walk node at depth >= 2, and a listing runs no fold
+    # walk node at depth >= 2, and a listing runs no fold; the Morse route
+    # alone walks only the nodes the prune leaves, fewer than every chain
     calls = []
     real = morse.bisect_right
     monkeypatch.setattr(morse, "bisect_right", lambda *a: calls.append(a) or real(*a))
@@ -168,10 +170,52 @@ def test_a_chain_listing_does_no_morse_work(monkeypatch, capsys):
     assert cli.main(["chains", "1", "213546"]) == 0
     assert "6-5-4-3-1" in capsys.readouterr().out
     assert calls == []
-    depths = []
-    walk(p, Path(p, top), (bottom,), depths.append)
+    full, pruned = fold_walk(p, top, (bottom,), pruned=False), fold_walk(p, top, (bottom,))
+    calls.clear()
     assert morse.morse_summary(p, bottom, top).mobius == 1
-    assert len(calls) == sum(d >= 2 for d in depths) > 13
+    assert len(calls) == sum(d >= 2 for d in pruned[1]) < sum(d >= 2 for d in full[1])
+
+
+def fold_walk(poset, top, bottoms, pruned=True):
+    """Each bottom's critical dimensions and last-chain verdict from one
+    fold walk, pruned or full, and the depth of every node it visited."""
+    fold = MorseFold(poset, top, bottoms)
+    visit, depths = fold.pruning_visit if pruned else fold.visit, []
+    walk(poset, fold.path, bottoms, lambda d: depths.append(d) or visit(d))
+    reports = fold.reports()
+    return {b: (reports[b].critical_dims, reports[b].last_critical) for b in bottoms}, depths
+
+
+def test_the_pruned_fold_equals_the_full_fold():
+    # with every element as a bottom, on every top of the acceptance ranges
+    # (factor order over {a,b} one size further) and on seeded larger tops
+    acceptance = [(poset, top) for poset, max_size in (
+        (PatternPoset(), 6), (FactorPoset(), 7), (FactorPoset(("a", "b", "c")), 5))
+        for n in range(poset.min_rank, max_size + 1) for top in poset.elements_of_rank(n)]
+    assert sum(len(poset.down_set(top)) for poset, top in acceptance) == 10087 + 4093 + 4075
+    rng = random.Random(2305)
+    seeded = [(PatternPoset(), tuple(rng.sample(range(1, 10), 9))) for _ in range(20)]
+    seeded += [(FactorPoset(), tuple(rng.choices("ab", k=10))) for _ in range(20)]
+    for poset, top in acceptance + seeded:
+        bottoms = sorted(poset.down_set(top))
+        assert fold_walk(poset, top, bottoms)[0] == fold_walk(poset, top, bottoms, False)[0]
+
+
+def test_the_routes_prune_the_large_interval_walk(monkeypatch):
+    # [1, tau] with |tau| = 12, the benchmark's seed-1 large-interval draw:
+    # the routes visit at most 200 of the full walk's 2,743 nodes
+    p, bottom = PatternPoset(max_top=None), (1,)
+    top = p.parse("10,7,2,12,1,5,6,4,8,11,9,3")
+    full, every = fold_walk(p, top, (bottom,), pruned=False)
+    pruned, kept = fold_walk(p, top, (bottom,))
+    assert full == pruned and len(every) == 2743 and len(kept) <= 200
+    calls = []
+    real = morse.bisect_right
+    monkeypatch.setattr(morse, "bisect_right", lambda *a: calls.append(a) or real(*a))
+    nodes = sum(d >= 2 for d in kept)
+    assert crosscheck.evaluate(p, bottom, top).report.mobius == 0 and len(calls) == nodes
+    calls.clear()
+    assert morse.morse_summary(p, bottom, top).mobius == 0 and len(calls) == nodes
 
 
 def test_keyed_msis_of_no_chain_and_of_one_step_chains():

@@ -49,6 +49,28 @@ def test_factor_poset_basics():
     assert len(list(FactorPoset(("a", "b", "c")).elements_of_rank(2))) == 9
 
 
+def test_a_string_alphabet_is_stored_as_its_letters():
+    # a string alphabet would test letters by substring: 'ab' in 'abc'
+    f = FactorPoset(alphabet="abc")
+    assert f.alphabet == ("a", "b", "c") and f.tag == "factor:a,b,c"
+    with pytest.raises(ValueError, match="letter 'ab' is not in the alphabet"):
+        f.parse("ab,c")
+
+
+@pytest.mark.parametrize("alphabet, message", [
+    (("a", "b", "ab"), "ambiguous alphabet 'a,b,ab': letter 'ab' has no text of its own"),
+    (("a", " b"), "ambiguous alphabet 'a, b': letter ' b' has no text of its own"),
+    (("a", "a"), "alphabet has repeated letters: 'a,a'"),
+    ((), "alphabet must contain at least one letter")],
+    ids=["run-of-letters", "spaced", "repeated", "empty"])
+def test_a_library_alphabet_in_which_two_words_share_a_text_is_rejected(alphabet, message):
+    # (a, b) and (ab,) would both read 'ab'
+    with pytest.raises(ValueError) as raised:
+        FactorPoset(alphabet)
+    assert str(raised.value) == message
+    assert FactorPoset(("a", "bb")).format(("a", "bb")) == "a,bb"
+
+
 def test_expansion_text():
     p = PatternPoset()
     assert p.expansion_text((1, 2, 4, 3, 5), (1, 6), 6) == "012435"
