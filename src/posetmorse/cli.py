@@ -148,7 +148,7 @@ def cmd_homotopy(args) -> int:
     homotopy = report.homotopy_type()
     _emit(args, lambda: f"{homotopy}\n", {
         **render.interval_json(poset, bottom, top),
-        "homotopy": str(homotopy),
+        "homotopy": homotopy,
         "mobius": report.mobius,
     })
     return 0

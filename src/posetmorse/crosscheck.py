@@ -61,12 +61,10 @@ class WorkerDied(RuntimeError):
 @dataclass(frozen=True)
 class ChainLaws:
     """What the chain laws found on the chains of one interval: their
-    label tuples and the law problem lines, both in chain order, and the
-    step classes of the last chain."""
+    label tuples and the law problem lines, both in chain order."""
 
     ids: tuple[tuple[int, ...], ...]
     lines: tuple[str, ...]
-    last_classes: tuple[StepClass, ...]
 
 
 @dataclass(frozen=True)
@@ -158,7 +156,7 @@ class LawFold:
     - a new family member is checked against the member before it and the
       chain's MSIs.
     A chain that ends at one of bottoms adds its label tuple and its law
-    lines to the bottom's tally, and leaves its step classes there.
+    lines to the bottom's tally.
     Slots run by depth, as on the path: classes[j] is the class of step j,
     set at depth j + 1, and fast[d] the fast law's spans of the chain at
     depth d, by end.
@@ -179,8 +177,8 @@ class LawFold:
         fast_ok = [True] * (n + 1)
         step_lapses = [()] * (n + 1)
         family_lapses = [()] * (n + 1)
-        # bottom -> [label tuples, law lines, the last chain's step classes]
-        self.tallies = tallies = {b: [[], [], []] for b in bottoms}
+        # bottom -> [label tuples, law lines]
+        self.tallies = tallies = {b: [[], []] for b in bottoms}
 
         def lines(d, ids) -> list[str]:
             out = [] if labels_ok[d] else [f"labels: chain {ids} does not match its window"]
@@ -235,14 +233,13 @@ class LawFold:
                 at[0].append(ids)
                 if not (labels_ok[d] and fast_ok[d]) or step_lapses[d] or family_lapses[d]:
                     at[1].extend(lines(d, ids))
-                at[2] = classes[1:d]
 
         self.visit = visit
 
     def laws(self) -> dict:
         """The ChainLaws of every bottom, once the walk is done."""
-        return {b: ChainLaws(tuple(ids), tuple(lines), tuple(classes))
-                for b, (ids, lines, classes) in self.tallies.items()}
+        return {b: ChainLaws(tuple(ids), tuple(lines))
+                for b, (ids, lines) in self.tallies.items()}
 
 
 @dataclass(frozen=True)
@@ -315,17 +312,17 @@ def check_interval(poset, bottom, top, routes: Routes) -> IntervalRecord:
     if report.critical_count == 1 and not report.last_critical:
         problems.append("critical: the critical chain is not the lexicographically last")
     ls = ids[-1] if ids else ()
-    if len(ls) >= 2 and all(ls[k] > ls[k + 1] for k in range(len(ls) - 1)):
-        # the last chain's classes, from the walk
-        if any(c is not StepClass.WEAK_DESCENT for c in laws.last_classes[:-1]):
-            problems.append(
-                "descent-structure: a strictly decreasing id has a strong "
-                "descent before its final step")
-    h = report.homotopy
-    if h is not None and report.critical_count <= 1 and mu_brute != report.mobius:
+    # in a strictly decreasing id a step is a weak descent when its labels drop by one
+    if (len(ls) >= 2 and all(ls[k] > ls[k + 1] for k in range(len(ls) - 1))
+            and any(ls[k] != ls[k + 1] + 1 for k in range(len(ls) - 2))):
+        problems.append(
+            "descent-structure: a strictly decreasing id has a strong "
+            "descent before its final step")
+    if (report.critical_count <= 1 and mu_brute != report.mobius
+            and report.homotopy is not None):
         what = (f"one critical chain of dim {report.critical_dims[0]}"
                 if report.critical_dims else "no critical chains")
-        problems.append(f"homotopy: {what} but mu={mu_brute}, type={h}")
+        problems.append(f"homotopy: {what} but mu={mu_brute}, type={report.homotopy}")
 
     return IntervalRecord(
         bottom=poset.format(bottom),

@@ -170,21 +170,6 @@ def msis_fast_factor(chain: MaximalChain) -> list[Span]:
 
 
 @dataclass(frozen=True)
-class HomotopyType:
-    """Homotopy type of the open interval's order complex."""
-
-    kind: str  # "contractible" | "sphere" | "cells"
-    dims: tuple[int, ...] = ()
-
-    def __str__(self) -> str:
-        if self.kind == "contractible":
-            return "contractible"
-        if self.kind == "sphere":
-            return f"sphere({self.dims[0]})"
-        return "cells[" + ",".join(str(d) for d in self.dims) + "]"
-
-
-@dataclass(frozen=True)
 class ChainMorseData:
     chain: MaximalChain
     msis: tuple[Span, ...]
@@ -220,22 +205,25 @@ class MorseReport:
         return sum(-1 if d % 2 else 1 for d in self.critical_dims)
 
     @property
-    def homotopy(self) -> HomotopyType | None:
-        """None when the rank gap is below two."""
+    def homotopy(self) -> str | None:
+        """The homotopy type of the open interval as text: contractible,
+        sphere(d), or cells[d1,d2,...] with the dims sorted; None when the
+        rank gap is below two."""
         dims = self.critical_dims
         if self.rank_gap < 2:
             return None
         if not dims:
-            return HomotopyType("contractible")
+            return "contractible"
         if len(dims) == 1:
-            return HomotopyType("sphere", dims)
-        return HomotopyType("cells", tuple(sorted(dims)))
+            return f"sphere({dims[0]})"
+        return "cells[" + ",".join(map(str, sorted(dims))) + "]"
 
-    def homotopy_type(self) -> HomotopyType:
+    def homotopy_type(self) -> str:
         """The homotopy type; a rank gap below two has none."""
-        if self.homotopy is None:
+        homotopy = self.homotopy
+        if homotopy is None:
             raise ValueError("degenerate interval: rank gap below two")
-        return self.homotopy
+        return homotopy
 
 
 class MorseFold:
@@ -379,7 +367,7 @@ def mobius_morse(poset, bottom, top) -> int:
     return morse_summary(poset, bottom, top).mobius
 
 
-def homotopy_type(poset, bottom, top) -> HomotopyType:
+def homotopy_type(poset, bottom, top) -> str:
     """
     Homotopy type of the open interval; needs rank gap at least two
     (shorter intervals have an empty or undefined complex).

@@ -117,10 +117,7 @@ def morse_report_text(poset, report: MorseReport) -> str:
     else:
         out.append("critical chains: 0")
     out.append(f"mobius: {report.mobius}")
-    if report.homotopy is not None:
-        out.append(f"homotopy: {report.homotopy}")
-    else:
-        out.append("homotopy: degenerate (rank gap below two)")
+    out.append(f"homotopy: {report.homotopy or 'degenerate (rank gap below two)'}")
     return "\n".join(out) + "\n"
 
 
@@ -169,7 +166,7 @@ def morse_report_json(poset, report: MorseReport) -> dict:
         "rank_gap": report.rank_gap,
         "mobius": report.mobius,
         "critical_count": report.critical_count,
-        "homotopy": str(report.homotopy) if report.homotopy is not None else None,
+        "homotopy": report.homotopy,
         "chains": [
             dict(chain_json(poset, d.chain),
                  msis=[list(s) for s in d.msis],

@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+import posetmorse.bijection as bijection
 import posetmorse.cli as cli
 import posetmorse.closed_form as closed_form
 import posetmorse.crosscheck as crosscheck
@@ -145,6 +146,16 @@ def test_morse_report_json_round_trips(capsys):
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
+def test_morse_report_of_a_contractible_interval(capsys):
+    code, out, _ = run_cli(capsys, "morse-report", "12", "1234")
+    assert code == 0
+    assert out.endswith("critical chains: 0\nmobius: 0\nhomotopy: contractible\n")
+    code, out, _ = run_cli(capsys, "morse-report", "12", "1234", "--format", "json")
+    assert code == 0
+    out = json.loads(out)
+    assert (out["critical_count"], out["mobius"], out["homotopy"]) == (0, 0, "contractible")
+
+
 def test_homotopy_command(capsys):
     code, out, _ = run_cli(capsys, "homotopy", "1", "213546")
     assert code == 0
@@ -169,6 +180,28 @@ def test_bijection_commands(capsys):
     code, out, _ = run_cli(capsys, "bijection", "verify", "--max-length", "4")
     assert code == 0
     assert "ok" in out
+
+
+def test_bijection_verify_names_what_failed(capsys, monkeypatch):
+    # word a sent to 21, the image of b: a round trip, an image and order fail
+    real = bijection.word_to_perm
+    monkeypatch.setattr(bijection, "word_to_perm",
+                        lambda w: (2, 1) if w == ("a",) else real(w))
+    code, out, _ = run_cli(capsys, "bijection", "verify", "--max-length", "3")
+    assert code == 1
+    assert out.endswith("\nfailed: 4 order violations, 1 round-trip failures, "
+                        "1 image mismatches\n")
+
+
+@pytest.mark.parametrize("length, message", [
+    ("1", "need max_length of at least two"), ("9", "exhaustive check capped at length eight")])
+def test_bijection_verify_takes_lengths_two_to_eight(capsys, length, message):
+    assert run_cli(capsys, "bijection", "verify", "--max-length", length) == (
+        3, "", f"error: {message}\n")
+    with pytest.raises(SystemExit) as exc:  # no --force lifts the cap
+        cli.main(["bijection", "verify", "--max-length", length, "--force"])
+    assert exc.value.code == 3
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --force\n")
 
 
 def test_crosscheck_command(capsys):

@@ -20,7 +20,7 @@ import posetmorse.closed_form as closed_form
 import posetmorse.crosscheck as crosscheck
 import posetmorse.morse as morse
 import posetmorse.perms as perms
-from posetmorse.chains import StepClass, classify_steps
+from posetmorse.chains import classify_steps
 from posetmorse.posets import (FactorPoset, IncomparableError, PatternPoset,
                                SizeLimitError, euler_characteristic,
                                interval_structure)
@@ -365,25 +365,30 @@ def monotone_132(monkeypatch):
 
 def test_each_chain_is_classified_once_and_the_last_chain_s_classes_are_checked(
         monkeypatch):
-    # every step called a strong descent: the strictly decreasing last
-    # chain 6-5-4-3-1 then breaks the descent structure, read from the
-    # classes the walk already made.  Each walk node classifies the newest
-    # step of its chain once, in walk order: the walk's nodes with two or
-    # more steps are the label prefixes of the 13 chains, in sorted order
+    # each walk node classifies the newest step of its chain once, in walk
+    # order: the walk's nodes with two or more steps are the label prefixes
+    # of the 13 chains, in sorted order
     calls = []
 
-    def strong(a, b):
+    def recording(a, b):
         calls.append((a, b))
-        return StepClass.STRONG_DESCENT
+        return chains.step_class(a, b)
 
-    monkeypatch.setattr(crosscheck, "step_class", strong)
+    monkeypatch.setattr(crosscheck, "step_class", recording)
     poset, bottom, top = PatternPoset(), (1,), (2, 1, 3, 5, 4, 6)
     routes = crosscheck.top_routes(poset, top, (bottom,), laws=True)[bottom]
-    problems = crosscheck.check_interval(poset, bottom, top, routes).problems
     ids = routes.laws.ids
     nodes = sorted({c[:k] for c in ids for k in range(2, len(c) + 1)})
     assert len(ids) == 13 and calls == [node[-2:] for node in nodes]
-    assert any(p.startswith("descent-structure:") for p in problems)
+    assert crosscheck.check_interval(poset, bottom, top, routes).problems == ()
+    # the descent structure is read off the last chain's labels: 6-5-4-2-1
+    # still falls strictly, but 4-2 is a strong descent before the final step
+    assert ids[-1] == (6, 5, 4, 3, 1)
+    laws = dataclasses.replace(routes.laws, ids=ids[:-1] + ((6, 5, 4, 2, 1),))
+    problems = crosscheck.check_interval(
+        poset, bottom, top, dataclasses.replace(routes, laws=laws)).problems
+    assert problems == ("descent-structure: a strictly decreasing id has a strong "
+                        "descent before its final step",)
 
 
 # The mismatch lines of run_crosscheck(PatternPoset(), n) under monotone_132,
@@ -408,6 +413,13 @@ def test_a_wrong_cover_rule_gets_the_same_lines_in_the_same_order(monotone_132, 
     assert len(lines) == sum(want_kinds.values()) == {4: 65, 5: 464}[n]
     assert dict(kinds) == want_kinds
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == want_sha256
+
+
+def test_the_text_report_lists_fifty_mismatches_and_counts_the_rest(monotone_132):
+    report = crosscheck.run_crosscheck(PatternPoset(), 5)
+    lines = crosscheck.crosscheck_text(report).splitlines()
+    assert lines[3] == "mismatches: 464"
+    assert lines[4:] == [f"  {m}" for m in report.mismatches[:50]] + ["  ... and 414 more"]
 
 
 def test_chain_count_catches_a_wrong_cover_rule(monotone_132):

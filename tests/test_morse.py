@@ -53,7 +53,7 @@ def test_reference_interval_family_differs_only_on_last_chain():
     assert last.dim == 2
     assert sum(1 for d in report.chains if d.critical) == 1
     assert report.mobius == 1
-    assert str(report.homotopy) == "sphere(2)"
+    assert report.homotopy == "sphere(2)"
 
 
 def test_skipped_intervals_direct():
@@ -354,11 +354,11 @@ def test_overlapping_msis_on_words():
 
 def test_homotopy_types():
     p = PatternPoset()
-    assert str(homotopy_type(p, (1,), (2, 1, 3, 5, 4, 6))) == "sphere(2)"
-    assert str(homotopy_type(p, (1, 2, 3), (2, 1, 3, 5, 4))) == "sphere(0)"
-    assert str(homotopy_type(p, (1, 2), (1, 2, 3, 4))) == "contractible"
+    assert homotopy_type(p, (1,), (2, 1, 3, 5, 4, 6)) == "sphere(2)"
+    assert homotopy_type(p, (1, 2, 3), (2, 1, 3, 5, 4)) == "sphere(0)"
+    assert homotopy_type(p, (1, 2), (1, 2, 3, 4)) == "contractible"
     f = FactorPoset()
-    assert str(homotopy_type(f, ("a",), tuple("aba"))) == "sphere(0)"
+    assert homotopy_type(f, ("a",), tuple("aba")) == "sphere(0)"
     with pytest.raises(ValueError):
         homotopy_type(p, (1,), (1, 2))
     with pytest.raises(ValueError):
@@ -374,6 +374,20 @@ def test_degenerate_intervals():
     report = morse_report(p, (1,), (1, 2))
     assert report.mobius == -1
     assert report.homotopy is None
+
+
+@pytest.mark.parametrize("gap, dims, text", [
+    (0, (), None), (1, (-1,), None), (2, (), "contractible"), (4, (2,), "sphere(2)"),
+    (5, (3, 1), "cells[1,3]"), (5, (1, 1, 3), "cells[1,1,3]")])
+def test_the_homotopy_type_is_its_text(gap, dims, text):
+    # None below rank gap two; the dims of several critical chains sorted
+    report = morse.MorseReport((1,), (1,), gap, dims, bool(dims))
+    assert report.homotopy == text
+    if text is None:
+        with pytest.raises(ValueError, match="degenerate interval: rank gap below two"):
+            report.homotopy_type()
+    else:
+        assert report.homotopy_type() == text
 
 
 def test_a_single_element_has_no_critical_chain():

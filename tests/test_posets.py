@@ -262,6 +262,14 @@ def test_mobius_cache_skips_and_cuts_a_torn_final_line(tmp_path):
     assert path.read_text() == "pattern\t1\t12\t-1\npattern\t1\t21\t-1\n"
 
 
+def test_mobius_cache_skips_a_blank_line_between_records(tmp_path):
+    path = tmp_path / "mu.cache"
+    path.write_text("pattern\t1\t12\t-1\n\npattern\t1\t21\t-1\n")
+    cache = MobiusCache(str(path))
+    assert cache.get("pattern", "1", "12") == cache.get("pattern", "1", "21") == -1
+    cache.close()
+
+
 def _oracle_posets():
     """Every interval of three posets: pattern tops of length <= 5, factor
     order over {a,b} to length 5 and over {a,b,c} to length 4."""
