@@ -25,12 +25,13 @@ mobius subcommand does: the closed form, the critical-chain count and the
 brute-force recursion agree (plus the reduced Euler characteristic when the
 rank gap is at least two) on a value in {-1, 0, 1}.  Then, from the chain
 laws the walk folded for the interval, it verifies that the chain listing
-is poset lexicographic with consistent labels and as many chains as the
-order relation has cover paths, that the poset's fast skipped-interval law
-matches the definition, the descent and ascent laws, the disjoint-family
-laws, and that at most one chain, the lexicographically last one, is ever
-critical, with brute force giving the report's Mobius value where its
-homotopy type is a point or a sphere.  Label sequences that rise strictly
+is poset lexicographic with as many chains as the order relation has cover
+paths, that the poset's fast skipped-interval law matches the definition,
+the descent and ascent laws, and that at most one chain, the
+lexicographically last one, is ever critical, with brute force giving the
+report's Mobius value where its homotopy type is a point or a sphere.
+Labels that match their windows and a disjoint family inside the MSIs hold
+by construction (see LawFold).  Label sequences that rise strictly
 are distinct, sorted and poset lexicographic (the chains sharing a prefix
 stand together), so the duplicate, sort and poset-lex checks run only when
 the rise fails.  The problem lines come in a fixed order: the route checks,
@@ -136,14 +137,10 @@ class LawFold:
     """
     The chain laws folded down one walk beside the Morse route: visit(d)
     runs fold.visit(d), then checks the laws on the chain the node ends
-    from the chain's own labels, windows and elements, against the MSIs
-    the fold found.  A child's chain is its parent's plus one step, so
-    each law updates the parent's verdict from the newest step alone, but
-    for the fast law, which also reads the falling run of labels ending
-    there:
-    - the labels match the window when the parent's did and the new label
-      names the position the step deleted: a cover position lies in the
-      window, so a position once missed is never labelled later;
+    from the chain's own labels and elements, against the MSIs the fold
+    found.  A child's chain is its parent's plus one step, so each law
+    updates the parent's verdict from the newest step alone, but for the
+    fast law, which also reads the falling run of labels ending there:
     - the class of step j and the only MSI that can be (j, j) both appear
       at depth j + 1, where the descent law is decided;
     - a new MSI (s, j) newly covers only the steps from max(s, e + 1) to
@@ -152,9 +149,11 @@ class LawFold:
     - the fast law's spans that end at j are the singleton (j, j) when
       labels j - 1 and j fall and step j deletes the window's first
       letter, and (i + 1, j) for each i in the strictly falling run of
-      labels that ends at j whose jump reaches this element at this depth;
-    - a new family member is checked against the member before it and the
-      chain's MSIs.
+      labels that ends at j whose jump reaches this element at this depth.
+    No law reads the labels against the windows or the disjoint family:
+    chains.walk derives both a label and the child's window from one cover
+    position, and MorseFold.visit adds a member only with its new MSI,
+    past the last member and inside that MSI.
     A chain that ends at one of bottoms adds its label tuple and its law
     lines to the bottom's tally.
     Slots run by depth, as on the path: classes[j] is the class of step j,
@@ -165,73 +164,59 @@ class LawFold:
     def __init__(self, poset, fold: MorseFold, bottoms):
         path, msis = fold.path, fold.msis
         elements, windows, labels = path.elements, path.windows, path.labels
-        family, morse_visit, jump, classify = fold.family, fold.visit, poset.jump, step_class
+        morse_visit, jump, classify = fold.visit, poset.jump, step_class
         ascent, strong = StepClass.ASCENT, StepClass.STRONG_DESCENT
         n = len(labels)
         self.classes = classes = [None] * (n + 1)
         self.fast = fast = [()] * (n + 1)
-        # the verdicts on the chain at depth d: whether its labels match its
-        # window and its fast spans equal its MSIs, the (step, line) lapses
-        # of the descent and ascent laws, and the lines of the family laws
-        labels_ok = [True] * (n + 1)
+        # the verdicts on the chain at depth d: whether its fast spans equal
+        # its MSIs, and the (step, line) lapses of the descent and ascent
+        # laws; a chain of one step has no law to break, so depths 0 and 1
+        # keep their first values
         fast_ok = [True] * (n + 1)
         step_lapses = [()] * (n + 1)
-        family_lapses = [()] * (n + 1)
         # bottom -> [label tuples, law lines]
         self.tallies = tallies = {b: [[], []] for b in bottoms}
 
         def lines(d, ids) -> list[str]:
-            out = [] if labels_ok[d] else [f"labels: chain {ids} does not match its window"]
-            out += [line.format(ids) for _, line in step_lapses[d]]
+            out = [line.format(ids) for _, line in step_lapses[d]]
             if not fast_ok[d]:
                 out.append(f"msi-fast: {sorted(fast[d])} != {list(msis[d])} on chain {ids}")
-            return out + [line.format(ids) for line in family_lapses[d]]
+            return out
 
         def visit(d) -> None:
             morse_visit(d)
             e = elements[d]
-            if d:
-                label = labels[d - 1]
-                (plo, phi), lo = windows[d - 1], windows[d][0]
-                labels_ok[d] = labels_ok[d - 1] and label == (lo if lo != plo else phi)
-                steps, members, fast_same = step_lapses[d - 1], family_lapses[d - 1], fast_ok[d - 1]
-                if d > 1:
-                    j, m, prior = d - 1, msis[d], labels[d - 2]
-                    new = m[-1] if m is not msis[d - 1] else None
-                    cls = classes[j] = classify(prior, label)
-                    if cls is strong and new != (j, j):
-                        steps += ((j, f"descent-law: strong descent at {j} of {{}} "
-                                      "is not a singleton interval"),)
-                    if new is not None:
-                        rise = [(i, f"ascent-law: ascent at {i} of {{}} lies in a minimal "
-                                    "skipped interval")
-                                for i in range(max(new[0], m[-2][1] + 1 if len(m) > 1 else 1), d)
-                                if classes[i] is ascent]
-                        if rise:
-                            steps = tuple(sorted(steps + tuple(rise)))
-                    spans = [(j, j)] if prior > label == plo + 1 else []
-                    i = j - 1
-                    while i >= 0 and labels[i] > labels[i + 1]:  # the falling run
-                        x, k = jump(elements[i])
-                        if k == d - i and x == e and (i + 1, j) not in spans:
-                            spans.append((i + 1, j))
-                        i -= 1
-                    fast[d] = fast[d - 1] + tuple(spans) if spans else fast[d - 1]
-                    fast_same = fast_same and spans == ([new] if new else [])
-                    fam = family[d]
-                    if fam is not family[d - 1]:
-                        a, b = fam[-1]
-                        if a <= (fam[-2][1] if len(fam) > 1 else 0):
-                            members += ("family: overlapping members on chain {}",)
-                        if not any(p <= a and b <= q for p, q in m):
-                            members += (f"family: member ({a},{b}) of chain {{}} lies in "
-                                        "no minimal interval",)
-                step_lapses[d], family_lapses[d], fast_ok[d] = steps, members, fast_same
+            if d > 1:
+                j, m, steps = d - 1, msis[d], step_lapses[d - 1]
+                label, prior = labels[j], labels[j - 1]
+                new = m[-1] if m is not msis[d - 1] else None
+                cls = classes[j] = classify(prior, label)
+                if cls is strong and new != (j, j):
+                    steps += ((j, f"descent-law: strong descent at {j} of {{}} "
+                                  "is not a singleton interval"),)
+                if new is not None:
+                    rise = [(i, f"ascent-law: ascent at {i} of {{}} lies in a minimal "
+                                "skipped interval")
+                            for i in range(max(new[0], m[-2][1] + 1 if len(m) > 1 else 1), d)
+                            if classes[i] is ascent]
+                    if rise:
+                        steps = tuple(sorted(steps + tuple(rise)))
+                spans = [(j, j)] if prior > label == windows[j][0] + 1 else []
+                i = j - 1
+                while i >= 0 and labels[i] > labels[i + 1]:  # the falling run
+                    x, k = jump(elements[i])
+                    if k == d - i and x == e and (i + 1, j) not in spans:
+                        spans.append((i + 1, j))
+                    i -= 1
+                fast[d] = fast[d - 1] + tuple(spans) if spans else fast[d - 1]
+                fast_ok[d] = fast_ok[d - 1] and spans == ([new] if new else [])
+                step_lapses[d] = steps
             at = tallies.get(e)
             if at is not None:
                 ids = tuple(labels[:d])
                 at[0].append(ids)
-                if not (labels_ok[d] and fast_ok[d]) or step_lapses[d] or family_lapses[d]:
+                if not fast_ok[d] or step_lapses[d]:
                     at[1].extend(lines(d, ids))
 
         self.visit = visit

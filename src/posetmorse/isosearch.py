@@ -2,12 +2,13 @@
 Search for factor-order intervals isomorphic, as posets, to consecutive
 pattern intervals.
 
-Interval posets are summarized by an iterated-refinement certificate
-(a canonical-form hash); candidate pairs with equal certificates are then
-confirmed or rejected by a backtracking matcher on the full order
-relation.  The certificate is an invariant, not a complete canonical form,
-so the matcher has the final word.  Exploratory tooling: the catalog makes
-no claim beyond the sizes it was run at.
+Interval posets are summarized by an iterated-refinement certificate, the
+sorted hashed colours of their elements, which compares across structures;
+candidate pairs with equal certificates are then confirmed or rejected by
+a backtracking matcher on the full order relation.  The certificate is an
+invariant, not a complete canonical form, so the matcher has the final
+word.  Exploratory tooling: the catalog makes no claim beyond the sizes it
+was run at.
 """
 
 from __future__ import annotations
@@ -26,21 +27,19 @@ def certificate(s: IntervalStructure) -> tuple:
 
 
 def _refined_labels(s: IntervalStructure) -> list:
-    """Per-element colours, refined from (up-degree, down-degree) by the
-    colours above and below until the partition stops splitting."""
-    labels = [(len(s.ups[i]), len(s.downs[i])) for i in range(s.size)]
-    for _round in range(s.size):
-        refined = [
-            (labels[i],
-             tuple(sorted(labels[j] for j in s.ups[i])),
-             tuple(sorted(labels[j] for j in s.downs[i])))
+    """Per-element colours, hashed from (up-degree, down-degree), then with
+    the sorted colours above and below until their number stops growing:
+    hashes, not numbers per structure, so colours compare across structures."""
+    labels = [hash((len(s.ups[i]), len(s.downs[i]))) for i in range(s.size)]
+    count = 0
+    while len(set(labels)) > count:
+        count = len(set(labels))
+        labels = [
+            hash((labels[i],
+                  tuple(sorted(labels[j] for j in s.ups[i])),
+                  tuple(sorted(labels[j] for j in s.downs[i]))))
             for i in range(s.size)
         ]
-        canon = {v: k for k, v in enumerate(sorted(set(refined)))}
-        new = [canon[r] for r in refined]
-        if new == labels:
-            break
-        labels = new
     return labels
 
 

@@ -85,6 +85,27 @@ def test_mobius_and_check_interval_judge_the_routes_by_one_rule(
         "mu-range: closed form returned 2"]
 
 
+@pytest.mark.parametrize("bottom, top, gap", [((1,), (2, 1, 3, 5, 4, 6), 5),
+                                              ((1, 2), (2, 1, 3), 1)])
+def test_the_euler_route_is_judged_from_rank_gap_two(capsys, monkeypatch,
+                                                     bottom, top, gap):
+    # at rank gap one the open interval is empty and Euler checks nothing
+    poset = PatternPoset()
+    real = crosscheck.top_routes(poset, top, (bottom,), laws=True)[bottom]
+    routes = dataclasses.replace(real, euler=real.brute + 2)
+    assert routes.report.rank_gap == gap
+    monkeypatch.setattr(cli, "evaluate", lambda *args: routes)
+    code, out, _ = run_cli(capsys, "mobius", poset.format(bottom), poset.format(top))
+    problems = crosscheck.check_interval(poset, bottom, top, routes).problems
+    lines = [p for p in problems if p.startswith("mu-")]
+    if gap >= 2:
+        assert code == 1 and out.endswith("mismatch: methods disagree\n")
+        assert lines == [f"mu-euler: euler={real.brute + 2} brute={real.brute}"]
+    else:
+        assert code == 0 and "mismatch" not in out
+        assert lines == []
+
+
 def test_incomparable_exit_code(capsys):
     code, _, err = run_cli(capsys, "mobius", "12", "21")
     assert code == 2

@@ -164,11 +164,15 @@ def _seeded_intervals():
     for n in (11, 12, 13):
         out.append(_first_nonzero_above_the_minimum(pattern, rng, n))
         out.append(_first_nonzero_above_the_minimum(factor, rng, n))
-    return [pytest.param(poset, bottom, top,
-                         id=f"{poset.kind}-{poset.format(top)}" if bottom == poset.minimum
-                         else f"{poset.kind}-{poset.format(bottom)}-{poset.format(top)}",
-                         marks=[pytest.mark.slow] if len(top) == 14 else [])
+    return [_interval_param(poset, bottom, top,
+                            marks=[pytest.mark.slow] if len(top) == 14 else [])
             for poset, bottom, top in out]
+
+
+def _interval_param(poset, bottom, top, marks=()):
+    return pytest.param(poset, bottom, top, marks=marks,
+                        id=f"{poset.kind}-{poset.format(top)}" if bottom == poset.minimum
+                        else f"{poset.kind}-{poset.format(bottom)}-{poset.format(top)}")
 
 
 SEEDED = _seeded_intervals()
@@ -194,6 +198,44 @@ def test_seeded_euler_characteristic_matches_the_chain_walk(poset, bottom, top):
 @pytest.mark.parametrize("poset, bottom, top", SEEDED)
 def test_seeded_top_columns_match_the_forward_oracles(poset, bottom, top):
     assert_columns_match_the_oracles(poset, top, [bottom])
+
+
+def _seeded_above_the_minimum(lengths):
+    """At each of lengths, the first [b, tau] and then the first [b, w]
+    with rank(b) >= 2, rank gap >= 3 and a critical chain, from one
+    generator."""
+    rng = random.Random(2030)
+    pattern, factor = PatternPoset(max_top=None), FactorPoset(max_top=None)
+    return [_first_nonzero_above_the_minimum(poset, rng, n)
+            for n in lengths for poset in (pattern, factor)]
+
+
+LARGE_LENGTHS = (14, 16, 18, 20, 24)
+
+
+def assert_the_routes_find_a_sphere(poset, bottom, top):
+    """Every route agrees on a nonzero Mobius value mu, and the pruned
+    Morse walk finds a sphere(d) with (-1)^d = mu."""
+    routes = crosscheck.evaluate(poset, bottom, top)
+    report = routes.report
+    assert routes.problems() == [] and report.mobius != 0
+    d = report.critical_dims[0]
+    assert report.homotopy == f"sphere({d})" and (-1) ** d == report.mobius
+
+
+@pytest.mark.parametrize("poset, bottom, top", [
+    _interval_param(*interval) for interval in _seeded_above_the_minimum(LARGE_LENGTHS)])
+def test_large_seeded_intervals_above_the_minimum_agree_on_every_route(poset, bottom, top):
+    # beyond the exhaustive range, the routes alone: SEEDED runs the full walk
+    assert_the_routes_find_a_sphere(poset, bottom, top)
+
+
+@pytest.mark.slow
+def test_the_next_seeded_pair_agrees_on_every_route_at_length_thirty():
+    # drawn here, not at collection: the draw alone takes about half a second
+    for interval in _seeded_above_the_minimum(LARGE_LENGTHS + (30,))[-2:]:
+        assert len(interval[2]) == 30
+        assert_the_routes_find_a_sphere(*interval)
 
 
 @pytest.mark.parametrize("seed, count", [

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from posetmorse.isosearch import (_canonical_words, certificate,
-                                  find_isomorphism, run_iso_search)
+                                  find_isomorphism, iso_search_text,
+                                  run_iso_search)
 from posetmorse.posets import FactorPoset, PatternPoset, interval_structure
 
 
@@ -45,6 +46,18 @@ def test_non_isomorphic_intervals_do_not_match():
     assert find_isomorphism(four_chain, diamond) is None
     small = interval_structure(f, (), ("a",))
     assert find_isomorphism(four_chain, small) is None
+
+
+def test_certificates_compare_across_structures():
+    # refinement splits every element of both apart; colours numbered per
+    # structure gave the two the same certificate
+    p = PatternPoset()
+    f = FactorPoset()
+    four_ranks = interval_structure(p, (1,), (1, 2, 4, 3))
+    six_chain = interval_structure(f, (), tuple("aaaaa"))
+    assert four_ranks.size == six_chain.size == 6
+    assert certificate(four_ranks) != certificate(six_chain)
+    assert find_isomorphism(four_ranks, six_chain) is None
 
 
 def test_found_map_preserves_order_both_ways():
@@ -98,3 +111,16 @@ def test_run_iso_search_small():
     entry = by_pair[("1", "213")]
     assert entry.matched
     assert entry.word_top in ("ab", "aa")
+
+
+def test_iso_search_text_names_the_unmatched_intervals():
+    text = iso_search_text(run_iso_search(2, 0))
+    assert text.splitlines() == [
+        "isomorphism search: pattern tops to 2, word tops to 0 over {a,b}",
+        "intervals: 5, matched: 3",
+        "  [1, 1]  ~  [eps, eps]",
+        "  [1, 12]  unmatched",
+        "  [12, 12]  ~  [eps, eps]",
+        "  [1, 21]  unmatched",
+        "  [21, 21]  ~  [eps, eps]",
+    ]
