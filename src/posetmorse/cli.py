@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import sys
 from dataclasses import replace
+from functools import cache
 
 from . import render
 from .bijection import perm_to_word, verify_isomorphism, word_to_perm
@@ -226,6 +227,7 @@ def cmd_iso_search(args) -> int:
     return 0
 
 
+@cache  # built once per process: each add_argument makes a HelpFormatter
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="posetmorse",

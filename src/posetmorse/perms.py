@@ -13,9 +13,9 @@ reads either form, of ASCII digits only.  Embeddings of a shorter
 permutation inside a longer one are written as expansions, digit strings
 padded with zeros outside the occupied window ("000213").
 
-down_covers, interior, exterior and format_permutation are memoized
-process-wide (8,192 entries, like _window_patterns): each permutation is
-standardized and written once per process (a text form is no route value).
+The down-set of tau is tau with those of tau[:-1] and tau[1:], standardized;
+it and down_covers, interior, exterior and format_permutation are memoized
+process-wide (8,192 entries): two standardize calls per new permutation.
 """
 
 from __future__ import annotations
@@ -75,13 +75,11 @@ def is_monotone(p: Sequence[int]) -> bool:
 
 @lru_cache(maxsize=8192)  # every pattern of length <= 7
 def _window_patterns(tau: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
-    """All standardized contiguous windows of tau, every width."""
-    pats = set()
-    n = len(tau)
-    for width in range(1, n + 1):
-        for lo in range(n - width + 1):
-            pats.add(standardize(tau[lo:lo + width]))
-    return frozenset(pats)
+    """tau with the down-sets of its two longest proper windows; no cover rule."""
+    if len(tau) == 1:
+        return frozenset((tau,))
+    return (frozenset((tau,)) | _window_patterns(standardize(tau[:-1]))
+            | _window_patterns(standardize(tau[1:])))
 
 
 def leq_consecutive(sigma: tuple[int, ...], tau: tuple[int, ...]) -> bool:

@@ -619,6 +619,30 @@ def test_usage_errors_exit_three(capsys):
     assert run_cli(capsys, "mobius", "12", "21")[0] == 2
 
 
+def test_one_parser_serves_every_call_in_a_process(capsys):
+    # a usage error and the calls after it print what they print with a
+    # freshly built parser, so no call leaves state in the parser
+    argvs = (("mobius", "1"), ("mobius", "1", "213546", "--format", "json"),
+             ("crosscheck", "--max-size", "3", "--jobs", "1"))
+
+    def call(argv):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    cli.build_parser.cache_clear()
+    reused = [call(argv) for argv in argvs]
+    assert cli.build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        fresh.append(call(argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [3, 0, 0]
+
+
 def test_each_subcommand_takes_only_the_flags_it_reads():
     interval = {"--poset", "--alphabet", "--format", "--force"}
     want = {

@@ -238,6 +238,14 @@ def test_the_next_seeded_pair_agrees_on_every_route_at_length_thirty():
         assert_the_routes_find_a_sphere(*interval)
 
 
+@pytest.mark.slow
+def test_the_seeded_pair_after_that_agrees_on_every_route_at_length_forty():
+    # the draw alone takes about three seconds
+    for interval in _seeded_above_the_minimum(LARGE_LENGTHS + (30, 40))[-2:]:
+        assert len(interval[2]) == 40
+        assert_the_routes_find_a_sphere(*interval)
+
+
 @pytest.mark.parametrize("seed, count", [
     (909, 4), pytest.param(9090, 150, marks=pytest.mark.slow)])
 def test_seeded_length_nine_tops_pass_with_every_bottom(seed, count):

@@ -3,12 +3,29 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
+import posetmorse.perms as perms
 from posetmorse.perms import (as_permutation, down_covers, exterior,
                               format_permutation, interior, is_monotone,
                               leq_consecutive, parse_permutation, standardize)
+from posetmorse.posets import PatternPoset
+
+
+def all_windows(tau):
+    """The definition of the down-set: every contiguous window of tau, of
+    every width, standardized."""
+    n = len(tau)
+    return frozenset(standardize(tau[lo:lo + width])
+                     for width in range(1, n + 1) for lo in range(n - width + 1))
+
+
+# every permutation of length <= 7, then two seeded ones at each length 12 to 40
+SMALL = [p for n in range(1, 8) for p in itertools.permutations(range(1, n + 1))]
+_rng = random.Random(1240)
+LONG = [tuple(_rng.sample(range(1, n + 1), n)) for n in range(12, 41) for _ in range(2)]
 
 
 def test_standardize_values():
@@ -64,6 +81,46 @@ def test_leq_consecutive_is_reflexive_and_length_gated():
         for p in itertools.permutations(range(1, n + 1)):
             assert leq_consecutive(p, p)
     assert not leq_consecutive((1, 2, 3), (2, 1))
+
+
+def test_the_down_set_is_every_window_pattern():
+    for tau in SMALL + LONG:
+        assert perms._window_patterns(tau) == all_windows(tau)
+
+
+def test_a_cold_down_set_standardizes_each_new_permutation_at_most_twice(monkeypatch):
+    calls = []
+
+    def counting(seq):
+        calls.append(seq)
+        return standardize(seq)
+
+    perms._window_patterns.cache_clear()
+    monkeypatch.setattr(perms, "standardize", counting)
+    for tau in LONG[-2:]:
+        down = perms._window_patterns(tau)
+        assert down == all_windows(tau)
+    new = perms._window_patterns.cache_info().misses
+    assert new == len(all_windows(LONG[-2]) | all_windows(LONG[-1]))
+    assert len(calls) <= 2 * new
+
+
+def test_the_order_relation_reads_no_cover_rule(monkeypatch):
+    # brute force, the Euler column and the chain count read leq and the
+    # down-set; the Morse route reads the cover rule, so a wrong cover rule
+    # shows as a disagreement only while the order relation ignores it
+    def cover_rule(*args):
+        raise AssertionError("the order relation read the cover rule")
+
+    perms._window_patterns.cache_clear()
+    monkeypatch.setattr(perms, "down_covers", cover_rule)
+    monkeypatch.setattr(perms, "is_monotone", cover_rule)
+    poset = PatternPoset(max_top=None)
+    for top in LONG[::10]:
+        assert poset.down_set(top) == all_windows(top)
+    for tau in itertools.permutations(range(1, 6)):
+        for sigma in itertools.permutations(range(1, 4)):
+            assert poset.leq(sigma, tau) == (sigma in all_windows(tau))
 
 
 def test_down_covers_shape():
