@@ -46,8 +46,8 @@ _FLAGS = {
     "--alphabet": dict(default="ab",
                        help="letters for factor order (string or comma list)"),
     "--max-size": dict(type=int, default=5, metavar="N", help="largest top rank"),
-    "--format": dict(choices=("text", "table", "json"), default="text", dest="fmt",
-                     help="output format (table is an alias for text)"),
+    "--format": dict(choices=("text", "json"), default="text", dest="fmt",
+                     help="output format"),
     "--cache": dict(metavar="PATH", help="brute-force Mobius cache file"),
     "--jobs": dict(type=int, metavar="J", help="worker processes"),
     "--force": dict(action="store_true", help="lift the size guardrails"),

@@ -27,16 +27,16 @@ rank gap is at least two) on a value in {-1, 0, 1}.  Then, from the chain
 laws the walk folded for the interval, it verifies that the chain listing
 is poset lexicographic with as many chains as the order relation has cover
 paths, that the poset's fast skipped-interval law matches the definition,
-the descent and ascent laws, and that at most one chain, the
-lexicographically last one, is ever critical, with brute force giving the
-report's Mobius value where its homotopy type is a point or a sphere.
-Labels that match their windows and a disjoint family inside the MSIs hold
-by construction (see LawFold).  Label sequences that rise strictly
-are distinct, sorted and poset lexicographic (the chains sharing a prefix
-stand together), so the duplicate, sort and poset-lex checks run only when
-the rise fails.  The problem lines come in a fixed order: the route checks,
-the listing checks, each chain's law lines in chain order, then the
-critical, descent-structure and homotopy checks.
+the descent law, and that at most one chain, the lexicographically last
+one, is ever critical.  No check repeats another's verdict: the ascent
+law holds wherever the fast law does (see LawFold), and a homotopy type
+at odds with brute force is a mu-disagreement.  Label sequences that rise
+strictly are distinct, sorted and poset lexicographic (the chains sharing
+a prefix stand together), so the duplicate, sort and poset-lex checks run
+only when the rise fails.
+The problem lines come in a fixed order: the route checks, the listing
+checks, each chain's law lines in chain order, then the critical and
+descent-structure checks.
 """
 
 from __future__ import annotations
@@ -143,43 +143,48 @@ class LawFold:
     fast law, which also reads the falling run of labels ending there:
     - the class of step j and the only MSI that can be (j, j) both appear
       at depth j + 1, where the descent law is decided;
-    - a new MSI (s, j) newly covers only the steps from max(s, e + 1) to
-      j, with e the end of the path's MSI before it, where the ascent law
-      is decided;
     - the fast law's spans that end at j are the singleton (j, j) when
       labels j - 1 and j fall and step j deletes the window's first
       letter, and (i + 1, j) for each i in the strictly falling run of
       labels that ends at j whose jump reaches this element at this depth.
-    No law reads the labels against the windows or the disjoint family:
-    chains.walk derives both a label and the child's window from one cover
-    position, and MorseFold.visit adds a member only with its new MSI,
-    past the last member and inside that MSI.
+    The ascent law, that no ascent lies in an MSI, has no check of its
+    own.  Where the fast law holds, a node's new MSI is a fast span, and
+    every step a fast span newly covers is a descent; so an ascent in an
+    MSI always comes with an msi-fast line, on its chain and every chain
+    below it, under any cover rule.
+    The descent law is implied the same way only while every cover deletes
+    an end letter of its window, at position 1 or the window's length:
+    chains.walk derives both a label (lo + pos) and the child's window
+    from one cover position, and they agree only then.  A cover rule that
+    reports a drop-last cover at a middle position makes the label
+    disagree with the window, and intervals flagged by descent-law lines
+    alone follow (tests/test_crosscheck.py pins one such rule).  No law
+    reads the disjoint family: MorseFold.visit adds a member only with its
+    new MSI, past the last member and inside that MSI.
     A chain that ends at one of bottoms adds its label tuple and its law
-    lines to the bottom's tally.
-    Slots run by depth, as on the path: classes[j] is the class of step j,
-    set at depth j + 1, and fast[d] the fast law's spans of the chain at
-    depth d, by end.
+    lines to the bottom's tally.  fast[d], by depth as on the path, holds
+    the fast law's spans of the chain at depth d, by end.
     """
 
     def __init__(self, poset, fold: MorseFold, bottoms):
         path, msis = fold.path, fold.msis
         elements, windows, labels = path.elements, path.windows, path.labels
         morse_visit, jump, classify = fold.visit, poset.jump, step_class
-        ascent, strong = StepClass.ASCENT, StepClass.STRONG_DESCENT
+        strong = StepClass.STRONG_DESCENT
         n = len(labels)
-        self.classes = classes = [None] * (n + 1)
         self.fast = fast = [()] * (n + 1)
         # the verdicts on the chain at depth d: whether its fast spans equal
-        # its MSIs, and the (step, line) lapses of the descent and ascent
-        # laws; a chain of one step has no law to break, so depths 0 and 1
-        # keep their first values
+        # its MSIs, and the steps where the descent law lapses; a chain of
+        # one step has no law to break, so depths 0 and 1 keep their first
+        # values
         fast_ok = [True] * (n + 1)
-        step_lapses = [()] * (n + 1)
+        lapses = [()] * (n + 1)
         # bottom -> [label tuples, law lines]
         self.tallies = tallies = {b: [[], []] for b in bottoms}
 
         def lines(d, ids) -> list[str]:
-            out = [line.format(ids) for _, line in step_lapses[d]]
+            out = [f"descent-law: strong descent at {j} of {ids} is not a singleton interval"
+                   for j in lapses[d]]
             if not fast_ok[d]:
                 out.append(f"msi-fast: {sorted(fast[d])} != {list(msis[d])} on chain {ids}")
             return out
@@ -188,20 +193,12 @@ class LawFold:
             morse_visit(d)
             e = elements[d]
             if d > 1:
-                j, m, steps = d - 1, msis[d], step_lapses[d - 1]
+                j, m = d - 1, msis[d]
                 label, prior = labels[j], labels[j - 1]
                 new = m[-1] if m is not msis[d - 1] else None
-                cls = classes[j] = classify(prior, label)
-                if cls is strong and new != (j, j):
-                    steps += ((j, f"descent-law: strong descent at {j} of {{}} "
-                                  "is not a singleton interval"),)
-                if new is not None:
-                    rise = [(i, f"ascent-law: ascent at {i} of {{}} lies in a minimal "
-                                "skipped interval")
-                            for i in range(max(new[0], m[-2][1] + 1 if len(m) > 1 else 1), d)
-                            if classes[i] is ascent]
-                    if rise:
-                        steps = tuple(sorted(steps + tuple(rise)))
+                lapses[d] = lapses[d - 1]
+                if classify(prior, label) is strong and new != (j, j):
+                    lapses[d] += (j,)
                 spans = [(j, j)] if prior > label == windows[j][0] + 1 else []
                 i = j - 1
                 while i >= 0 and labels[i] > labels[i + 1]:  # the falling run
@@ -211,12 +208,11 @@ class LawFold:
                     i -= 1
                 fast[d] = fast[d - 1] + tuple(spans) if spans else fast[d - 1]
                 fast_ok[d] = fast_ok[d - 1] and spans == ([new] if new else [])
-                step_lapses[d] = steps
             at = tallies.get(e)
             if at is not None:
                 ids = tuple(labels[:d])
                 at[0].append(ids)
-                if not fast_ok[d] or step_lapses[d]:
+                if not fast_ok[d] or lapses[d]:
                     at[1].extend(lines(d, ids))
 
         self.visit = visit
@@ -272,9 +268,7 @@ def naive_chain_count(poset, interval: IntervalStructure) -> tuple[int, ...]:
 
 def check_interval(poset, bottom, top, routes: Routes) -> IntervalRecord:
     """Run every invariant suite on one interval over its routes with the
-    chain laws, from top_routes(..., laws=True).  The homotopy line
-    compares brute force with the report's Mobius value where the report
-    has a homotopy type and at most one critical chain."""
+    chain laws, from top_routes(..., laws=True)."""
     problems = routes.problems()
     report, laws = routes.report, routes.laws
     gap, mu_brute = report.rank_gap, routes.brute
@@ -303,11 +297,6 @@ def check_interval(poset, bottom, top, routes: Routes) -> IntervalRecord:
         problems.append(
             "descent-structure: a strictly decreasing id has a strong "
             "descent before its final step")
-    if (report.critical_count <= 1 and mu_brute != report.mobius
-            and report.homotopy is not None):
-        what = (f"one critical chain of dim {report.critical_dims[0]}"
-                if report.critical_dims else "no critical chains")
-        problems.append(f"homotopy: {what} but mu={mu_brute}, type={report.homotopy}")
 
     return IntervalRecord(
         bottom=poset.format(bottom),

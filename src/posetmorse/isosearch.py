@@ -21,12 +21,7 @@ from .posets import (FactorPoset, IntervalStructure, PatternPoset,
 from .words import format_word
 
 
-def certificate(s: IntervalStructure) -> tuple:
-    """Isomorphism-invariant summary by iterated neighborhood refinement."""
-    return (s.size, tuple(sorted(_refined_labels(s))))
-
-
-def _refined_labels(s: IntervalStructure) -> list:
+def colours(s: IntervalStructure) -> list:
     """Per-element colours, hashed from (up-degree, down-degree), then with
     the sorted colours above and below until their number stops growing:
     hashes, not numbers per structure, so colours compare across structures."""
@@ -43,15 +38,19 @@ def _refined_labels(s: IntervalStructure) -> list:
     return labels
 
 
-def find_isomorphism(a: IntervalStructure, b: IntervalStructure) -> list[int] | None:
+def certificate(labels: list) -> tuple:
+    """Isomorphism-invariant summary of a structure: its sorted colours."""
+    return tuple(sorted(labels))
+
+
+def find_isomorphism(a: IntervalStructure, la: list, b: IntervalStructure,
+                     lb: list) -> list[int] | None:
     """
     A bijection (as a list: image of each index of ``a``) preserving the
-    order relation both ways, or None.  Backtracking with refinement labels
-    pruning the candidate sets.
+    order relation both ways, or None.  la and lb are the colours of a and
+    b, whose certificates must be equal; backtracking matches only equal
+    colours.
     """
-    la, lb = _refined_labels(a), _refined_labels(b)
-    if sorted(la) != sorted(lb):
-        return None
     order = sorted(range(a.size), key=lambda i: (la[i], -len(a.ups[i])))
     image: list[int | None] = [None] * a.size
     used = [False] * b.size
@@ -128,11 +127,12 @@ def run_iso_search(pattern_cap: int = 4, word_cap: int = 4,
         if cap < least:
             raise ValueError(f"{name} cap must be at least {least}, got {cap}")
     wposet = FactorPoset(alphabet, max_top=None)
-    by_cert: dict[tuple, list[tuple[tuple, tuple, IntervalStructure]]] = {}
+    by_cert: dict[tuple, list[tuple[tuple, tuple, IntervalStructure, list]]] = {}
     for w in _canonical_words(alphabet, word_cap):
         for u in sorted(wposet.down_set(w), key=lambda e: (len(e), e)):
             s = interval_structure(wposet, u, w)
-            by_cert.setdefault(certificate(s), []).append((u, w, s))
+            c = colours(s)
+            by_cert.setdefault(certificate(c), []).append((u, w, s, c))
 
     pposet = PatternPoset(max_top=None)
     report = IsoSearchReport(pattern_cap=pattern_cap, word_cap=word_cap,
@@ -144,8 +144,9 @@ def run_iso_search(pattern_cap: int = 4, word_cap: int = 4,
                 entry = CatalogEntry(
                     bottom=pposet.format(sigma), top=pposet.format(tau),
                     size=s.size, matched=False)
-                for u, w, ws in by_cert.get(certificate(s), []):
-                    if find_isomorphism(s, ws) is not None:
+                c = colours(s)
+                for u, w, ws, wc in by_cert.get(certificate(c), []):
+                    if find_isomorphism(s, c, ws, wc) is not None:
                         entry.matched = True
                         entry.word_bottom = wposet.format(u)
                         entry.word_top = wposet.format(w)

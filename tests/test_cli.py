@@ -225,6 +225,15 @@ def test_bijection_verify_takes_lengths_two_to_eight(capsys, length, message):
     assert capsys.readouterr().err.endswith("error: unrecognized arguments: --force\n")
 
 
+def test_format_takes_one_name_per_output(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["mobius", "1", "12", "--format", "table"])
+    out = capsys.readouterr()
+    assert exc.value.code == 3 and out.out == ""
+    assert out.err.endswith("mobius: error: argument --format: invalid choice: "
+                            "'table' (choose from 'text', 'json')\n")
+
+
 def test_crosscheck_command(capsys):
     code, out, _ = run_cli(capsys, "crosscheck", "--max-size", "4")
     assert code == 0
