@@ -94,9 +94,12 @@ def walk(poset, path: Path, bottoms, visit) -> None:
     calling visit(d) at every node once the path's slots up to depth d
     hold it: every path from the top to x is a maximal chain of [x, top],
     so every node ends one chain.  It reads only the cover rule, taking
-    poset.down_covers last first: a cover at position one deletes the first
-    letter of the window, any other the last, so labels rise and each
-    bottom's chains arrive sorted by label sequence.
+    poset.down_covers last first, and of a cover's position only whether it
+    is one: a cover at position one deletes the first letter of the window
+    and is labelled by that letter's top position, lo + 1; any other
+    deletes the last, labelled hi.  Each label is thus the letter its
+    window drops, labels rise and each bottom's chains arrive sorted by
+    label sequence.
 
     Nodes are visited in preorder, each before its children, so a subtree
     is one run of visits, and a visitor that writes slot d at depth d
@@ -114,27 +117,23 @@ def walk(poset, path: Path, bottoms, visit) -> None:
         if hi - lo > floor:
             for child, pos in reversed(poset.down_covers(elements[d])):
                 elements[d + 1] = child
-                windows[d + 1] = (lo + 1, hi) if pos == 1 else (lo, hi - 1)
-                labels[d] = lo + pos
+                if pos == 1:
+                    windows[d + 1], labels[d] = (lo + 1, hi), lo + 1
+                else:
+                    windows[d + 1], labels[d] = (lo, hi - 1), hi
                 descend(d + 1)
 
     descend(0)
 
 
-def step_class(a: int, b: int) -> StepClass:
-    """The class of a step between labels a and b: an ascent when they
-    rise, a weak descent when they drop by exactly one, a strong descent
-    when they drop further."""
-    if a < b:
-        return StepClass.ASCENT
-    return StepClass.WEAK_DESCENT if a == b + 1 else StepClass.STRONG_DESCENT
-
-
 def classify_steps(chain: MaximalChain) -> tuple[StepClass, ...]:
-    """Classify each interior element by the step_class of its
-    surrounding labels."""
+    """Classify each interior element by its surrounding labels a and b:
+    an ascent when they rise, a weak descent when they drop by exactly
+    one, a strong descent when they drop further."""
     ls = chain.labels
-    return tuple(step_class(a, b) for a, b in zip(ls, ls[1:]))
+    return tuple(StepClass.ASCENT if a < b else
+                 StepClass.WEAK_DESCENT if a == b + 1 else StepClass.STRONG_DESCENT
+                 for a, b in zip(ls, ls[1:]))
 
 
 def is_poset_lex(order: Iterable[tuple[int, ...]]) -> bool:

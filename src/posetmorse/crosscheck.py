@@ -23,20 +23,22 @@ workers, and the sweep raises WorkerDied naming the dead one.
 Per interval the harness runs the route checks of Routes.problems, as the
 mobius subcommand does: the closed form, the critical-chain count and the
 brute-force recursion agree (plus the reduced Euler characteristic when the
-rank gap is at least two) on a value in {-1, 0, 1}.  Then, from the chain
-laws the walk folded for the interval, it verifies that the chain listing
-is poset lexicographic with as many chains as the order relation has cover
-paths, that the poset's fast skipped-interval law matches the definition,
-the descent law, and that at most one chain, the lexicographically last
-one, is ever critical.  No check repeats another's verdict: the ascent
-law holds wherever the fast law does (see LawFold), and a homotopy type
-at odds with brute force is a mu-disagreement.  Label sequences that rise
-strictly are distinct, sorted and poset lexicographic (the chains sharing
-a prefix stand together), so the duplicate, sort and poset-lex checks run
-only when the rise fails.
+rank gap is at least two).  Then, from the chain laws the walk folded for
+the interval, it verifies that the chain listing is poset lexicographic
+with as many chains as the order relation has cover paths, that the
+poset's fast skipped-interval law matches the definition, and that at most
+one chain, the lexicographically last one, is ever critical.  No check
+repeats another's verdict or checks what the code rules out by its build:
+the ascent and descent laws hold wherever the fast law does, a strictly
+falling chain has only weak descents before its last step (both by where
+chains.walk takes its labels, see LawFold), the closed form returns only
+-1, 0 or 1, and a homotopy type at odds with brute force is a
+mu-disagreement.  Label sequences that rise strictly are distinct, sorted
+and poset lexicographic (the chains sharing a prefix stand together), so
+the duplicate, sort and poset-lex checks run only when the rise fails.
 The problem lines come in a fixed order: the route checks, the listing
-checks, each chain's law lines in chain order, then the critical and
-descent-structure checks.
+checks, each chain's fast-law line in chain order, then the critical
+checks.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 
-from .chains import StepClass, is_poset_lex, step_class, walk
+from .chains import is_poset_lex, walk
 from .morse import MorseFold, MorseReport
 from .posets import (IntervalStructure, MobiusCache, euler_characteristic,
                      interval_structure, mobius_bruteforce)
@@ -86,8 +88,6 @@ class Routes:
         checks nothing."""
         closed, morse, brute = self.closed, self.report.mobius, self.brute
         problems = []
-        if closed not in (-1, 0, 1):
-            problems.append(f"mu-range: closed form returned {closed}")
         if not closed == morse == brute:
             problems.append(f"mu-disagreement: closed={closed} morse={morse} brute={brute}")
         if self.report.rank_gap >= 2 and self.euler != brute:
@@ -136,70 +136,56 @@ def evaluate(poset, bottom, top) -> Routes:
 class LawFold:
     """
     The chain laws folded down one walk beside the Morse route: visit(d)
-    runs fold.visit(d), then checks the laws on the chain the node ends
-    from the chain's own labels and elements, against the MSIs the fold
-    found.  A child's chain is its parent's plus one step, so each law
-    updates the parent's verdict from the newest step alone, but for the
-    fast law, which also reads the falling run of labels ending there:
-    - the class of step j and the only MSI that can be (j, j) both appear
-      at depth j + 1, where the descent law is decided;
-    - the fast law's spans that end at j are the singleton (j, j) when
-      labels j - 1 and j fall and step j deletes the window's first
-      letter, and (i + 1, j) for each i in the strictly falling run of
-      labels that ends at j whose jump reaches this element at this depth.
-    The ascent law, that no ascent lies in an MSI, has no check of its
-    own.  Where the fast law holds, a node's new MSI is a fast span, and
-    every step a fast span newly covers is a descent; so an ascent in an
-    MSI always comes with an msi-fast line, on its chain and every chain
-    below it, under any cover rule.
-    The descent law is implied the same way only while every cover deletes
-    an end letter of its window, at position 1 or the window's length:
-    chains.walk derives both a label (lo + pos) and the child's window
-    from one cover position, and they agree only then.  A cover rule that
-    reports a drop-last cover at a middle position makes the label
-    disagree with the window, and intervals flagged by descent-law lines
-    alone follow (tests/test_crosscheck.py pins one such rule).  No law
-    reads the disjoint family: MorseFold.visit adds a member only with its
-    new MSI, past the last member and inside that MSI.
-    A chain that ends at one of bottoms adds its label tuple and its law
-    lines to the bottom's tally.  fast[d], by depth as on the path, holds
-    the fast law's spans of the chain at depth d, by end.
+    runs fold.visit(d), then checks the fast law on the chain the node
+    ends, from the chain's own labels and elements, against the MSIs the
+    fold found.  A child's chain is its parent's plus one step, so the
+    parent's verdict is updated from the spans that end at the newest step
+    j: the singleton (j, j) when labels j - 1 and j fall and step j deletes
+    the window's first letter, and (i + 1, j) for each i in the strictly
+    falling run of labels that ends at j whose jump reaches this element at
+    this depth.
+    The paper's lemmas on labels have no check of their own.  Under any
+    cover rule, a fault in the first two comes with an msi-fast line, on
+    its chain and every chain below it, and the third cannot fail:
+    - no ascent lies in an MSI: where the fast law holds, a node's new MSI
+      is a fast span, and every step a fast span newly covers is a descent;
+    - a strong descent at j is the singleton MSI (j, j): chains.walk labels
+      a step by the letter its window drops, so a step that drops the
+      last letter, hi, follows one that dropped the first, lo, or the
+      last, hi + 1.  A strong descent therefore drops the window's first
+      letter, (j, j) is a fast span, and an MSI other than (j, j) breaks
+      the fast law at the same node;
+    - a strictly falling chain has only weak descents before its last
+      step: every label after a first-letter drop lies in the window left
+      behind, so is larger, and the labels of last-letter drops fall by
+      one.
+    No law reads the disjoint family: MorseFold.visit adds a member only
+    with its new MSI, past the last member and inside that MSI.
+    A chain that ends at one of bottoms adds its label tuple and its
+    msi-fast line to the bottom's tally.  fast[d], by depth as on the path,
+    holds the fast law's spans of the chain at depth d, by end.
     """
 
     def __init__(self, poset, fold: MorseFold, bottoms):
         path, msis = fold.path, fold.msis
         elements, windows, labels = path.elements, path.windows, path.labels
-        morse_visit, jump, classify = fold.visit, poset.jump, step_class
-        strong = StepClass.STRONG_DESCENT
+        morse_visit, jump = fold.visit, poset.jump
         n = len(labels)
         self.fast = fast = [()] * (n + 1)
-        # the verdicts on the chain at depth d: whether its fast spans equal
-        # its MSIs, and the steps where the descent law lapses; a chain of
-        # one step has no law to break, so depths 0 and 1 keep their first
-        # values
+        # whether the fast spans of the chain at depth d equal its MSIs; a
+        # chain of one step has no law to break, so depths 0 and 1 keep
+        # their first value
         fast_ok = [True] * (n + 1)
-        lapses = [()] * (n + 1)
         # bottom -> [label tuples, law lines]
         self.tallies = tallies = {b: [[], []] for b in bottoms}
-
-        def lines(d, ids) -> list[str]:
-            out = [f"descent-law: strong descent at {j} of {ids} is not a singleton interval"
-                   for j in lapses[d]]
-            if not fast_ok[d]:
-                out.append(f"msi-fast: {sorted(fast[d])} != {list(msis[d])} on chain {ids}")
-            return out
 
         def visit(d) -> None:
             morse_visit(d)
             e = elements[d]
             if d > 1:
                 j, m = d - 1, msis[d]
-                label, prior = labels[j], labels[j - 1]
                 new = m[-1] if m is not msis[d - 1] else None
-                lapses[d] = lapses[d - 1]
-                if classify(prior, label) is strong and new != (j, j):
-                    lapses[d] += (j,)
-                spans = [(j, j)] if prior > label == windows[j][0] + 1 else []
+                spans = [(j, j)] if labels[j - 1] > labels[j] == windows[j][0] + 1 else []
                 i = j - 1
                 while i >= 0 and labels[i] > labels[i + 1]:  # the falling run
                     x, k = jump(elements[i])
@@ -212,8 +198,9 @@ class LawFold:
             if at is not None:
                 ids = tuple(labels[:d])
                 at[0].append(ids)
-                if not fast_ok[d] or lapses[d]:
-                    at[1].extend(lines(d, ids))
+                if not fast_ok[d]:
+                    at[1].append(
+                        f"msi-fast: {sorted(fast[d])} != {list(msis[d])} on chain {ids}")
 
         self.visit = visit
 
@@ -290,13 +277,6 @@ def check_interval(poset, bottom, top, routes: Routes) -> IntervalRecord:
         problems.append(f"critical: {report.critical_count} critical chains")
     if report.critical_count == 1 and not report.last_critical:
         problems.append("critical: the critical chain is not the lexicographically last")
-    ls = ids[-1] if ids else ()
-    # in a strictly decreasing id a step is a weak descent when its labels drop by one
-    if (len(ls) >= 2 and all(ls[k] > ls[k + 1] for k in range(len(ls) - 1))
-            and any(ls[k] != ls[k + 1] + 1 for k in range(len(ls) - 2))):
-        problems.append(
-            "descent-structure: a strictly decreasing id has a strong "
-            "descent before its final step")
 
     return IntervalRecord(
         bottom=poset.format(bottom),

@@ -69,20 +69,19 @@ def test_mobius_disagreement_exits_nonzero(capsys, monkeypatch):
 
 def test_mobius_and_check_interval_judge_the_routes_by_one_rule(
         capsys, monkeypatch):
-    # four routes that agree on 2, a value outside the closed form's range:
+    # the Morse route alone parts from the other three, which agree on 1:
     # two critical chains of dimension 0 give a Morse sum of 2
     poset, bottom, top = PatternPoset(), (1,), (2, 1, 3, 5, 4, 6)
     real = crosscheck.top_routes(poset, top, (bottom,), laws=True)[bottom]
     routes = dataclasses.replace(
-        real, closed=2, brute=2, euler=2,
-        report=dataclasses.replace(real.report, critical_dims=(0, 0)))
-    assert routes.report.mobius == 2
+        real, report=dataclasses.replace(real.report, critical_dims=(0, 0)))
+    assert (routes.closed, routes.report.mobius, routes.brute, routes.euler) == (1, 2, 1, 1)
     monkeypatch.setattr(cli, "evaluate", lambda *args: routes)
     code, out, _ = run_cli(capsys, "mobius", "1", "213546")
     assert code == 1 and out.endswith("mismatch: methods disagree\n")
     problems = crosscheck.check_interval(poset, bottom, top, routes).problems
     assert [p for p in problems if p.startswith("mu-")] == [
-        "mu-range: closed form returned 2"]
+        "mu-disagreement: closed=1 morse=2 brute=1"]
 
 
 @pytest.mark.parametrize("bottom, top, gap", [((1,), (2, 1, 3, 5, 4, 6), 5),

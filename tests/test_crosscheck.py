@@ -424,44 +424,14 @@ def monotone_132(monkeypatch):
         yield
 
 
-def test_each_chain_is_classified_once_and_the_last_chain_s_classes_are_checked(
-        monkeypatch):
-    # each walk node classifies the newest step of its chain once, in walk
-    # order: the walk's nodes with two or more steps are the label prefixes
-    # of the 13 chains, in sorted order
-    calls = []
-
-    def recording(a, b):
-        calls.append((a, b))
-        return chains.step_class(a, b)
-
-    monkeypatch.setattr(crosscheck, "step_class", recording)
-    poset, bottom, top = PatternPoset(), (1,), (2, 1, 3, 5, 4, 6)
-    routes = crosscheck.top_routes(poset, top, (bottom,), laws=True)[bottom]
-    ids = routes.laws.ids
-    nodes = sorted({c[:k] for c in ids for k in range(2, len(c) + 1)})
-    assert len(ids) == 13 and calls == [node[-2:] for node in nodes]
-    assert crosscheck.check_interval(poset, bottom, top, routes).problems == ()
-    # the descent structure is read off the last chain's labels: 6-5-4-2-1
-    # still falls strictly, but 4-2 is a strong descent before the final step
-    assert ids[-1] == (6, 5, 4, 3, 1)
-    laws = dataclasses.replace(routes.laws, ids=ids[:-1] + ((6, 5, 4, 2, 1),))
-    problems = crosscheck.check_interval(
-        poset, bottom, top, dataclasses.replace(routes, laws=laws)).problems
-    assert problems == ("descent-structure: a strictly decreasing id has a strong "
-                        "descent before its final step",)
-
-
 # The mismatch lines of run_crosscheck(PatternPoset(), n) under monotone_132:
 # the number of lines of each kind and the sha256 of the lines joined by
 # newlines.
 WRONG_COVER_RULE = {
-    4: ({"chains": 18, "critical": 3, "descent-law": 8, "msi-fast": 8,
-         "mu-disagreement": 14},
-        "36e4ba4dec3e17d08bedec41d03e76824703a7ddb60424d1183362f088816bf5"),
-    5: ({"chains": 132, "critical": 11, "descent-law": 88, "msi-fast": 88,
-         "mu-disagreement": 54},
-        "1e8c5decd8bb89424bdd399f5b114399196c1cf2fd9aed1dc8a0964850fcb2f8"),
+    4: ({"chains": 18, "critical": 3, "msi-fast": 8, "mu-disagreement": 14},
+        "82c60390975e28aa34a0ddb48a7a092c912b2b8ebe2929b99602c3e43cb6cd6f"),
+    5: ({"chains": 132, "critical": 11, "msi-fast": 88, "mu-disagreement": 54},
+        "1fef873ae5bc5d9efd794779af9bdbc7ced07fb4cf8e98533d7edd64d0ee3c30"),
 }
 
 
@@ -471,7 +441,7 @@ def test_a_wrong_cover_rule_gets_the_same_lines_in_the_same_order(monotone_132, 
     kinds = collections.Counter(line.split("] ", 1)[1].split(":", 1)[0]
                                 for line in lines)
     want_kinds, want_sha256 = WRONG_COVER_RULE[n]
-    assert len(lines) == sum(want_kinds.values()) == {4: 51, 5: 373}[n]
+    assert len(lines) == sum(want_kinds.values()) == {4: 43, 5: 285}[n]
     assert dict(kinds) == want_kinds
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == want_sha256
 
@@ -479,14 +449,50 @@ def test_a_wrong_cover_rule_gets_the_same_lines_in_the_same_order(monotone_132, 
 def test_the_text_report_lists_fifty_mismatches_and_counts_the_rest(monotone_132):
     report = crosscheck.run_crosscheck(PatternPoset(), 5)
     lines = crosscheck.crosscheck_text(report).splitlines()
-    assert lines[3] == "mismatches: 373"
-    assert lines[4:] == [f"  {m}" for m in report.mismatches[:50]] + ["  ... and 323 more"]
+    assert lines[3] == "mismatches: 285"
+    assert lines[4:] == [f"  {m}" for m in report.mismatches[:50]] + ["  ... and 235 more"]
 
 
 def _drop_last_in_the_middle(real):
     """A length-4 drop-last cover reported at position 3, a middle letter."""
     return lambda tau: tuple((c, 3 if len(tau) == 4 and pos == 4 else pos)
                              for c, pos in real(tau))
+
+
+def test_the_walk_reads_only_whether_a_cover_drops_the_first_letter(monkeypatch):
+    # a drop-last cover reported at a middle position is still a drop-last:
+    # the sweep's records equal those of the correct rule
+    want = crosscheck.run_crosscheck(PatternPoset(), 5).records
+    with wrong_rule(monkeypatch, perms, "down_covers", _drop_last_in_the_middle):
+        assert crosscheck.run_crosscheck(PatternPoset(), 5).records == want
+
+
+@pytest.mark.parametrize("poset, n, wrong", [
+    (PatternPoset(), 6, None), (FactorPoset(("a", "b")), 7, None),
+    (PatternPoset(), 6, _drop_last_in_the_middle)],
+    ids=["pattern", "factor-ab", "pattern-drop-last-in-the-middle"])
+def test_each_walk_label_is_the_letter_its_window_drops(monkeypatch, poset, n, wrong):
+    # a step from window (lo, hi) to (lo + 1, hi) is labelled lo + 1, one to
+    # (lo, hi - 1) is labelled hi, and every label after a first-letter drop
+    # is larger, whatever position the cover rule reports
+    steps = []
+
+    def visit(d) -> None:
+        if d:
+            (lo, hi), after = path.windows[d - 1], path.windows[d]
+            first = after == (lo + 1, hi)
+            assert first or after == (lo, hi - 1)
+            assert path.labels[d - 1] == (lo + 1 if first else hi)
+            assert all(path.labels[d - 1] > path.labels[k]
+                       for k in range(d - 1) if path.windows[k + 1][0] > path.windows[k][0])
+            steps.append(first)
+
+    with (wrong_rule(monkeypatch, perms, "down_covers", wrong) if wrong
+          else contextlib.nullcontext()):
+        for top in (e for r in range(poset.min_rank, n + 1) for e in poset.elements_of_rank(r)):
+            path = chains.Path(poset, top)
+            chains.walk(poset, path, (poset.minimum,), visit)
+    assert True in steps and False in steps
 
 
 def _reversed(real):
@@ -506,8 +512,6 @@ AB, ABC = FactorPoset(("a", "b")), FactorPoset(("a", "b", "c"))
 @pytest.mark.parametrize("module, name, wrong, poset, n, flagged, sha256", [
     (perms, "is_monotone", _132_monotone, PatternPoset(), 5, 132,
      "0bb5c63bf04becee9a3a192310a9ee60b7f542f467810b18f8aeb5e1d4f09e9e"),
-    (perms, "down_covers", _drop_last_in_the_middle, PatternPoset(), 5, 430,
-     "f998e4fb01cc123e01d0316eee01bf6c4a62eb9e3fc6100782742401a6785ba6"),
     (perms, "down_covers", _reversed, PatternPoset(), 5, 526,
      "c26f0bad232f618fb6bfc9b4b4f0bb41a9dca8e5b7b5684380f3b8696b140a6d"),
     (words, "down_covers_word", _reversed, AB, 6, 776,
@@ -520,7 +524,7 @@ AB, ABC = FactorPoset(("a", "b")), FactorPoset(("a", "b", "c"))
      "f95eb7f1d50fd092a02c31f8b44323eca1b8cbdfdb4d474ed7a3ae892ae7efa7"),
     (morse, "_exterior_jump", _jump_without_interior_test, ABC, 4, 90,
      "7976d5b3297e26feeaea848ae24cbe76c475fb4edc05bae39729a10ef8145328"),
-], ids=["monotone-132", "drop-last-in-the-middle", "pattern-covers-reversed",
+], ids=["monotone-132", "pattern-covers-reversed",
         "word-covers-reversed-ab", "word-covers-reversed-abc",
         "jump-without-interior-pattern", "jump-without-interior-ab",
         "jump-without-interior-abc"])
@@ -532,10 +536,6 @@ def test_a_wrong_rule_flags_the_same_intervals(monkeypatch, module, name, wrong,
     intervals = sorted([r.bottom, r.top] for r in bad)
     assert len(intervals) == flagged
     assert hashlib.sha256(json.dumps(intervals).encode()).hexdigest() == sha256
-    if wrong is _drop_last_in_the_middle:
-        # the label names a middle letter, the window drops its last: some
-        # intervals are flagged by the descent law alone
-        assert any(all(p.startswith("descent-law:") for p in r.problems) for r in bad)
 
 
 def test_chain_count_catches_a_wrong_cover_rule(monotone_132):
