@@ -144,7 +144,9 @@ def is_poset_lex(order: Iterable[tuple[int, ...]]) -> bool:
     one step past the split comes before every chain sharing D's.  For
     distinct chains that holds exactly when the chains sharing each label
     prefix, the empty one included, stand at consecutive positions; a
-    repeated chain admits no consistent order.
+    repeated chain admits no consistent order.  No sweep calls it (see
+    crosscheck.LawFold): it is the definition the tests read, and
+    perfbench/tracing.py wraps it by name.
     """
     last: dict[tuple[int, ...], int] = {}
     for pos, labels in enumerate(order):

@@ -62,7 +62,7 @@ def _add_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
 def parse_alphabet(text: str) -> tuple[str, ...]:
     """An --alphabet text split on commas, or into characters, and checked."""
     letters = text.split(",") if "," in text else list(text)
-    return check_alphabet([s for s in letters if s], text)
+    return check_alphabet(letters, text)
 
 
 def make_poset(args):

@@ -3,42 +3,43 @@ The exhaustive cross-check harness: every interval of a poset up to a size
 cap, every Mobius route, and every structural invariant the machinery is
 supposed to satisfy.
 
-evaluate runs every Mobius route on one interval for the mobius
-subcommand; it checks its pair with poset.check_pair, as morse_report and
+evaluate runs every Mobius route on one interval for the mobius subcommand;
+it checks its pair with poset.check_pair, as morse_report and
 maximal_chains do, and is then the one-bottom case of top_routes, whose
-bottoms must lie under the top.  Brute force, the Euler
-characteristic and the chain count read only the order relation, so they
+bottoms must lie under the top.  Brute force, the Euler characteristic and,
+for the chain laws, the chain count read only the order relation, so they
 are computed per top and read per bottom: top_routes enumerates a top's
 down-set once for a column of each, and one walk from the top folds the
-Morse route (morse.MorseFold), and for the sweep the chain laws
-(LawFold), down the chains of every bottom asked for.  No route
-value is memoized across calls, so a check reads only values computed in
-its own call.  A cache file is only checked against the brute-force values
-and appended to, never read in their place.  A parallel sweep submits runs
-of consecutive tops in order and reads them in order, so its records
-arrive in sweep order, as in a serial one.  A worker killed from outside
-(the OOM killer, SIGKILL) breaks the pool: the executor stops the other
-workers, and the sweep raises WorkerDied naming the dead one.
+Morse route (morse.MorseFold), and for the sweep the chain laws (LawFold),
+down the chains of every bottom asked for.  No route value is memoized
+across calls, so a check reads only values computed in its own call.  A
+cache file is only checked against the brute-force values and appended to,
+never read in their place.  A parallel sweep submits runs of consecutive
+tops in order and reads them in order, so its records arrive in sweep
+order, as in a serial one.  A worker killed from outside (the OOM killer,
+SIGKILL) breaks the pool: the executor stops the other workers, and the
+sweep raises WorkerDied naming the dead one.
 
 Per interval the harness runs the route checks of Routes.problems, as the
 mobius subcommand does: the closed form, the critical-chain count and the
 brute-force recursion agree (plus the reduced Euler characteristic when the
 rank gap is at least two).  Then, from the chain laws the walk folded for
-the interval, it verifies that the chain listing is poset lexicographic
-with as many chains as the order relation has cover paths, that the
-poset's fast skipped-interval law matches the definition, and that at most
-one chain, the lexicographically last one, is ever critical.  No check
-repeats another's verdict or checks what the code rules out by its build:
-the ascent and descent laws hold wherever the fast law does, a strictly
-falling chain has only weak descents before its last step (both by where
-chains.walk takes its labels, see LawFold), the closed form returns only
--1, 0 or 1, and a homotopy type at odds with brute force is a
-mu-disagreement.  Label sequences that rise strictly are distinct, sorted
-and poset lexicographic (the chains sharing a prefix stand together), so
-the duplicate, sort and poset-lex checks run only when the rise fails.
-The problem lines come in a fixed order: the route checks, the listing
-checks, each chain's fast-law line in chain order, then the critical
-checks.
+the interval, it verifies that the chains' label sequences rise strictly in
+the order the walk lists them, that there are as many chains as the order
+relation has cover paths, that the poset's fast skipped-interval law
+matches the definition, and that at most one chain, the lexicographically
+last one, is ever critical.  No check repeats another's verdict or checks
+what the code rules out by its build: the ascent and descent laws hold
+wherever the fast law does, a strictly falling chain has only weak descents
+before its last step (both by where chains.walk takes its labels, see
+LawFold), the closed form returns only -1, 0 or 1, and a homotopy type at
+odds with brute force is a mu-disagreement.  Label sequences that rise
+strictly are distinct, sorted and poset lexicographic (the chains sharing a
+prefix stand together), and a duplicate, an unsorted pair or a poset-lex
+fault breaks the rise, so one rise line, naming the first two sequences in
+a row that do not rise, stands for all three.  The problem lines come in a
+fixed order: the route checks, the rise line, the count line, each chain's
+fast-law line in chain order, then the critical checks.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 
-from .chains import is_poset_lex, walk
+from .chains import walk
 from .morse import MorseFold, MorseReport
 from .posets import (IntervalStructure, MobiusCache, euler_characteristic,
                      interval_structure, mobius_bruteforce)
@@ -62,25 +63,15 @@ class WorkerDied(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ChainLaws:
-    """What the chain laws found on the chains of one interval: their
-    label tuples and the law problem lines, both in chain order."""
-
-    ids: tuple[tuple[int, ...], ...]
-    lines: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class Routes:
-    """Every Mobius route on one interval, its number of maximal chains by
-    the order relation, and the chain laws where they were asked for."""
+    """Every Mobius route on one interval, and the problem lines of the
+    chain laws where they were asked for (LawFold.laws)."""
 
     closed: int
     report: MorseReport
-    chain_count: int
     brute: int
     euler: int | None
-    laws: ChainLaws | None = None
+    laws: tuple[str, ...] | None = None
 
     def problems(self) -> list[str]:
         """The route checks that check_interval and cli.cmd_mobius share.
@@ -100,10 +91,10 @@ def top_routes(poset, top, bottoms=None, laws=False) -> dict:
     The Routes of [b, top] for every b in bottoms, which must lie under the
     top, every element under the top when bottoms is None, with the chain
     laws when laws is true.  One enumeration of the top's down-set gives
-    the columns of brute force, the Euler characteristic and the chain
-    count, and one walk folds the Morse route, and the laws, down the
-    chains of every bottom; without the laws it skips the subtrees of dead
-    nodes (MorseFold.pruning_visit).
+    the columns of brute force, the Euler characteristic and, with the
+    laws, the chain count, and one walk folds the Morse route, and the
+    laws, down the chains of every bottom; without the laws it skips the
+    subtrees of dead nodes (MorseFold.pruning_visit).
 
     >>> from posetmorse.posets import PatternPoset
     >>> p, top = PatternPoset(), (2, 1, 3, 5, 4, 6)
@@ -116,14 +107,14 @@ def top_routes(poset, top, bottoms=None, laws=False) -> dict:
     position = {e: i for i, e in enumerate(interval.elements)}
     brute = mobius_bruteforce(poset, interval)
     euler = euler_characteristic(poset, interval)
-    chain_count = naive_chain_count(poset, interval)
     fold = MorseFold(poset, top, bottoms)
-    law_fold = LawFold(poset, fold, bottoms) if laws else None
+    count = naive_chain_count(poset, interval) if laws else None
+    law_fold = LawFold(poset, fold, {b: count[position[b]] for b in bottoms}) if laws else None
     walk(poset, fold.path, bottoms, law_fold.visit if law_fold else fold.pruning_visit)
     reports = fold.reports()
     found = law_fold.laws() if law_fold else {}
-    return {b: Routes(poset.mobius_closed_form(b, top), reports[b], chain_count[i],
-                      brute[i], euler[i], found.get(b))
+    return {b: Routes(poset.mobius_closed_form(b, top), reports[b], brute[i], euler[i],
+                      found.get(b))
             for b in bottoms for i in (position[b],)}
 
 
@@ -161,12 +152,15 @@ class LawFold:
       one.
     No law reads the disjoint family: MorseFold.visit adds a member only
     with its new MSI, past the last member and inside that MSI.
-    A chain that ends at one of bottoms adds its label tuple and its
-    msi-fast line to the bottom's tally.  fast[d], by depth as on the path,
-    holds the fast law's spans of the chain at depth d, by end.
+    A chain that ends at a bottom b, a key of expect, adds to b's tally:
+    one chain, its label tuple as the last, the first two tuples in a row
+    that do not rise, and its msi-fast line; laws() weighs the count
+    against expect[b], b's chains by the order relation.  fast[d], by
+    depth as on the path, holds the fast law's spans of the chain at depth
+    d, by end.
     """
 
-    def __init__(self, poset, fold: MorseFold, bottoms):
+    def __init__(self, poset, fold: MorseFold, expect: dict):
         path, msis = fold.path, fold.msis
         elements, windows, labels = path.elements, path.windows, path.labels
         morse_visit, jump = fold.visit, poset.jump
@@ -176,8 +170,9 @@ class LawFold:
         # chain of one step has no law to break, so depths 0 and 1 keep
         # their first value
         fast_ok = [True] * (n + 1)
-        # bottom -> [label tuples, law lines]
-        self.tallies = tallies = {b: [[], []] for b in bottoms}
+        self.expect = expect
+        # bottom -> [chains, last label tuple, first two not rising, lines]
+        self.tallies = tallies = {b: [0, None, None, []] for b in expect}
 
         def visit(d) -> None:
             morse_visit(d)
@@ -197,17 +192,26 @@ class LawFold:
             at = tallies.get(e)
             if at is not None:
                 ids = tuple(labels[:d])
-                at[0].append(ids)
+                if at[0] and at[2] is None and ids <= at[1]:
+                    at[2] = at[1], ids
+                at[0] += 1
+                at[1] = ids
                 if not fast_ok[d]:
-                    at[1].append(
+                    at[3].append(
                         f"msi-fast: {sorted(fast[d])} != {list(msis[d])} on chain {ids}")
 
         self.visit = visit
 
     def laws(self) -> dict:
-        """The ChainLaws of every bottom, once the walk is done."""
-        return {b: ChainLaws(tuple(ids), tuple(lines))
-                for b, (ids, lines) in self.tallies.items()}
+        """The law lines of every bottom, once the walk is done: the rise
+        line, the count line, then the msi-fast lines in chain order."""
+        found = {}
+        for b, (count, _, fall, lines) in self.tallies.items():
+            head = [f"chains: labels {fall[0]} then {fall[1]} do not rise"] if fall else []
+            if count != self.expect[b]:
+                head.append(f"chains: found {count}, naive descent gives {self.expect[b]}")
+            found[b] = tuple(head + lines)
+        return found
 
 
 @dataclass(frozen=True)
@@ -253,34 +257,20 @@ def naive_chain_count(poset, interval: IntervalStructure) -> tuple[int, ...]:
     return tuple(paths)
 
 
-def check_interval(poset, bottom, top, routes: Routes) -> IntervalRecord:
+def check_interval(poset, routes: Routes) -> IntervalRecord:
     """Run every invariant suite on one interval over its routes with the
     chain laws, from top_routes(..., laws=True)."""
-    problems = routes.problems()
-    report, laws = routes.report, routes.laws
+    report = routes.report
     gap, mu_brute = report.rank_gap, routes.brute
-
-    ids = laws.ids
-    rising = all(a < b for a, b in zip(ids, ids[1:]))  # see the module docstring
-    if not rising and len(set(ids)) != len(ids):
-        problems.append("chains: duplicate label sequences")
-    if not rising and list(ids) != sorted(ids):
-        problems.append("chains: not sorted by label sequence")
-    expect = routes.chain_count
-    if len(ids) != expect:
-        problems.append(f"chains: found {len(ids)}, naive descent gives {expect}")
-    if not rising and not is_poset_lex(ids):
-        problems.append("poset-lex: chain order violates the divergence property")
-    problems.extend(laws.lines)
-
+    problems = routes.problems() + list(routes.laws)
     if report.critical_count > 1:
         problems.append(f"critical: {report.critical_count} critical chains")
     if report.critical_count == 1 and not report.last_critical:
         problems.append("critical: the critical chain is not the lexicographically last")
 
     return IntervalRecord(
-        bottom=poset.format(bottom),
-        top=poset.format(top),
+        bottom=poset.format(report.bottom),
+        top=poset.format(report.top),
         rank_gap=gap,
         mu_closed=routes.closed,
         mu_morse=report.mobius,
@@ -292,8 +282,8 @@ def check_interval(poset, bottom, top, routes: Routes) -> IntervalRecord:
 
 def _interval_records(poset, tops) -> list[IntervalRecord]:
     """Every interval under the given tops, from one top_routes call per top."""
-    return [check_interval(poset, b, top, routes)
-            for top in tops for b, routes in top_routes(poset, top, laws=True).items()]
+    return [check_interval(poset, routes)
+            for top in tops for routes in top_routes(poset, top, laws=True).values()]
 
 
 def _worker(args) -> list[IntervalRecord]:

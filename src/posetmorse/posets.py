@@ -110,8 +110,9 @@ class PatternPoset(_LengthGraded):
 
 def check_alphabet(letters, text: str | None = None) -> tuple[str, ...]:
     """The letters as a tuple, when each word over them has its own text
-    (see words): some letter, none repeated, spaced or a run of others.
-    An error names the alphabet by text, or its letters comma-joined."""
+    (see words): some letter, none repeated, empty, holding a comma,
+    spaced or a run of others.  An error names the alphabet by text, or
+    its letters comma-joined."""
     letters = tuple(letters)
     text = ",".join(letters) if text is None else text
     if not letters:
@@ -119,7 +120,8 @@ def check_alphabet(letters, text: str | None = None) -> tuple[str, ...]:
     if len(set(letters)) != len(letters):
         raise ValueError(f"alphabet has repeated letters: {text!r}")
     for s in letters:
-        if s != s.strip() or len(s) > 1 and set(s) <= set(letters):
+        run = len(s) > 1 and set(s) <= set(letters)
+        if not s or "," in s or s != s.strip() or run:
             raise ValueError(f"ambiguous alphabet {text!r}: letter {s!r} has no text of its own")
     return letters
 

@@ -177,8 +177,8 @@ def test_is_poset_lex_rejects_bad_shuffles():
 
 def test_strictly_rising_label_sequences_are_poset_lex():
     # in a sorted list of distinct equal-length tuples, the tuples sharing
-    # any prefix stand together: check_interval's strict-rise gate implies
-    # its duplicate, sort and poset-lex checks
+    # any prefix stand together: the sweep's one rise check (LawFold)
+    # stands for a duplicate, a sort and a poset-lex check
     rng = random.Random(2005)
     for _ in range(3000):
         steps, letters = rng.randint(0, 6), rng.randint(1, 4)

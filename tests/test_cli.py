@@ -79,7 +79,7 @@ def test_mobius_and_check_interval_judge_the_routes_by_one_rule(
     monkeypatch.setattr(cli, "evaluate", lambda *args: routes)
     code, out, _ = run_cli(capsys, "mobius", "1", "213546")
     assert code == 1 and out.endswith("mismatch: methods disagree\n")
-    problems = crosscheck.check_interval(poset, bottom, top, routes).problems
+    problems = crosscheck.check_interval(poset, routes).problems
     assert [p for p in problems if p.startswith("mu-")] == [
         "mu-disagreement: closed=1 morse=2 brute=1"]
 
@@ -95,7 +95,7 @@ def test_the_euler_route_is_judged_from_rank_gap_two(capsys, monkeypatch,
     assert routes.report.rank_gap == gap
     monkeypatch.setattr(cli, "evaluate", lambda *args: routes)
     code, out, _ = run_cli(capsys, "mobius", poset.format(bottom), poset.format(top))
-    problems = crosscheck.check_interval(poset, bottom, top, routes).problems
+    problems = crosscheck.check_interval(poset, routes).problems
     lines = [p for p in problems if p.startswith("mu-")]
     if gap >= 2:
         assert code == 1 and out.endswith("mismatch: methods disagree\n")
@@ -407,8 +407,9 @@ def test_alphabet_flag(capsys):
     (("", "1"), "''"),
     (("a", "ab", "--poset", "factor", "--alphabet", "a,b,ab"), "'a,b,ab'"),
     (("a", "ab", "--poset", "factor", "--alphabet", "a, b"), "'a, b'"),
+    (("a", "ab", "--poset", "factor", "--alphabet", "a,,b"), "'a,,b'"),
 ], ids=["arabic-indic", "superscript", "plus", "underscore", "trailing-comma",
-        "empty-part", "empty", "ambiguous-alphabet", "spaced-letter"])
+        "empty-part", "empty", "ambiguous-alphabet", "spaced-letter", "empty-letter"])
 def test_malformed_interval_input_is_one_error_line(capsys, command, argv, named):
     code, out, err = run_cli(capsys, command, *argv)
     assert (code, out) == (3, "")

@@ -182,7 +182,7 @@ SEEDED = _seeded_intervals()
 @pytest.mark.parametrize("poset, bottom, top", SEEDED)
 def test_seeded_interval_passes_every_check(poset, bottom, top):
     routes = crosscheck.top_routes(poset, top, (bottom,), laws=True)[bottom]
-    assert crosscheck.check_interval(poset, bottom, top, routes).problems == ()
+    assert crosscheck.check_interval(poset, routes).problems == ()
 
 
 @pytest.mark.parametrize("poset, bottom, top", SEEDED)
@@ -297,7 +297,7 @@ def assert_the_fold_matches_the_definitions(poset, top) -> int:
     set-cover rule.  Returns the number of nodes."""
     bottoms = sorted(poset.down_set(top))
     fold = morse.MorseFold(poset, top, bottoms)
-    laws = crosscheck.LawFold(poset, fold, bottoms)
+    laws = crosscheck.LawFold(poset, fold, dict.fromkeys(bottoms, 0))  # counts unread
     path, nodes = fold.path, []
 
     def visit(d):
@@ -543,7 +543,7 @@ def test_chain_count_catches_a_wrong_cover_rule(monotone_132):
     # the count over the order relation still sees both chains
     poset, bottom, top = PatternPoset(), (1,), (1, 3, 2)
     routes = crosscheck.top_routes(poset, top, (bottom,), laws=True)[bottom]
-    problems = crosscheck.check_interval(poset, bottom, top, routes).problems
+    problems = crosscheck.check_interval(poset, routes).problems
     assert "chains: found 1, naive descent gives 2" in problems
 
 
@@ -551,7 +551,7 @@ def test_a_cover_rule_that_lists_no_chain_is_reported(monotone_132):
     # treating 132 as monotone leaves [12, 132] without a chain
     poset, bottom, top = PatternPoset(), (1, 2), (1, 3, 2)
     routes = crosscheck.top_routes(poset, top, (bottom,), laws=True)[bottom]
-    problems = crosscheck.check_interval(poset, bottom, top, routes).problems
+    problems = crosscheck.check_interval(poset, routes).problems
     assert "chains: found 0, naive descent gives 1" in problems
 
 
@@ -593,37 +593,76 @@ def test_length_seven_pattern_sweep():
     assert report.mu_histogram == {-1: 13764, 0: 67146, 1: 13765}
 
 
-@pytest.mark.parametrize("poset, bottom, top", [
-    (PatternPoset(), (1,), (2, 1, 3, 5, 4, 6)),
-    (FactorPoset(), (), tuple("abba")),
-])
-def test_a_bad_chain_listing_is_worded_line_by_line(poset, bottom, top):
-    # a listing that fails the strict-rise gate gets the lines that apply of
-    # duplicate, sort, chain count and poset-lex, in that order, and then the
-    # critical line when the critical chain no longer comes last.  The
-    # listing's label tuples stand in for the walk's, and its last chain
-    # for the walk's last one
+def rise_line(poset, bottom, top) -> str | None:
+    """The rise line the sweep owes [bottom, top]: the first two label
+    tuples in a row of maximal_chains' listing, under the cover rule in
+    force, of which the second does not exceed the first."""
+    ids = [c.labels for c in chains.maximal_chains(poset, bottom, top)]
+    return next((f"chains: labels {a} then {b} do not rise"
+                 for a, b in zip(ids, ids[1:]) if b <= a), None)
+
+
+@pytest.mark.parametrize("module, name, poset, n, flagged", [
+    (perms, "down_covers", PatternPoset(), 5, 526),
+    (words, "down_covers_word", AB, 6, 776),
+    (words, "down_covers_word", ABC, 4, 366),
+], ids=["pattern", "word-ab", "word-abc"])
+def test_reversed_covers_give_each_flagged_interval_one_rise_line(
+        monkeypatch, module, name, poset, n, flagged):
+    # the rise line names two tuples that stand in a row in the listing,
+    # the second no larger than the first
+    with wrong_rule(monkeypatch, module, name, _reversed):
+        report = crosscheck.run_crosscheck(poset, n)
+        bad = [r for r in report.records if r.problems]
+        want = [[rise_line(poset, poset.parse(r.bottom), poset.parse(r.top))] for r in bad]
+    assert len(bad) == flagged
+    assert [[p for p in r.problems if p.startswith("chains: labels")] for r in bad] == want
+
+
+def _first_cover_twice_at(top):
+    """A cover rule that lists the top's first cover again at the end."""
+    return lambda real: lambda e: real(e) + real(e)[:1] if e == top else real(e)
+
+
+@pytest.mark.parametrize("module, name, poset, bottom, top", [
+    (perms, "down_covers", PatternPoset(), (1,), (2, 1, 3, 5, 4, 6)),
+    (words, "down_covers_word", FactorPoset(), (), tuple("abba")),
+], ids=["pattern", "factor"])
+def test_a_cover_listed_twice_gets_the_rise_line_then_the_count_line(
+        monkeypatch, module, name, poset, bottom, top):
+    # the chains through the repeated cover come again, after the last one
+    ids = [c.labels for c in chains.maximal_chains(poset, bottom, top)]
+    n = len(ids)
+    with wrong_rule(monkeypatch, module, name, _first_cover_twice_at(top)):
+        routes = crosscheck.top_routes(poset, top, (bottom,), laws=True)[bottom]
+        found = len(chains.maximal_chains(poset, bottom, top))
+    assert found > n
+    assert routes.laws[:2] == (f"chains: labels {ids[-1]} then {ids[0]} do not rise",
+                               f"chains: found {found}, naive descent gives {n}")
+
+
+def test_a_critical_chain_that_does_not_come_last_is_reported():
+    poset, bottom, top = PatternPoset(), (1,), (2, 1, 3, 5, 4, 6)
     routes = crosscheck.top_routes(poset, top, (bottom,), laws=True)[bottom]
-    good = list(morse.morse_report(poset, bottom, top).chains)
-    assert routes.laws.ids == tuple(d.chain.labels for d in good)
-    n, half = len(good), len(good) // 2
+    assert routes.report.critical_count == 1
+    assert crosscheck.check_interval(poset, routes).problems == ()
+    moved = dataclasses.replace(
+        routes, report=dataclasses.replace(routes.report, last_critical=False))
+    assert crosscheck.check_interval(poset, moved).problems == (
+        "critical: the critical chain is not the lexicographically last",)
 
-    def problems(listing):
-        laws = dataclasses.replace(routes.laws, ids=tuple(d.chain.labels for d in listing))
-        report = dataclasses.replace(routes.report, last_critical=listing[-1].critical)
-        return crosscheck.check_interval(
-            poset, bottom, top, dataclasses.replace(routes, report=report, laws=laws)).problems
 
-    duplicate = "chains: duplicate label sequences"
-    unsorted = "chains: not sorted by label sequence"
-    count = f"chains: found {n + 1}, naive descent gives {n}"
-    lex = "poset-lex: chain order violates the divergence property"
-    last = "critical: the critical chain is not the lexicographically last"
-    assert problems(good) == ()
-    assert problems(good[:1] + good) == (duplicate, count, lex)
-    assert problems(good + good[:1]) == (duplicate, unsorted, count, lex, last)
-    # reversed, every prefix still stands together
-    assert problems(good[::-1]) == (unsorted, last)
-    # a chain from the second half inside the first chain's prefix block
-    assert problems(good[:1] + good[half:half + 1] + good[1:half] + good[half + 1:]) == (
-        unsorted, lex)
+def test_mobius_computes_no_chain_count(capsys, monkeypatch):
+    # only the chain laws read the count over the order relation
+    def uncalled(*args):
+        raise AssertionError("a chain count was computed")
+
+    poset, bottom, top = PatternPoset(), (1,), (2, 1, 3, 5, 4, 6)
+    with monkeypatch.context() as patch:
+        patch.setattr(crosscheck, "naive_chain_count", uncalled)
+        assert cli.main(["mobius", "1", "213546"]) == 0
+        assert capsys.readouterr().out.endswith("mobius: 1\n")
+        assert crosscheck.evaluate(poset, bottom, top).problems() == []
+    with wrong_rule(monkeypatch, perms, "is_monotone", _132_monotone):
+        report = crosscheck.run_crosscheck(poset, 4)
+    assert any(m.split("] ", 1)[1].startswith("chains: found ") for m in report.mismatches)

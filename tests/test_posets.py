@@ -61,8 +61,11 @@ def test_a_string_alphabet_is_stored_as_its_letters():
     (("a", "b", "ab"), "ambiguous alphabet 'a,b,ab': letter 'ab' has no text of its own"),
     (("a", " b"), "ambiguous alphabet 'a, b': letter ' b' has no text of its own"),
     (("a", "a"), "alphabet has repeated letters: 'a,a'"),
-    ((), "alphabet must contain at least one letter")],
-    ids=["run-of-letters", "spaced", "repeated", "empty"])
+    ((), "alphabet must contain at least one letter"),
+    # () and ("",) would both read '', and 'a,b,c' would read as three letters
+    (("", "a"), "ambiguous alphabet ',a': letter '' has no text of its own"),
+    (("a,b", "c"), "ambiguous alphabet 'a,b,c': letter 'a,b' has no text of its own")],
+    ids=["run-of-letters", "spaced", "repeated", "empty", "empty-letter", "comma-letter"])
 def test_a_library_alphabet_in_which_two_words_share_a_text_is_rejected(alphabet, message):
     # (a, b) and (ab,) would both read 'ab'
     with pytest.raises(ValueError) as raised:
