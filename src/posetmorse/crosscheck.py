@@ -218,11 +218,7 @@ class LawFold:
 class IntervalRecord:
     bottom: str
     top: str
-    rank_gap: int
-    mu_closed: int
-    mu_morse: int
     mu_brute: int
-    euler: int | None
     problems: tuple[str, ...]
 
 
@@ -259,25 +255,19 @@ def naive_chain_count(poset, interval: IntervalStructure) -> tuple[int, ...]:
 
 def check_interval(poset, routes: Routes) -> IntervalRecord:
     """Run every invariant suite on one interval over its routes with the
-    chain laws, from top_routes(..., laws=True)."""
+    chain laws, from top_routes(..., laws=True).  The record holds the
+    interval's texts, its brute-force value, which the histogram and the
+    cache check read, and its problem lines: a route that disagrees with
+    brute force is named in its mu-disagreement or mu-euler line, and one
+    that agrees holds the brute-force value."""
     report = routes.report
-    gap, mu_brute = report.rank_gap, routes.brute
     problems = routes.problems() + list(routes.laws)
     if report.critical_count > 1:
         problems.append(f"critical: {report.critical_count} critical chains")
     if report.critical_count == 1 and not report.last_critical:
         problems.append("critical: the critical chain is not the lexicographically last")
-
-    return IntervalRecord(
-        bottom=poset.format(report.bottom),
-        top=poset.format(report.top),
-        rank_gap=gap,
-        mu_closed=routes.closed,
-        mu_morse=report.mobius,
-        mu_brute=mu_brute,
-        euler=routes.euler if gap >= 2 else None,
-        problems=tuple(problems),
-    )
+    return IntervalRecord(poset.format(report.bottom), poset.format(report.top),
+                          routes.brute, tuple(problems))
 
 
 def _interval_records(poset, tops) -> list[IntervalRecord]:

@@ -164,11 +164,6 @@ def msis_fast_pattern(chain: MaximalChain) -> list[Span]:
     return _msis_fast(chain, _jump_pattern)
 
 
-def msis_fast_factor(chain: MaximalChain) -> list[Span]:
-    """The fast law on a factor-order chain."""
-    return _msis_fast(chain, _jump_factor)
-
-
 @dataclass(frozen=True)
 class ChainMorseData:
     chain: MaximalChain

@@ -50,12 +50,9 @@ class _LengthGraded:
     def rank(self, e) -> int:
         return len(e)
 
-    def check_top(self, e) -> None:
-        self.check_length(len(e))
-
     def check_pair(self, bottom, top) -> None:
         """Reject a top above the guardrail, then a bottom not below it."""
-        self.check_top(top)
+        self.check_length(len(top))
         if not self.leq(bottom, top):
             raise IncomparableError(
                 f"{self.format(bottom)!r} is not below {self.format(top)!r}")

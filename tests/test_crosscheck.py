@@ -109,6 +109,13 @@ def test_a_parallel_sweep_reports_as_a_serial_one(pool, monkeypatch):
     assert parallel.mismatches == serial.mismatches
 
 
+def test_a_record_holds_only_what_the_sweep_reports():
+    # a route value that agrees equals mu_brute, and one that disagrees is
+    # named in its own problem line
+    fields = [f.name for f in dataclasses.fields(crosscheck.IntervalRecord)]
+    assert fields == ["bottom", "top", "mu_brute", "problems"]
+
+
 @pytest.mark.parametrize("jobs", [0, -1])
 def test_jobs_below_one_are_rejected(pool, jobs):
     with pytest.raises(ValueError):
@@ -186,7 +193,7 @@ def test_seeded_interval_passes_every_check(poset, bottom, top):
 
 
 @pytest.mark.parametrize("poset, bottom, top", SEEDED)
-def test_seeded_keyed_msis_match_the_oracle(poset, bottom, top):
+def test_seeded_walk_msis_match_the_oracle(poset, bottom, top):
     assert_walk_msis_match_the_oracle(poset, top, [bottom])
 
 
@@ -260,7 +267,7 @@ def test_seeded_length_nine_tops_pass_with_every_bottom(seed, count):
     assert [(r.bottom, r.top, r.problems) for r in records if r.problems] == []
 
 
-def test_keyed_msis_match_the_oracle_on_every_bottom_of_seeded_tops():
+def test_walk_msis_match_the_oracle_on_every_bottom_of_seeded_tops():
     # the four length-9 tops above and seeded {a,b} words of length 9 and
     # 10, every bottom's walk against the pairwise MSIs
     rng = random.Random(909)

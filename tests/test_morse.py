@@ -14,8 +14,7 @@ from posetmorse import render
 from posetmorse.chains import maximal_chains, walk
 from posetmorse.morse import (MorseFold, disjoint_family, homotopy_type,
                               minimal_skipped_intervals, mobius_morse,
-                              morse_report, msis_fast_factor, msis_fast_pattern,
-                              skipped_intervals)
+                              morse_report, skipped_intervals)
 from posetmorse.posets import (FactorPoset, PatternPoset, interval_structure,
                                mobius_bruteforce)
 from test_chains import sorted_chains
@@ -93,7 +92,7 @@ def _containment_minimal(spans):
 
 def msis_fast(poset, chain) -> list:
     """The fast law of the poset's kind on one chain."""
-    return (msis_fast_pattern if poset.kind == "pattern" else msis_fast_factor)(chain)
+    return morse._msis_fast(chain, poset.jump)
 
 
 def fold_listing(poset, top, bottoms) -> dict:
@@ -218,7 +217,7 @@ def test_the_routes_prune_the_large_interval_walk(monkeypatch):
     assert morse.morse_summary(p, bottom, top).mobius == 0 and len(calls) == nodes
 
 
-def test_keyed_msis_of_no_chain_and_of_one_step_chains():
+def test_walk_msis_of_no_chain_and_of_one_step_chains():
     p = PatternPoset()
     # a bottom the walk never reaches has no chain and no MSIs
     assert fold_listing(p, (1, 2), [(2, 1)]) == {(2, 1): ([], [])}
@@ -259,7 +258,7 @@ def test_walk_msis_match_the_oracle_on_seeded_length_ten_tops():
 @pytest.mark.parametrize("poset, max_size", [
     (PatternPoset(), 6), (FactorPoset(), 6), (FactorPoset(("a", "b", "c")), 5)],
     ids=["pattern-6", "factor-ab-6", "factor-abc-5"])
-def test_keyed_msis_match_the_oracle_on_the_acceptance_sweeps(poset, max_size):
+def test_walk_msis_match_the_oracle_on_the_acceptance_sweeps(poset, max_size):
     # one walk per top, every bottom against the sorted listing and the
     # difference blocks
     intervals = 0

@@ -106,13 +106,13 @@ def test_interval_elements_incomparable():
 def test_size_guardrails():
     p = PatternPoset()
     with pytest.raises(SizeLimitError):
-        p.check_top(tuple(range(1, 11)))
-    p.check_top(tuple(range(1, 10)))
+        p.check_length(10)
+    p.check_length(9)
     unlimited = PatternPoset(max_top=None)
-    unlimited.check_top(tuple(range(1, 11)))
+    unlimited.check_length(10)
     f = FactorPoset()
     with pytest.raises(SizeLimitError):
-        f.check_top(tuple("a" * 13))
+        f.check_length(13)
 
 
 def test_mobius_bruteforce_point_values():
