@@ -2,7 +2,8 @@
 Command-line front end.
 
 mobius and crosscheck judge the routes by one rule, crosscheck's
-Routes.problems; only crosscheck goes on to the chain laws.
+Routes.problems; only crosscheck goes on to the chain laws.  A command
+imports only what it runs: iso-search and bijection load their modules.
 
 Exit codes: 0 success, 1 invariant mismatch (a route check, a chain law,
 or a crosscheck --cache record that differs from brute force), 2
@@ -20,11 +21,9 @@ from dataclasses import replace
 from functools import cache
 
 from . import render
-from .bijection import perm_to_word, verify_isomorphism, word_to_perm
 from .chains import maximal_chains
 from .crosscheck import (WorkerDied, crosscheck_json, crosscheck_text, evaluate,
                          run_crosscheck)
-from .isosearch import iso_search_json, iso_search_text, run_iso_search
 from .morse import morse_report, morse_summary
 from .posets import (FactorPoset, IncomparableError, MobiusCache,
                      PatternPoset, SizeLimitError, check_alphabet)
@@ -156,6 +155,8 @@ def cmd_homotopy(args) -> int:
 
 
 def cmd_bijection(args) -> int:
+    from .bijection import perm_to_word, verify_isomorphism, word_to_perm
+
     if args.mode == "map":
         w = parse_word(args.word, ("a", "b"))
         p = word_to_perm(w)
@@ -218,6 +219,8 @@ def cmd_table1(args) -> int:
 
 
 def cmd_iso_search(args) -> int:
+    from .isosearch import iso_search_json, iso_search_text, run_iso_search
+
     alphabet = parse_alphabet(args.alphabet)
     for name, cap, limit in (("pattern", args.pattern_cap, 5), ("word", args.word_cap, 8)):
         if cap > limit and not args.force:

@@ -16,9 +16,12 @@ across calls, so a check reads only values computed in its own call.  A
 cache file is only checked against the brute-force values and appended to,
 never read in their place.  A parallel sweep submits runs of consecutive
 tops in order and reads them in order, so its records arrive in sweep
-order, as in a serial one.  A worker killed from outside (the OOM killer,
-SIGKILL) breaks the pool: the executor stops the other workers, and the
-sweep raises WorkerDied naming the dead one.
+order, as in a serial one.  The pool's modules (multiprocessing,
+concurrent.futures, signal) load only when a sweep starts a pool, so a
+command that answers one interval, or a serial sweep, does not import
+them.  A worker killed from outside (the OOM killer, SIGKILL) breaks the
+pool: the executor stops the other workers, and the sweep raises
+WorkerDied naming the dead one.
 
 Per interval the harness runs the route checks of Routes.problems, as the
 mobius subcommand does: the closed form, the critical-chain count and the
@@ -44,11 +47,7 @@ fast-law line in chain order, then the critical checks.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import signal
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 
 from .chains import walk
@@ -308,6 +307,11 @@ def run_crosscheck(poset, max_size: int, cache: MobiusCache | None = None,
         for e in poset.elements_of_rank(d)
     ]
     if jobs > 1 and len(tops) > 1:
+        import multiprocessing
+        import signal
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         # about four runs per worker, so one that draws cheap tops takes another
         size = -(-len(tops) // (4 * jobs))
         chunks = [tops[i:i + size] for i in range(0, len(tops), size)]
@@ -350,6 +354,8 @@ def run_crosscheck(poset, max_size: int, cache: MobiusCache | None = None,
 def _death(workers) -> str:
     """Name the worker of a broken pool that died first: the others end
     by the executor's SIGTERM."""
+    import signal
+
     dead = sorted((w for w in workers if w.exitcode is not None),
                   key=lambda w: w.exitcode == -signal.SIGTERM)
     if not dead:

@@ -25,7 +25,9 @@ rank gap two or more.
 
 from __future__ import annotations
 
+import collections
 import itertools
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -221,23 +223,29 @@ def euler_characteristic(poset, interval: IntervalStructure) -> tuple:
     """
     Reduced Euler characteristic of the order complex of every open
     interval (x, top), the alternating f-vector sum minus one, by counting
-    chains, not listing them: row[x][k] counts the chains x < z_1 < ... <
-    z_k < top, so the f-vector of (x, top) is row[x][1:].  Entry i is that
-    of (elements[i], top).  At rank gap one the complex is empty and the
-    entry is -1 (degenerate but equal to the Mobius value there too); the
-    open interval of the top alone is undefined, and its entry is None.
+    chains, not listing them.  Entry i is that of (elements[i], top).  At
+    rank gap one the complex is empty and the entry is -1 (degenerate but
+    equal to the Mobius value there too); the open interval of the top
+    alone is undefined, and its entry is None.
+
+    The row of x counts the chains x < z_1 < ... < z_k < top by k (past
+    entry 0, the f-vector of (x, top)), held as one int with B bits per
+    entry: packed[x] = 1 + (sum of packed[z] over z above x, top
+    excluded) << B.  A chain holds at most one element per rank, so the
+    product of (elements of rank r, plus one) over the ranks bounds every
+    entry and every row's alternating sum, and B is one bit more than that
+    bound takes.  As 2**B is -1 mod 2**B + 1, packed[x] mod 2**B + 1,
+    centred, is that alternating sum, and the entry is its negative.
     """
-    elems, top = interval.elements, interval.size - 1
-    rows: list[list[int]] = [[]] * top
+    ranks = collections.Counter(map(poset.rank, interval.elements))
+    bits = math.prod(n + 1 for n in ranks.values()).bit_length() + 1
+    mod, top = (1 << bits) + 1, interval.size - 1
+    packed = [0] * interval.size  # the top's entry stays 0, so it adds nothing
     chi: list[int | None] = [None] * interval.size
     for x in range(top - 1, -1, -1):
-        row = [1] + [0] * (poset.rank(elems[top]) - poset.rank(elems[x]) - 1)
-        for z in interval.ups[x]:
-            if z != top:
-                for k, c in enumerate(rows[z]):
-                    row[k + 1] += c
-        rows[x] = row
-        chi[x] = sum(-c if k % 2 else c for k, c in enumerate(row[1:])) - 1
+        packed[x] = row = 1 + (sum(packed[z] for z in interval.ups[x]) << bits)
+        alternating = row % mod
+        chi[x] = mod - alternating if alternating > mod >> 1 else -alternating
     return tuple(chi)
 
 
@@ -245,13 +253,14 @@ class MobiusCache:
     """
     Cross-run record of brute-force Mobius values keyed by (poset tag,
     bottom text, top text), one record per line: tag TAB bottom TAB top TAB
-    mu.  check compares a computed value with the record and appends it
-    when there is none; a held record is never rewritten.  Opening it only
-    reads the file; the first put opens it for appending.  Reads are
-    lock-free; writes serialize behind a lock and append each record with
-    a single write call.  A final line without its newline is a record torn
-    by an interrupted append: loading skips it, and the first append cuts
-    it off so that the new record starts on a line of its own.  A path
+    mu.  check compares a computed value with the record, one lookup, and
+    appends it when there is none; a held record is never rewritten.
+    Opening it only reads the file; the first put opens it for appending.
+    Reads are lock-free; writes serialize behind a lock and go to the
+    buffered handle, each record in one write call, and close flushes them.
+    A final line without its newline is a record torn by an interrupted
+    append: loading skips it, and the first append cuts it off so that the
+    new record starts on a line of its own.  A path
     that cannot serve as the file raises ValueError before anything is
     computed: a directory, a missing directory, or missing permissions.
     """
@@ -306,16 +315,16 @@ class MobiusCache:
                     os.truncate(self.path, self._clean_size)
                 self._handle = open(self.path, "a", encoding="utf-8")
             self._handle.write(f"{tag}\t{bottom}\t{top}\t{value}\n")
-            self._handle.flush()
 
     def check(self, tag: str, bottom: str, top: str, value: int) -> str | None:
         """Append value unless a record is held; name a held record that
         differs."""
         held = self.get(tag, bottom, top)
-        self.put(tag, bottom, top, value)
-        if held is None or held == value:
-            return None
-        return f"cache: {self.path} holds {held}, brute force gives {value}"
+        if held is None:
+            self.put(tag, bottom, top, value)
+        elif held != value:
+            return f"cache: {self.path} holds {held}, brute force gives {value}"
+        return None
 
     def close(self) -> None:
         with self._lock:

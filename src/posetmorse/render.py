@@ -11,8 +11,6 @@ are woven into the chain id between the labels that flank each element.
 
 from __future__ import annotations
 
-import json
-
 from .chains import MaximalChain
 from .morse import MorseReport, Span, morse_report
 
@@ -135,6 +133,8 @@ def table1_text() -> str:
 
 
 def dump_json(obj) -> str:
+    import json
+
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 

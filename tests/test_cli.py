@@ -85,6 +85,7 @@ def test_mobius_and_check_interval_judge_the_routes_by_one_rule(
 
 
 @pytest.mark.parametrize("bottom, top, gap", [((1,), (2, 1, 3, 5, 4, 6), 5),
+                                              ((1,), (2, 1, 3), 2),
                                               ((1, 2), (2, 1, 3), 1)])
 def test_the_euler_route_is_judged_from_rank_gap_two(capsys, monkeypatch,
                                                      bottom, top, gap):
@@ -592,6 +593,24 @@ def test_a_factor_sweep_of_size_zero_checks_the_empty_word(capsys):
                            "--jobs", "1")
     assert code == 0
     assert "intervals checked: 1\n" in out
+
+
+def test_start_up_loads_only_what_the_command_runs():
+    # the pool, json, iso-search and the bijection load under the commands
+    # that use them, not at import and not for a text mobius; a fresh
+    # interpreter, as the tests' own imports hold multiprocessing
+    script = ("import sys\nfrom posetmorse import cli\n"
+              "deferred = {'multiprocessing', 'concurrent.futures', 'json',\n"
+              "            'posetmorse.isosearch', 'posetmorse.bijection'}\n"
+              "loaded = [sorted(deferred & set(sys.modules))]\n"
+              "code = cli.main(['mobius', '1', '213546'])\n"
+              "loaded.append(sorted(deferred & set(sys.modules)))\n"
+              "print(code, loaded, file=sys.stderr)\n")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60, check=False)
+    assert proc.stdout.endswith("mobius: 1\n")
+    assert proc.stderr == "0 [[], []]\n"
 
 
 def test_an_interrupt_while_the_package_imports_exits_130(tmp_path):

@@ -4,6 +4,7 @@ the exhaustive sweeps through every check."""
 from __future__ import annotations
 
 import collections
+import concurrent.futures
 import contextlib
 import dataclasses
 import hashlib
@@ -60,7 +61,7 @@ def pool(monkeypatch):
     RecordingPool.sizes = []
     RecordingPool.initializers = []
     RecordingPool.submitted = []
-    monkeypatch.setattr(crosscheck, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     return RecordingPool
 
@@ -646,6 +647,16 @@ def test_a_cover_listed_twice_gets_the_rise_line_then_the_count_line(
     assert found > n
     assert routes.laws[:2] == (f"chains: labels {ids[-1]} then {ids[0]} do not rise",
                                f"chains: found {found}, naive descent gives {n}")
+
+
+def test_a_cover_listed_twice_in_a_row_gets_the_rise_line(monkeypatch):
+    # two equal label tuples in a row do not rise
+    poset, bottom, top = PatternPoset(), (1,), (2, 1, 3)
+    twice = lambda real: lambda e: real(e)[:1] + real(e) if e == top else real(e)
+    with wrong_rule(monkeypatch, perms, "down_covers", twice):
+        routes = crosscheck.top_routes(poset, top, (bottom,), laws=True)[bottom]
+    assert routes.laws == ("chains: labels (3, 1) then (3, 1) do not rise",
+                           "chains: found 3, naive descent gives 2")
 
 
 def test_a_critical_chain_that_does_not_come_last_is_reported():

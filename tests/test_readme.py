@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import concurrent.futures
 import pathlib
 import re
 import shlex
@@ -10,7 +11,6 @@ import shlex
 import pytest
 
 import posetmorse.cli as cli
-import posetmorse.crosscheck as crosscheck
 
 README = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
 
@@ -36,7 +36,7 @@ def no_process_pool(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a README example started a process pool")
 
-    monkeypatch.setattr(crosscheck, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
 
 
 def test_every_command_line_parses():
