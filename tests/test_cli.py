@@ -85,8 +85,8 @@ def test_mobius_and_check_interval_judge_the_routes_by_one_rule(
 
 
 @pytest.mark.parametrize("bottom, top, gap", [((1,), (2, 1, 3, 5, 4, 6), 5),
-                                              ((1,), (2, 1, 3), 2),
-                                              ((1, 2), (2, 1, 3), 1)])
+                                              ((1, 2), (2, 1, 3), 1),
+                                              ((1,), (2, 1, 3), 2)])
 def test_the_euler_route_is_judged_from_rank_gap_two(capsys, monkeypatch,
                                                      bottom, top, gap):
     # at rank gap one the open interval is empty and Euler checks nothing
