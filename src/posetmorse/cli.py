@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import cache
 
 from . import render
@@ -157,21 +157,16 @@ def cmd_homotopy(args) -> int:
 def cmd_bijection(args) -> int:
     from .bijection import perm_to_word, verify_isomorphism, word_to_perm
 
-    if args.mode == "map":
-        w = parse_word(args.word, ("a", "b"))
-        p = word_to_perm(w)
-        _emit(args, lambda: format_permutation(p) + "\n", {
-            "word": format_word(w),
-            "permutation": format_permutation(p),
-        })
-        return 0
-    if args.mode == "unmap":
-        p = parse_permutation(args.perm)
-        w = perm_to_word(p)
-        _emit(args, lambda: (format_word(w) or "eps") + "\n", {
-            "permutation": format_permutation(p),
-            "word": format_word(w),
-        })
+    if args.mode != "verify":  # map and unmap: read one side, print the other
+        if args.mode == "map":
+            w = parse_word(args.word, ("a", "b"))
+            p = word_to_perm(w)
+        else:
+            p = parse_permutation(args.perm)
+            w = perm_to_word(p)
+        pair = {"word": format_word(w), "permutation": format_permutation(p)}
+        shown = pair["permutation"] if args.mode == "map" else pair["word"] or "eps"
+        _emit(args, lambda: shown + "\n", pair)
         return 0
     report = verify_isomorphism(args.max_length)
 
@@ -183,23 +178,12 @@ def cmd_bijection(args) -> int:
             got, want = report.avoider_counts[m]
             lines.append(f"  avoiders of length {m}: {got} (expected {want})")
         lines.append("ok" if report.ok else
-                     f"failed: {len(report.order_violations)} order "
-                     f"violations, {len(report.roundtrip_failures)} "
-                     f"round-trip failures, {len(report.image_mismatches)} "
-                     "image mismatches")
+                     f"failed: {report.order_violations} order violations, "
+                     f"{report.roundtrip_failures} round-trip failures, "
+                     f"{report.image_mismatches} image mismatches")
         return "\n".join(lines) + "\n"
 
-    _emit(args, text, {
-        "max_length": report.max_length,
-        "words_checked": report.words_checked,
-        "pairs_checked": report.pairs_checked,
-        "order_violations": len(report.order_violations),
-        "roundtrip_failures": len(report.roundtrip_failures),
-        "image_mismatches": len(report.image_mismatches),
-        "avoider_counts": {str(m): list(v)
-                           for m, v in report.avoider_counts.items()},
-        "ok": report.ok,
-    })
+    _emit(args, text, dict(asdict(report), ok=report.ok))
     return 0 if report.ok else 1
 
 

@@ -156,7 +156,9 @@ class LawFold:
     that do not rise, and its msi-fast line; laws() weighs the count
     against expect[b], b's chains by the order relation.  fast[d], by
     depth as on the path, holds the fast law's spans of the chain at depth
-    d, by end.
+    d, by end, and the chain breaks the fast law when it differs from
+    msis[d]: at depth d both gain only spans that end at d - 1, so the two
+    agree exactly when every depth's new spans are that depth's new MSI.
     """
 
     def __init__(self, poset, fold: MorseFold, expect: dict):
@@ -165,10 +167,6 @@ class LawFold:
         morse_visit, jump = fold.visit, poset.jump
         n = len(labels)
         self.fast = fast = [()] * (n + 1)
-        # whether the fast spans of the chain at depth d equal its MSIs; a
-        # chain of one step has no law to break, so depths 0 and 1 keep
-        # their first value
-        fast_ok = [True] * (n + 1)
         self.expect = expect
         # bottom -> [chains, last label tuple, first two not rising, lines]
         self.tallies = tallies = {b: [0, None, None, []] for b in expect}
@@ -177,8 +175,7 @@ class LawFold:
             morse_visit(d)
             e = elements[d]
             if d > 1:
-                j, m = d - 1, msis[d]
-                new = m[-1] if m is not msis[d - 1] else None
+                j = d - 1
                 spans = [(j, j)] if labels[j - 1] > labels[j] == windows[j][0] + 1 else []
                 i = j - 1
                 while i >= 0 and labels[i] > labels[i + 1]:  # the falling run
@@ -187,7 +184,6 @@ class LawFold:
                         spans.append((i + 1, j))
                     i -= 1
                 fast[d] = fast[d - 1] + tuple(spans) if spans else fast[d - 1]
-                fast_ok[d] = fast_ok[d - 1] and spans == ([new] if new else [])
             at = tallies.get(e)
             if at is not None:
                 ids = tuple(labels[:d])
@@ -195,7 +191,7 @@ class LawFold:
                     at[2] = at[1], ids
                 at[0] += 1
                 at[1] = ids
-                if not fast_ok[d]:
+                if fast[d] != msis[d]:
                     at[3].append(
                         f"msi-fast: {sorted(fast[d])} != {list(msis[d])} on chain {ids}")
 

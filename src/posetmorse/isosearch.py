@@ -3,12 +3,13 @@ Search for factor-order intervals isomorphic, as posets, to consecutive
 pattern intervals.
 
 Interval posets are summarized by an iterated-refinement certificate, the
-sorted hashed colours of their elements, which compares across structures;
-candidate pairs with equal certificates are then confirmed or rejected by
-a backtracking matcher on the full order relation.  The certificate is an
-invariant, not a complete canonical form, so the matcher has the final
-word.  Exploratory tooling: the catalog makes no claim beyond the sizes it
-was run at.
+sorted hashed colours of their elements, refined over the elements above
+each element, which compares across structures; candidate pairs with
+equal certificates are then confirmed or rejected by a backtracking
+matcher on the full order relation, read off the same sets.  The
+certificate is an invariant, not a complete canonical form, so the
+matcher has the final word.  Exploratory tooling: the catalog makes no
+claim beyond the sizes it was run at.
 """
 
 from __future__ import annotations
@@ -22,19 +23,15 @@ from .words import format_word
 
 
 def colours(s: IntervalStructure) -> list:
-    """Per-element colours, hashed from (up-degree, down-degree), then with
-    the sorted colours above and below until their number stops growing:
-    hashes, not numbers per structure, so colours compare across structures."""
-    labels = [hash((len(s.ups[i]), len(s.downs[i]))) for i in range(s.size)]
+    """Per-element colours, hashed from the up-degree, then with the sorted
+    colours above until their number stops growing: hashes, not numbers
+    per structure, so colours compare across structures."""
+    labels = [hash(len(up)) for up in s.ups]
     count = 0
     while len(set(labels)) > count:
         count = len(set(labels))
-        labels = [
-            hash((labels[i],
-                  tuple(sorted(labels[j] for j in s.ups[i])),
-                  tuple(sorted(labels[j] for j in s.downs[i]))))
-            for i in range(s.size)
-        ]
+        labels = [hash((labels[i], tuple(sorted(labels[j] for j in up))))
+                  for i, up in enumerate(s.ups)]
     return labels
 
 
@@ -47,9 +44,10 @@ def find_isomorphism(a: IntervalStructure, la: list, b: IntervalStructure,
                      lb: list) -> list[int] | None:
     """
     A bijection (as a list: image of each index of ``a``) preserving the
-    order relation both ways, or None.  la and lb are the colours of a and
-    b, whose certificates must be equal; backtracking matches only equal
-    colours.
+    order relation both ways, or None: each matched pair agrees with every
+    earlier one on "above" and on "below", read as the other one's
+    "above".  la and lb are the colours of a and b, whose certificates must
+    be equal; backtracking matches only equal colours.
     """
     order = sorted(range(a.size), key=lambda i: (la[i], -len(a.ups[i])))
     image: list[int | None] = [None] * a.size
@@ -66,7 +64,7 @@ def find_isomorphism(a: IntervalStructure, la: list, b: IntervalStructure,
             for i2 in order[:k]:
                 j2 = image[i2]
                 if ((i2 in a.ups[i]) != (j2 in b.ups[j])
-                        or (i2 in a.downs[i]) != (j2 in b.downs[j])):
+                        or (i in a.ups[i2]) != (j in b.ups[j2])):
                     ok = False
                     break
             if not ok:

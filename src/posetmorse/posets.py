@@ -9,18 +9,18 @@ on words over a fixed alphabet, empty word included.  One expansion rule
 serves both: an element inside a top is the poset's text form of its
 window of the top, padded with the poset's zero symbol (0 or "0").
 
-interval_structure enumerates an interval once, with its order relation
-read off the memoized down-sets of its elements.  The ground-truth routes
-are computed per top and read per bottom: each takes the structure of
-[bottom, top] and returns a column indexed like its elements, the value of
-[x, top] for every element x, by one backward pass from the top; entry 0
-is the value of the interval itself.  Run on the down-set of a top,
-[minimum, top], one pass serves every bottom under it.  No column is
-memoized across calls.  mobius_bruteforce recurses over that structure and
-is the reference implementation everything else is checked against;
-euler_characteristic counts the chains of each open interval by length
-without listing them, a second independent route to the same number at
-rank gap two or more.
+interval_structure enumerates an interval once, with the elements above
+each element read off the memoized down-sets of its elements.  The
+ground-truth routes are computed per top and read per bottom: each takes
+the structure of [bottom, top] and returns a column indexed like its
+elements, the value of [x, top] for every element x, by one backward pass
+from the top; entry 0 is the value of the interval itself.  Run on the
+down-set of a top, [minimum, top], one pass serves every bottom under it.
+No column is memoized across calls.  mobius_bruteforce recurses over that
+structure and is the reference implementation everything else is checked
+against; euler_characteristic counts the chains of each open interval by
+length without listing them, a second independent route to the same
+number at rank gap two or more.
 """
 
 from __future__ import annotations
@@ -178,12 +178,12 @@ def interval_elements(poset, bottom, top) -> frozenset:
 @dataclass(frozen=True)
 class IntervalStructure:
     """An interval as a finite poset: its elements sorted by (rank, text),
-    so the bottom is first and the top last, and the strict order as index
-    sets: ups[i] holds the indices above element i, downs[i] those below."""
+    so the bottom is first and the top last, and the elements above each
+    element: ups[i] holds the indices of the elements strictly above
+    element i."""
 
     elements: tuple
     ups: tuple[frozenset, ...]
-    downs: tuple[frozenset, ...]
 
     @property
     def size(self) -> int:
@@ -191,19 +191,20 @@ class IntervalStructure:
 
 
 def interval_structure(poset, bottom, top) -> IntervalStructure:
-    """Enumerate [bottom, top] once, with its order relation read off the
-    memoized down-set of each element: downs[j] holds the elements of
-    down_set(elements[j]) inside the interval, less j."""
+    """Enumerate [bottom, top] once, with the elements above each element
+    read off the memoized down-set of each element in one pass: j goes
+    into ups[i] for each element i of down_set(elements[j]) inside the
+    interval, other than j."""
     elems = tuple(sorted(interval_elements(poset, bottom, top),
                          key=lambda e: (poset.rank(e), poset.format(e))))
     index = {e: i for i, e in enumerate(elems)}
-    downs = tuple(frozenset(index[z] for z in poset.down_set(y) if z in index) - {j}
-                  for j, y in enumerate(elems))
     ups: list[list[int]] = [[] for _ in elems]
-    for j, below in enumerate(downs):
-        for i in below:
-            ups[i].append(j)
-    return IntervalStructure(elems, tuple(map(frozenset, ups)), downs)
+    for j, y in enumerate(elems):
+        for z in poset.down_set(y):
+            i = index.get(z)
+            if i is not None and i != j:
+                ups[i].append(j)
+    return IntervalStructure(elems, tuple(map(frozenset, ups)))
 
 
 def mobius_bruteforce(poset, interval: IntervalStructure) -> tuple[int, ...]:

@@ -203,6 +203,16 @@ def test_bijection_commands(capsys):
     assert "ok" in out
 
 
+def test_bijection_verify_json_is_pinned(capsys):
+    code, out, err = run_cli(capsys, "bijection", "verify", "--max-length", "4",
+                             "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "avoider_counts": {"1": [1, 1], "2": [2, 2], "3": [4, 4], "4": [8, 8]},
+        "image_mismatches": 0, "max_length": 4, "ok": True, "order_violations": 0,
+        "pairs_checked": 225, "roundtrip_failures": 0, "words_checked": 15}
+
+
 def test_bijection_verify_names_what_failed(capsys, monkeypatch):
     # word a sent to 21, the image of b: a round trip, an image and order fail
     real = bijection.word_to_perm

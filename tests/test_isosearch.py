@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from posetmorse.isosearch import (_canonical_words, certificate, colours,
-                                  find_isomorphism, iso_search_text,
-                                  run_iso_search)
-from posetmorse.posets import FactorPoset, PatternPoset, interval_structure
+                                  find_isomorphism, iso_search_json,
+                                  iso_search_text, run_iso_search)
+from posetmorse.posets import (FactorPoset, IntervalStructure, PatternPoset,
+                               interval_structure)
+from posetmorse.render import dump_json
 
 
 def match(a, b):
@@ -79,6 +83,15 @@ def test_found_map_preserves_order_both_ways():
             assert (j in a.ups[i]) == (image[j] in b.ups[image[i]])
 
 
+def test_the_matcher_checks_below_as_well_as_above():
+    # with colours that tell no element apart, a two-chain and a two-element
+    # antichain agree on what lies above each element matched first
+    chain = IntervalStructure(("x", "y"), (frozenset({1}), frozenset()))
+    antichain = IntervalStructure(("x", "y"), (frozenset(), frozenset()))
+    assert find_isomorphism(chain, [0, 0], antichain, [0, 0]) is None
+    assert find_isomorphism(antichain, [0, 0], chain, [0, 0]) is None
+
+
 def test_canonical_words_skip_relabelings():
     words = list(_canonical_words(("a", "b"), 3))
     assert ("a",) in words
@@ -118,6 +131,15 @@ def test_run_iso_search_small():
     entry = by_pair[("1", "213")]
     assert entry.matched
     assert entry.word_top in ("ab", "aa")
+
+
+def test_the_catalogue_at_pattern_cap_5_and_word_cap_7_is_pinned():
+    # every entry, and the first isomorphic word interval of each, as the
+    # command prints them with --format json
+    report = run_iso_search(5, 7)
+    assert (len(report.entries), report.matched) == (1211, 1191)
+    assert hashlib.sha256(dump_json(iso_search_json(report)).encode()).hexdigest() == (
+        "05436f4ac09f7e05a1b341f42e81afcecb6dfd310fd9ab194759e04423404be9")
 
 
 def test_iso_search_text_names_the_unmatched_intervals():
