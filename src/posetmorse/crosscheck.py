@@ -31,18 +31,19 @@ the interval, it verifies that the chains' label sequences rise strictly in
 the order the walk lists them, that there are as many chains as the order
 relation has cover paths, that the poset's fast skipped-interval law
 matches the definition, and that at most one chain, the lexicographically
-last one, is ever critical.  No check repeats another's verdict or checks
-what the code rules out by its build: the ascent and descent laws hold
-wherever the fast law does, a strictly falling chain has only weak descents
-before its last step (both by where chains.walk takes its labels, see
-LawFold), the closed form returns only -1, 0 or 1, and a homotopy type at
-odds with brute force is a mu-disagreement.  Label sequences that rise
-strictly are distinct, sorted and poset lexicographic (the chains sharing a
-prefix stand together), and a duplicate, an unsorted pair or a poset-lex
-fault breaks the rise, so one rise line, naming the first two sequences in
-a row that do not rise, stands for all three.  The problem lines come in a
-fixed order: the route checks, the rise line, the count line, each chain's
-fast-law line in chain order, then the critical checks.
+last one, is ever critical, which only the laws' unpruned walk sees.  No
+check repeats another's verdict or checks what the code rules out by its
+build: the ascent and descent laws hold wherever the fast law does, a
+strictly falling chain has only weak descents before its last step (both by
+where chains.walk takes its labels, see LawFold), the closed form returns
+only -1, 0 or 1, and a homotopy type at odds with brute force is a
+mu-disagreement.  Label sequences that rise strictly are distinct, sorted
+and poset lexicographic (the chains sharing a prefix stand together), and a
+duplicate, an unsorted pair or a poset-lex fault breaks the rise, so one
+rise line, naming the first two sequences in a row that do not rise, stands
+for all three.  The problem lines come in a fixed order: the route checks,
+the rise line, the count line, each chain's fast-law line in chain order,
+then the critical checks.
 """
 
 from __future__ import annotations
@@ -153,23 +154,26 @@ class LawFold:
     with its new MSI, past the last member and inside that MSI.
     A chain that ends at a bottom b, a key of expect, adds to b's tally:
     one chain, its label tuple as the last, the first two tuples in a row
-    that do not rise, and its msi-fast line; laws() weighs the count
-    against expect[b], b's chains by the order relation.  fast[d], by
-    depth as on the path, holds the fast law's spans of the chain at depth
-    d, by end, and the chain breaks the fast law when it differs from
-    msis[d]: at depth d both gain only spans that end at d - 1, so the two
-    agree exactly when every depth's new spans are that depth's new MSI.
+    that do not rise, its msi-fast line, and whether it is critical.
+    laws() weighs the count against expect[b], b's chains by the order
+    relation, and b's critical dims, from the fold, against the law that
+    at most one chain, the last, is critical (Babson and Hersh).
+    fast[d], by depth as on the path, holds the fast law's spans of the
+    chain at depth d, by end, and the chain breaks the fast law when it
+    differs from msis[d]: at depth d both gain only spans that end at
+    d - 1, so the two agree exactly when every depth's new spans are that
+    depth's new MSI.
     """
 
     def __init__(self, poset, fold: MorseFold, expect: dict):
-        path, msis = fold.path, fold.msis
+        path, msis, covered = fold.path, fold.msis, fold.covered
         elements, windows, labels = path.elements, path.windows, path.labels
         morse_visit, jump = fold.visit, poset.jump
         n = len(labels)
         self.fast = fast = [()] * (n + 1)
-        self.expect = expect
-        # bottom -> [chains, last label tuple, first two not rising, lines]
-        self.tallies = tallies = {b: [0, None, None, []] for b in expect}
+        self.expect, self.critical_dims = expect, fold.tallies
+        # bottom -> [chains, last label tuple, first two not rising, lines, last critical]
+        self.tallies = tallies = {b: [0, None, None, [], False] for b in expect}
 
         def visit(d) -> None:
             morse_visit(d)
@@ -191,6 +195,7 @@ class LawFold:
                     at[2] = at[1], ids
                 at[0] += 1
                 at[1] = ids
+                at[4] = covered[d] == d - 1
                 if fast[d] != msis[d]:
                     at[3].append(
                         f"msi-fast: {sorted(fast[d])} != {list(msis[d])} on chain {ids}")
@@ -199,13 +204,19 @@ class LawFold:
 
     def laws(self) -> dict:
         """The law lines of every bottom, once the walk is done: the rise
-        line, the count line, then the msi-fast lines in chain order."""
+        line, the count line, the msi-fast lines in chain order, then the
+        critical lines."""
         found = {}
-        for b, (count, _, fall, lines) in self.tallies.items():
+        for b, (count, _, fall, lines, last) in self.tallies.items():
             head = [f"chains: labels {fall[0]} then {fall[1]} do not rise"] if fall else []
             if count != self.expect[b]:
                 head.append(f"chains: found {count}, naive descent gives {self.expect[b]}")
-            found[b] = tuple(head + lines)
+            dims, critical = self.critical_dims[b], []
+            if len(dims) > 1:
+                critical = [f"critical: {len(dims)} critical chains"]
+            elif dims and not last:
+                critical = ["critical: the critical chain is not the lexicographically last"]
+            found[b] = tuple(head + lines + critical)
         return found
 
 
@@ -249,20 +260,15 @@ def naive_chain_count(poset, interval: IntervalStructure) -> tuple[int, ...]:
 
 
 def check_interval(poset, routes: Routes) -> IntervalRecord:
-    """Run every invariant suite on one interval over its routes with the
-    chain laws, from top_routes(..., laws=True).  The record holds the
-    interval's texts, its brute-force value, which the histogram and the
-    cache check read, and its problem lines: a route that disagrees with
+    """The record of one interval from its routes with the chain laws,
+    from top_routes(..., laws=True): the interval's texts, its brute-force
+    value, which the histogram and the cache check read, and its problem
+    lines, the route checks' then the laws'.  A route that disagrees with
     brute force is named in its mu-disagreement or mu-euler line, and one
     that agrees holds the brute-force value."""
     report = routes.report
-    problems = routes.problems() + list(routes.laws)
-    if report.critical_count > 1:
-        problems.append(f"critical: {report.critical_count} critical chains")
-    if report.critical_count == 1 and not report.last_critical:
-        problems.append("critical: the critical chain is not the lexicographically last")
     return IntervalRecord(poset.format(report.bottom), poset.format(report.top),
-                          routes.brute, tuple(problems))
+                          routes.brute, tuple(routes.problems()) + routes.laws)
 
 
 def _interval_records(poset, tops) -> list[IntervalRecord]:

@@ -27,11 +27,11 @@ matching dimension.
 Every walk node ends one chain, its parent's plus one step, so MorseFold
 also carries the family and its covered count down the path: the new
 span, if any, comes last in the pass and adds at most one member.  Each
-bottom keeps only the dimensions of its critical chains and whether its
-last chain is critical, which give the Mobius value and the homotopy
-type; no chain is held.  morse_report alone lists the chains with their
-data, for the commands that print them.  disjoint_family and the fast
-laws below stay the per-chain definitions the fold is tested against.
+bottom keeps only the dimensions of its critical chains, which give the
+Mobius value and the homotopy type; no chain is held.  morse_report
+alone lists the chains with their data, for the commands that print
+them.  disjoint_family and the fast laws below stay the per-chain
+definitions the fold is tested against.
 
 A family only grows down the walk, each new member past the last, so a
 node with an uncovered index below its last member's end has no critical
@@ -176,15 +176,13 @@ class ChainMorseData:
 @dataclass(frozen=True)
 class MorseReport:
     """The Morse route on [bottom, top]: the dimension of each critical
-    chain in chain order, whether the lexicographically last chain is
-    critical, and the chains themselves only where morse_report lists
-    them."""
+    chain in chain order, and the chains themselves only where
+    morse_report lists them."""
 
     bottom: object
     top: object
     rank_gap: int
     critical_dims: tuple[int, ...]
-    last_critical: bool
     chains: tuple[ChainMorseData, ...] | None = None
 
     @property
@@ -225,8 +223,9 @@ class MorseFold:
     """
     The Morse route folded down one walk (chains.walk).  visit(d) finds
     the MSIs and the disjoint family of the chain the node at depth d
-    ends from its parent's and the path's newest step, then tallies the
-    chain when its element is one of bottoms.
+    ends from its parent's and the path's newest step, then, when its
+    element is one of bottoms and the chain is critical, tallies the
+    chain's dimension.
 
     The MSIs come from the walk's preorder.  For a path e[0..d], (i, j)
     with j = d - 1 is skipped iff the walk already reached e[d] inside the
@@ -253,8 +252,8 @@ class MorseFold:
     covered[d] is below the end of the family's last member, so no chain
     under it is critical.  Later nodes read only latest from the subtree,
     a run of preorder indices holding none of their ancestors, so every
-    element under the node takes the node's index there, and every bottom
-    under it a non-critical last chain: later bisections answer as before.
+    element under the node takes the node's index there: later bisections
+    answer as after the whole subtree.
     """
 
     def __init__(self, poset, top, bottoms):
@@ -264,8 +263,8 @@ class MorseFold:
         self.msis = msis = [()] * (n + 1)
         self.family = family = [()] * (n + 1)
         self.covered = covered = [0] * (n + 1)
-        # bottom -> [critical dims in chain order, whether the last chain is critical]
-        self.tallies = tallies = {b: [[], False] for b in bottoms}
+        # bottom -> the dims of its critical chains, in chain order
+        self.tallies = tallies = {b: [] for b in bottoms}
         elements = path.elements
         latest: dict = {}  # element -> preorder index of its latest visit
         seen = [0] * (n + 1)  # seen[k]: preorder index of the path's node at depth k
@@ -290,12 +289,8 @@ class MorseFold:
                 else:
                     msis[d], family[d], covered[d] = m, family[d - 1], covered[d - 1]
             latest[e] = seen[d] = next(order)
-            tally = tallies.get(e)
-            if tally is not None:
-                critical = covered[d] == d - 1
-                if critical:
-                    tally[0].append(len(family[d]) - 1)
-                tally[1] = critical
+            if covered[d] == d - 1 and e in tallies:
+                tallies[e].append(len(family[d]) - 1)
 
         def pruning_visit(d) -> bool:
             visit(d)
@@ -305,8 +300,6 @@ class MorseFold:
             index = seen[d]
             for z in poset.down_set(elements[d]):
                 latest[z] = index
-                if z in tallies:
-                    tallies[z][1] = False
             return True
 
         self.visit, self.pruning_visit = visit, pruning_visit
@@ -321,8 +314,8 @@ class MorseFold:
     def reports(self) -> dict:
         """The MorseReport of every bottom, once the walk is done."""
         rank = self.poset.rank
-        return {b: MorseReport(b, self.top, rank(self.top) - rank(b), tuple(dims), last)
-                for b, (dims, last) in self.tallies.items()}
+        return {b: MorseReport(b, self.top, rank(self.top) - rank(b), tuple(dims))
+                for b, dims in self.tallies.items()}
 
 
 def morse_summary(poset, bottom, top) -> MorseReport:

@@ -172,22 +172,33 @@ def test_a_chain_listing_does_no_morse_work(monkeypatch, capsys):
     full, pruned = fold_walk(p, top, (bottom,), pruned=False), fold_walk(p, top, (bottom,))
     calls.clear()
     assert morse.morse_summary(p, bottom, top).mobius == 1
-    assert len(calls) == sum(d >= 2 for d in pruned[1]) < sum(d >= 2 for d in full[1])
+    assert len(calls) == sum(len(n) >= 2 for n in pruned[1]) < sum(len(n) >= 2 for n in full[1])
 
 
 def fold_walk(poset, top, bottoms, pruned=True):
-    """Each bottom's critical dimensions and last-chain verdict from one
-    fold walk, pruned or full, and the depth of every node it visited."""
+    """Each bottom's critical dimensions from one fold walk, pruned or
+    full, and the MSIs and disjoint family of every node it visited, by
+    the node's label path."""
     fold = MorseFold(poset, top, bottoms)
-    visit, depths = fold.pruning_visit if pruned else fold.visit, []
-    walk(poset, fold.path, bottoms, lambda d: depths.append(d) or visit(d))
+    visit, nodes = fold.pruning_visit if pruned else fold.visit, {}
+    labels, msis, family = fold.path.labels, fold.msis, fold.family
+
+    def record(d):
+        dead = visit(d)
+        nodes[tuple(labels[:d])] = msis[d], family[d]
+        return dead
+
+    walk(poset, fold.path, bottoms, record)
     reports = fold.reports()
-    return {b: (reports[b].critical_dims, reports[b].last_critical) for b in bottoms}, depths
+    return {b: reports[b].critical_dims for b in bottoms}, nodes
 
 
 def test_the_pruned_fold_equals_the_full_fold():
     # with every element as a bottom, on every top of the acceptance ranges
-    # (factor order over {a,b} one size further) and on seeded larger tops
+    # (factor order over {a,b} one size further) and on seeded larger tops:
+    # each bottom's critical dims, and at every node the pruned walk visits
+    # the full walk's MSIs and family, so a dead subtree leaves every later
+    # bisection as the whole subtree would
     acceptance = [(poset, top) for poset, max_size in (
         (PatternPoset(), 6), (FactorPoset(), 7), (FactorPoset(("a", "b", "c")), 5))
         for n in range(poset.min_rank, max_size + 1) for top in poset.elements_of_rank(n)]
@@ -197,7 +208,10 @@ def test_the_pruned_fold_equals_the_full_fold():
     seeded += [(FactorPoset(), tuple(rng.choices("ab", k=10))) for _ in range(20)]
     for poset, top in acceptance + seeded:
         bottoms = sorted(poset.down_set(top))
-        assert fold_walk(poset, top, bottoms)[0] == fold_walk(poset, top, bottoms, False)[0]
+        (dims, nodes), (full_dims, full_nodes) = (fold_walk(poset, top, bottoms),
+                                                  fold_walk(poset, top, bottoms, False))
+        assert dims == full_dims
+        assert {path: full_nodes[path] for path in nodes} == nodes
 
 
 def test_the_routes_prune_the_large_interval_walk(monkeypatch):
@@ -211,7 +225,7 @@ def test_the_routes_prune_the_large_interval_walk(monkeypatch):
     calls = []
     real = morse.bisect_right
     monkeypatch.setattr(morse, "bisect_right", lambda *a: calls.append(a) or real(*a))
-    nodes = sum(d >= 2 for d in kept)
+    nodes = sum(len(n) >= 2 for n in kept)
     assert crosscheck.evaluate(p, bottom, top).report.mobius == 0 and len(calls) == nodes
     calls.clear()
     assert morse.morse_summary(p, bottom, top).mobius == 0 and len(calls) == nodes
