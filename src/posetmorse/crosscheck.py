@@ -112,7 +112,7 @@ def top_routes(poset, top, bottoms=None, laws=False) -> dict:
     law_fold = LawFold(poset, fold, {b: count[position[b]] for b in bottoms}) if laws else None
     walk(poset, fold.path, bottoms, law_fold.visit if law_fold else fold.pruning_visit)
     reports = fold.reports()
-    found = law_fold.laws() if law_fold else {}
+    found = law_fold.laws(reports) if law_fold else {}
     return {b: Routes(poset.mobius_closed_form(b, top), reports[b], brute[i], euler[i],
                       found.get(b))
             for b in bottoms for i in (position[b],)}
@@ -154,30 +154,32 @@ class LawFold:
     with its new MSI, past the last member and inside that MSI.
     A chain that ends at a bottom b, a key of expect, adds to b's tally:
     one chain, its label tuple as the last, the first two tuples in a row
-    that do not rise, its msi-fast line, and whether it is critical.
-    laws() weighs the count against expect[b], b's chains by the order
-    relation, and b's critical dims, from the fold, against the law that
-    at most one chain, the last, is critical (Babson and Hersh).
-    fast[d], by depth as on the path, holds the fast law's spans of the
-    chain at depth d, by end, and the chain breaks the fast law when it
-    differs from msis[d]: at depth d both gain only spans that end at
-    d - 1, so the two agree exactly when every depth's new spans are that
-    depth's new MSI.
+    that do not rise, its msi-fast line, and how many critical chains the
+    fold held for b before it.  laws() weighs the count against expect[b],
+    b's chains by the order relation, and b's report against the law that
+    at most one chain, the last, is critical (Babson and Hersh).  fast[d],
+    by depth as on the path, holds the fast law's spans of the chain at
+    depth d, by end, and the chain breaks the fast law when it differs from
+    msis[d]: at depth d both gain only spans that end at d - 1, so the two
+    agree exactly when every depth's new spans are that depth's new MSI.
     """
 
     def __init__(self, poset, fold: MorseFold, expect: dict):
-        path, msis, covered = fold.path, fold.msis, fold.covered
+        path, msis, critical = fold.path, fold.msis, fold.tallies
         elements, windows, labels = path.elements, path.windows, path.labels
         morse_visit, jump = fold.visit, poset.jump
         n = len(labels)
         self.fast = fast = [()] * (n + 1)
-        self.expect, self.critical_dims = expect, fold.tallies
-        # bottom -> [chains, last label tuple, first two not rising, lines, last critical]
-        self.tallies = tallies = {b: [0, None, None, [], False] for b in expect}
+        self.expect = expect
+        # bottom -> [chains, last label tuple, first two not rising, lines, critical before]
+        self.tallies = tallies = {b: [0, None, None, [], 0] for b in expect}
 
         def visit(d) -> None:
-            morse_visit(d)
             e = elements[d]
+            at = tallies.get(e)
+            if at is not None:
+                at[4] = len(critical[e])
+            morse_visit(d)
             if d > 1:
                 j = d - 1
                 spans = [(j, j)] if labels[j - 1] > labels[j] == windows[j][0] + 1 else []
@@ -188,35 +190,33 @@ class LawFold:
                         spans.append((i + 1, j))
                     i -= 1
                 fast[d] = fast[d - 1] + tuple(spans) if spans else fast[d - 1]
-            at = tallies.get(e)
             if at is not None:
                 ids = tuple(labels[:d])
                 if at[0] and at[2] is None and ids <= at[1]:
                     at[2] = at[1], ids
                 at[0] += 1
                 at[1] = ids
-                at[4] = covered[d] == d - 1
                 if fast[d] != msis[d]:
                     at[3].append(
                         f"msi-fast: {sorted(fast[d])} != {list(msis[d])} on chain {ids}")
 
         self.visit = visit
 
-    def laws(self) -> dict:
-        """The law lines of every bottom, once the walk is done: the rise
-        line, the count line, the msi-fast lines in chain order, then the
-        critical lines."""
+    def laws(self, reports: dict) -> dict:
+        """The law lines of every bottom, with its report once the walk is
+        done: the rise line, the count line, the msi-fast lines in chain
+        order, then the critical lines."""
         found = {}
-        for b, (count, _, fall, lines, last) in self.tallies.items():
+        for b, (count, _, fall, lines, before) in self.tallies.items():
             head = [f"chains: labels {fall[0]} then {fall[1]} do not rise"] if fall else []
             if count != self.expect[b]:
                 head.append(f"chains: found {count}, naive descent gives {self.expect[b]}")
-            dims, critical = self.critical_dims[b], []
-            if len(dims) > 1:
-                critical = [f"critical: {len(dims)} critical chains"]
-            elif dims and not last:
-                critical = ["critical: the critical chain is not the lexicographically last"]
-            found[b] = tuple(head + lines + critical)
+            critical = reports[b].critical_count
+            if critical > 1:
+                lines = lines + [f"critical: {critical} critical chains"]
+            elif critical and before:
+                lines = lines + ["critical: the critical chain is not the lexicographically last"]
+            found[b] = tuple(head + lines)
         return found
 
 

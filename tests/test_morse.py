@@ -394,7 +394,7 @@ def test_degenerate_intervals():
     (5, (3, 1), "cells[1,3]"), (5, (1, 1, 3), "cells[1,1,3]")])
 def test_the_homotopy_type_is_its_text(gap, dims, text):
     # None below rank gap two; the dims of several critical chains sorted
-    report = morse.MorseReport((1,), (1,), gap, dims, bool(dims))
+    report = morse.MorseReport((1,), (1,), gap, dims)
     assert report.homotopy == text
     if text is None:
         with pytest.raises(ValueError, match="degenerate interval: rank gap below two"):
