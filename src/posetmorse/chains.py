@@ -22,9 +22,8 @@ is built only where a listing asks for one (maximal_chains, Path.chain).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
 class StepClass(Enum):
@@ -33,8 +32,7 @@ class StepClass(Enum):
     STRONG_DESCENT = "strong_descent"
 
 
-@dataclass(frozen=True)
-class MaximalChain:
+class MaximalChain(NamedTuple):
     """A chain from an interval's top down to its bottom.
 
     elements[i] is the poset element after i covers, windows[i] the

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
-from dataclasses import asdict, replace
 from functools import cache
 
 from . import render
@@ -66,9 +65,9 @@ def parse_alphabet(text: str) -> tuple[str, ...]:
 
 def make_poset(args):
     """The poset named by --poset, with its size guardrail unless --force."""
-    poset = (PatternPoset() if args.poset == "pattern"
-             else FactorPoset(alphabet=parse_alphabet(args.alphabet)))
-    return replace(poset, max_top=None) if args.force else poset
+    limit = {"max_top": None} if args.force else {}
+    return (PatternPoset(**limit) if args.poset == "pattern"
+            else FactorPoset(parse_alphabet(args.alphabet), **limit))
 
 
 def _emit(args, text_fn, json_obj) -> None:
@@ -155,6 +154,8 @@ def cmd_homotopy(args) -> int:
 
 
 def cmd_bijection(args) -> int:
+    from dataclasses import asdict
+
     from .bijection import perm_to_word, verify_isomorphism, word_to_perm
 
     if args.mode != "verify":  # map and unmap: read one side, print the other

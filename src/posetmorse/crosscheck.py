@@ -49,7 +49,7 @@ then the critical checks.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .chains import walk
 from .morse import MorseFold, MorseReport
@@ -62,8 +62,7 @@ class WorkerDied(RuntimeError):
     OOM killer, SIGKILL) or exited; the sweep cannot finish."""
 
 
-@dataclass(frozen=True)
-class Routes:
+class Routes(NamedTuple):
     """Every Mobius route on one interval, and the problem lines of the
     chain laws where they were asked for (LawFold.laws)."""
 
@@ -220,22 +219,20 @@ class LawFold:
         return found
 
 
-@dataclass(frozen=True)
-class IntervalRecord:
+class IntervalRecord(NamedTuple):
     bottom: str
     top: str
     mu_brute: int
     problems: tuple[str, ...]
 
 
-@dataclass
-class CrosscheckReport:
+class CrosscheckReport(NamedTuple):
     poset_tag: str
     max_size: int
-    total: int = 0
-    mu_histogram: dict[int, int] = field(default_factory=dict)
-    mismatches: list[str] = field(default_factory=list)
-    records: list[IntervalRecord] = field(default_factory=list)
+    total: int
+    mu_histogram: dict[int, int]
+    mismatches: list[str]
+    records: list[IntervalRecord]
 
     @property
     def ok(self) -> bool:
@@ -339,18 +336,17 @@ def run_crosscheck(poset, max_size: int, cache: MobiusCache | None = None,
     else:
         records = _interval_records(poset, tops)
 
-    report = CrosscheckReport(poset_tag=poset.tag, max_size=max_size)
-    report.total = len(records)
-    for rec in records:
+    histogram: dict[int, int] = {}
+    mismatches: list[str] = []
+    for k, rec in enumerate(records):
         stale = cache.check(poset.tag, rec.bottom, rec.top,
                             rec.mu_brute) if cache is not None else None
         if stale:
-            rec = replace(rec, problems=rec.problems + (stale,))
-        report.records.append(rec)
-        report.mu_histogram[rec.mu_brute] = report.mu_histogram.get(rec.mu_brute, 0) + 1
+            records[k] = rec = rec._replace(problems=rec.problems + (stale,))
+        histogram[rec.mu_brute] = histogram.get(rec.mu_brute, 0) + 1
         for problem in rec.problems:
-            report.mismatches.append(f"[{rec.bottom}, {rec.top}] {problem}")
-    return report
+            mismatches.append(f"[{rec.bottom}, {rec.top}] {problem}")
+    return CrosscheckReport(poset.tag, max_size, len(records), histogram, mismatches, records)
 
 
 def _death(workers) -> str:

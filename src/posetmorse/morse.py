@@ -46,8 +46,8 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 from .chains import MaximalChain, Path, walk
 from .perms import exterior, interior, leq_consecutive
@@ -164,8 +164,7 @@ def msis_fast_pattern(chain: MaximalChain) -> list[Span]:
     return _msis_fast(chain, _jump_pattern)
 
 
-@dataclass(frozen=True)
-class ChainMorseData:
+class ChainMorseData(NamedTuple):
     chain: MaximalChain
     msis: tuple[Span, ...]
     family: tuple[Span, ...]
@@ -173,8 +172,7 @@ class ChainMorseData:
     dim: int | None
 
 
-@dataclass(frozen=True)
-class MorseReport:
+class MorseReport(NamedTuple):
     """The Morse route on [bottom, top]: the dimension of each critical
     chain in chain order, and the chains themselves only where
     morse_report lists them."""
@@ -347,7 +345,7 @@ def morse_report(poset, bottom, top) -> MorseReport:
             listed.append(fold.chain_data(d))
 
     walk(poset, fold.path, (bottom,), visit)
-    return replace(fold.reports()[bottom], chains=tuple(listed))
+    return fold.reports()[bottom]._replace(chains=tuple(listed))
 
 
 def mobius_morse(poset, bottom, top) -> int:

@@ -30,8 +30,7 @@ import itertools
 import math
 import os
 import threading
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import closed_form, morse, perms, words
 
@@ -47,7 +46,24 @@ class SizeLimitError(RuntimeError):
 class _LengthGraded:
     """What both posets share: rank is length, max_top bounds the length
     of interval tops accepted for enumeration (None lifts it), and an
-    element's expansion is its text form padded with the zero symbol."""
+    element's expansion is its text form padded with the zero symbol.  A
+    poset is a read-only value of its class and the fields its __init__
+    sets, in order; pickle restores them without __setattr__."""
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(other) == vars(self)
+
+    def __hash__(self) -> int:
+        return hash((type(self), *vars(self).values()))
+
+    def __repr__(self) -> str:
+        fields = map("{}={!r}".format, vars(self), vars(self).values())
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     def rank(self, e) -> int:
         return len(e)
@@ -70,11 +86,11 @@ class _LengthGraded:
                                  f"{self.limit_name} limit {self.max_top}")
 
 
-@dataclass(frozen=True)
 class PatternPoset(_LengthGraded):
     """Consecutive pattern order on permutations."""
 
-    max_top: int | None = 9
+    def __init__(self, max_top: int | None = 9):
+        vars(self)["max_top"] = max_top
 
     kind = "pattern"
     tag = "pattern"
@@ -109,9 +125,9 @@ class PatternPoset(_LengthGraded):
 
 def check_alphabet(letters, text: str | None = None) -> tuple[str, ...]:
     """The letters as a tuple, when each word over them has its own text
-    (see words): some letter, none repeated, empty, holding a comma,
-    spaced or a run of others.  An error names the alphabet by text, or
-    its letters comma-joined."""
+    (see words) on one line: some letter, none repeated, empty, holding a
+    comma, spaced, unprintable (a tab, a newline) or a run of others.  An
+    error names the alphabet by text, or its letters comma-joined."""
     letters = tuple(letters)
     text = ",".join(letters) if text is None else text
     if not letters:
@@ -120,26 +136,22 @@ def check_alphabet(letters, text: str | None = None) -> tuple[str, ...]:
         raise ValueError(f"alphabet has repeated letters: {text!r}")
     for s in letters:
         run = len(s) > 1 and set(s) <= set(letters)
-        if not s or "," in s or s != s.strip() or run:
+        if not s or "," in s or s != s.strip() or run or not s.isprintable():
             raise ValueError(f"ambiguous alphabet {text!r}: letter {s!r} has no text of its own")
     return letters
 
 
-@dataclass(frozen=True)
 class FactorPoset(_LengthGraded):
     """Factor order on words over a fixed ordered alphabet (check_alphabet)."""
 
-    alphabet: tuple[str, ...] = ("a", "b")
-    max_top: int | None = 12
+    def __init__(self, alphabet: tuple[str, ...] = ("a", "b"), max_top: int | None = 12):
+        vars(self).update(alphabet=check_alphabet(alphabet), max_top=max_top)
 
     kind = "factor"
     limit_name = "factor-order"
     zero = "0"
     min_rank = 0
     minimum = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alphabet", check_alphabet(self.alphabet))
 
     @property
     def tag(self) -> str:
@@ -172,11 +184,12 @@ class FactorPoset(_LengthGraded):
 def interval_elements(poset, bottom, top) -> frozenset:
     """Every z with bottom <= z <= top, read off the down-set of the top."""
     poset.check_pair(bottom, top)
+    if bottom == poset.minimum:  # every element lies above it
+        return poset.down_set(top)
     return frozenset(e for e in poset.down_set(top) if poset.leq(bottom, e))
 
 
-@dataclass(frozen=True)
-class IntervalStructure:
+class IntervalStructure(NamedTuple):
     """An interval as a finite poset: its elements sorted by (rank, text),
     so the bottom is first and the top last, and the elements above each
     element: ups[i] holds the indices of the elements strictly above

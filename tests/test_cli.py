@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import json
 import os
 import pathlib
@@ -21,7 +20,7 @@ import posetmorse.closed_form as closed_form
 import posetmorse.crosscheck as crosscheck
 import posetmorse.isosearch as isosearch
 from posetmorse.morse import homotopy_type
-from posetmorse.posets import PatternPoset
+from posetmorse.posets import FactorPoset, PatternPoset
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -73,8 +72,7 @@ def test_mobius_and_check_interval_judge_the_routes_by_one_rule(
     # two critical chains of dimension 0 give a Morse sum of 2
     poset, bottom, top = PatternPoset(), (1,), (2, 1, 3, 5, 4, 6)
     real = crosscheck.top_routes(poset, top, (bottom,), laws=True)[bottom]
-    routes = dataclasses.replace(
-        real, report=dataclasses.replace(real.report, critical_dims=(0, 0)))
+    routes = real._replace(report=real.report._replace(critical_dims=(0, 0)))
     assert (routes.closed, routes.report.mobius, routes.brute, routes.euler) == (1, 2, 1, 1)
     monkeypatch.setattr(cli, "evaluate", lambda *args: routes)
     code, out, _ = run_cli(capsys, "mobius", "1", "213546")
@@ -92,7 +90,7 @@ def test_the_euler_route_is_judged_from_rank_gap_two(capsys, monkeypatch,
     # at rank gap one the open interval is empty and Euler checks nothing
     poset = PatternPoset()
     real = crosscheck.top_routes(poset, top, (bottom,), laws=True)[bottom]
-    routes = dataclasses.replace(real, euler=real.brute + 2)
+    routes = real._replace(euler=real.brute + 2)
     assert routes.report.rank_gap == gap
     monkeypatch.setattr(cli, "evaluate", lambda *args: routes)
     code, out, _ = run_cli(capsys, "mobius", poset.format(bottom), poset.format(top))
@@ -419,8 +417,11 @@ def test_alphabet_flag(capsys):
     (("a", "ab", "--poset", "factor", "--alphabet", "a,b,ab"), "'a,b,ab'"),
     (("a", "ab", "--poset", "factor", "--alphabet", "a, b"), "'a, b'"),
     (("a", "ab", "--poset", "factor", "--alphabet", "a,,b"), "'a,,b'"),
+    (("a\nb", "a\nb", "--poset", "factor", "--alphabet", "a\nb,c"),
+     "letter 'a\\nb' has no text of its own"),
 ], ids=["arabic-indic", "superscript", "plus", "underscore", "trailing-comma",
-        "empty-part", "empty", "ambiguous-alphabet", "spaced-letter", "empty-letter"])
+        "empty-part", "empty", "ambiguous-alphabet", "spaced-letter", "empty-letter",
+        "newline-letter"])
 def test_malformed_interval_input_is_one_error_line(capsys, command, argv, named):
     code, out, err = run_cli(capsys, command, *argv)
     assert (code, out) == (3, "")
@@ -429,11 +430,21 @@ def test_malformed_interval_input_is_one_error_line(capsys, command, argv, named
 
 def test_an_ambiguous_alphabet_writes_no_cache(capsys, tmp_path):
     cache = tmp_path / "mu.cache"
-    code, out, err = run_cli(capsys, "crosscheck", "--poset", "factor", "--alphabet",
-                             "a,b,ab", "--max-size", "2", "--jobs", "1",
-                             "--cache", str(cache))
-    assert (code, out) == (3, "") and "ambiguous alphabet 'a,b,ab'" in err
-    assert not cache.exists()
+    # a tab in a letter would split its cache record into too many fields
+    for alphabet in ("a,b,ab", "a\tb,c"):
+        code, out, err = run_cli(capsys, "crosscheck", "--poset", "factor", "--alphabet",
+                                 alphabet, "--max-size", "2", "--jobs", "1",
+                                 "--cache", str(cache))
+        assert (code, out) == (3, "") and f"ambiguous alphabet {alphabet!r}" in err
+        assert not cache.exists()
+
+
+@pytest.mark.parametrize("argv, poset", [
+    (("--poset", "factor", "--alphabet", "abc"), FactorPoset("abc", max_top=None)),
+    ((), PatternPoset(max_top=None))])
+def test_force_lifts_the_guardrail_and_keeps_the_poset(argv, poset):
+    args = cli.build_parser().parse_args(["mobius", "1", "1", "--force", *argv])
+    assert cli.make_poset(args) == poset
 
 
 # the records crosscheck --max-size 2 appends after a poisoned [1, 12]
@@ -606,12 +617,14 @@ def test_a_factor_sweep_of_size_zero_checks_the_empty_word(capsys):
 
 
 def test_start_up_loads_only_what_the_command_runs():
-    # the pool, json, iso-search and the bijection load under the commands
-    # that use them, not at import and not for a text mobius; a fresh
+    # the pool, json, iso-search, the bijection and dataclasses (with
+    # inspect) load under the commands that use them, not at import and
+    # not for a text mobius; a fresh
     # interpreter, as the tests' own imports hold multiprocessing
     script = ("import sys\nfrom posetmorse import cli\n"
               "deferred = {'multiprocessing', 'concurrent.futures', 'json',\n"
-              "            'posetmorse.isosearch', 'posetmorse.bijection'}\n"
+              "            'posetmorse.isosearch', 'posetmorse.bijection',\n"
+              "            'dataclasses', 'inspect'}\n"
               "loaded = [sorted(deferred & set(sys.modules))]\n"
               "code = cli.main(['mobius', '1', '213546'])\n"
               "loaded.append(sorted(deferred & set(sys.modules)))\n"

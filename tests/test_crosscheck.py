@@ -6,7 +6,6 @@ from __future__ import annotations
 import collections
 import concurrent.futures
 import contextlib
-import dataclasses
 import hashlib
 import json
 import os
@@ -23,8 +22,8 @@ import posetmorse.crosscheck as crosscheck
 import posetmorse.morse as morse
 import posetmorse.perms as perms
 import posetmorse.words as words
-from posetmorse.posets import (FactorPoset, IncomparableError, PatternPoset,
-                               SizeLimitError, euler_characteristic,
+from posetmorse.posets import (FactorPoset, IncomparableError, IntervalStructure,
+                               PatternPoset, SizeLimitError, euler_characteristic,
                                interval_structure)
 from test_morse import assert_walk_msis_match_the_oracle, msis_fast
 from test_posets import assert_columns_match_the_oracles, euler_by_walk
@@ -113,8 +112,23 @@ def test_a_parallel_sweep_reports_as_a_serial_one(pool, monkeypatch):
 def test_a_record_holds_only_what_the_sweep_reports():
     # a route value that agrees equals mu_brute, and one that disagrees is
     # named in its own problem line
-    fields = [f.name for f in dataclasses.fields(crosscheck.IntervalRecord)]
+    fields = list(crosscheck.IntervalRecord._fields)
     assert fields == ["bottom", "top", "mu_brute", "problems"]
+
+
+@pytest.mark.parametrize("record, fields", [
+    (chains.MaximalChain, ("elements", "windows", "labels")),
+    (morse.ChainMorseData, ("chain", "msis", "family", "critical", "dim")),
+    (morse.MorseReport, ("bottom", "top", "rank_gap", "critical_dims", "chains")),
+    (IntervalStructure, ("elements", "ups")),
+    (crosscheck.Routes, ("closed", "report", "brute", "euler", "laws")),
+    (crosscheck.IntervalRecord, ("bottom", "top", "mu_brute", "problems")),
+    (crosscheck.CrosscheckReport, ("poset_tag", "max_size", "total", "mu_histogram",
+                                   "mismatches", "records"))])
+def test_each_record_is_a_named_tuple_of_its_fields(record, fields):
+    # fields in order: _replace and _asdict read them, and a record is
+    # never handed to json whole, where it would serialise as a list
+    assert record._fields == fields
 
 
 @pytest.mark.parametrize("jobs", [0, -1])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import pickle
 import random
 
 import pytest
@@ -64,14 +65,43 @@ def test_a_string_alphabet_is_stored_as_its_letters():
     ((), "alphabet must contain at least one letter"),
     # () and ("",) would both read '', and 'a,b,c' would read as three letters
     (("", "a"), "ambiguous alphabet ',a': letter '' has no text of its own"),
-    (("a,b", "c"), "ambiguous alphabet 'a,b,c': letter 'a,b' has no text of its own")],
-    ids=["run-of-letters", "spaced", "repeated", "empty", "empty-letter", "comma-letter"])
+    (("a,b", "c"), "ambiguous alphabet 'a,b,c': letter 'a,b' has no text of its own"),
+    # a tab would split a cache record, a newline a line of output
+    (("a\tb", "c"), "ambiguous alphabet 'a\\tb,c': letter 'a\\tb' has no text of its own"),
+    (("a", "b\nc"), "ambiguous alphabet 'a,b\\nc': letter 'b\\nc' has no text of its own")],
+    ids=["run-of-letters", "spaced", "repeated", "empty", "empty-letter", "comma-letter",
+         "tab-letter", "newline-letter"])
 def test_a_library_alphabet_in_which_two_words_share_a_text_is_rejected(alphabet, message):
     # (a, b) and (ab,) would both read 'ab'
     with pytest.raises(ValueError) as raised:
         FactorPoset(alphabet)
     assert str(raised.value) == message
     assert FactorPoset(("a", "bb")).format(("a", "bb")) == "a,bb"
+
+
+def test_a_poset_is_a_read_only_value():
+    # equal, hashed, printed and pickled by class and fields, as the pool
+    # pickles the poset of a parallel sweep
+    assert PatternPoset() == PatternPoset(9) and hash(PatternPoset()) == hash(PatternPoset(9))
+    assert PatternPoset(9) != PatternPoset(None)
+    assert FactorPoset("ab") == FactorPoset(("a", "b"))
+    assert hash(FactorPoset("ab")) == hash(FactorPoset(("a", "b")))
+    assert FactorPoset("ab") != FactorPoset("abc")
+    assert FactorPoset("ab") != FactorPoset("ab", max_top=None)
+    assert PatternPoset() != FactorPoset() and PatternPoset() != 9
+    assert repr(PatternPoset()) == "PatternPoset(max_top=9)"
+    assert repr(FactorPoset("abc", None)) == "FactorPoset(alphabet=('a', 'b', 'c'), max_top=None)"
+    for poset in (PatternPoset(None), FactorPoset(("a", "bb"), 3)):
+        copy = pickle.loads(pickle.dumps(poset))
+        assert type(copy) is type(poset) and copy == poset
+        with pytest.raises(AttributeError):
+            poset.max_top = 4
+        with pytest.raises(AttributeError):
+            del poset.max_top
+        with pytest.raises(AttributeError):
+            poset.other = 1
+    with pytest.raises(AttributeError):
+        FactorPoset().alphabet = ("a", "a")
 
 
 def test_expansion_text():
@@ -95,6 +125,15 @@ def test_interval_elements_diamond():
     welems = interval_elements(f, (), tuple("aab"))
     assert sorted(welems, key=lambda e: (len(e), e)) == [
         (), ("a",), ("b",), ("a", "a"), ("a", "b"), ("a", "a", "b")]
+
+
+def test_the_interval_of_the_minimum_is_the_down_set_of_its_top():
+    # every element lies above the minimum: no order test is needed, but
+    # the pair is still checked first
+    for poset, top in ((PatternPoset(), (2, 1, 3, 5, 4)), (FactorPoset(), tuple("aab"))):
+        assert interval_elements(poset, poset.minimum, top) is poset.down_set(top)
+        with pytest.raises(SizeLimitError):
+            interval_elements(poset, poset.minimum, top * 5)
 
 
 def test_interval_elements_incomparable():
