@@ -215,32 +215,13 @@ def cmd_iso_search(args) -> int:
     return 0
 
 
-@cache  # built once per process: each add_argument makes a HelpFormatter
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="posetmorse",
-        description="Mobius functions and homotopy types of intervals in "
-                    "the consecutive pattern poset and in factor order, "
-                    "via closed forms, discrete Morse theory, and brute "
-                    "force.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _interval_args(p) -> None:
+    p.add_argument("bottom")
+    p.add_argument("top")
+    _add_flags(p, "--poset", "--alphabet", "--format", "--force")
 
-    for name, func, help_text in (
-            ("mobius", cmd_mobius, "Mobius value by every method"),
-            ("chains", cmd_chains, "maximal chains with labels"),
-            ("morse-report", cmd_morse_report,
-             "chains, skipped intervals, critical cells"),
-            ("homotopy", cmd_homotopy, "homotopy type of the open interval")):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("bottom")
-        p.add_argument("top")
-        _add_flags(p, "--poset", "--alphabet", "--format", "--force")
-        p.set_defaults(func=func)
 
-    p = sub.add_parser("bijection",
-                       help="factor order vs pattern containment on "
-                            "{213,231}-avoiders")
-    p.set_defaults(func=cmd_bijection)
+def _bijection_modes(p) -> None:
     bsub = p.add_subparsers(dest="mode", required=True)
     bsub.add_parser("map", help="word over {a,b} to permutation").add_argument("word")
     bsub.add_parser("unmap", help="avoiding permutation to word").add_argument("perm")
@@ -249,29 +230,60 @@ def build_parser() -> argparse.ArgumentParser:
     for mode_parser in bsub.choices.values():
         _add_flags(mode_parser, "--format")
 
-    p = sub.add_parser("crosscheck",
-                       help="run every method on every interval up to a cap")
-    _add_flags(p, "--poset", "--alphabet", "--max-size", "--format", "--cache",
-               "--jobs", "--force")
-    p.set_defaults(func=cmd_crosscheck)
 
-    p = sub.add_parser("table1",
-                       help="reference table for the interval [1, 213546]")
-    p.set_defaults(func=cmd_table1)
-
-    p = sub.add_parser("iso-search",
-                       help="look for factor intervals isomorphic to "
-                            "pattern intervals")
+def _iso_search_args(p) -> None:
     p.add_argument("--pattern-cap", type=int, default=4, metavar="N")
     p.add_argument("--word-cap", type=int, default=4, metavar="N")
     _add_flags(p, "--alphabet", "--format", "--force")
-    p.set_defaults(func=cmd_iso_search)
 
+
+# Each command once: its handler, its help line and what declares its arguments.
+COMMANDS = {
+    "mobius": (cmd_mobius, "Mobius value by every method", _interval_args),
+    "chains": (cmd_chains, "maximal chains with labels", _interval_args),
+    "morse-report": (cmd_morse_report, "chains, skipped intervals, critical cells",
+                     _interval_args),
+    "homotopy": (cmd_homotopy, "homotopy type of the open interval", _interval_args),
+    "bijection": (cmd_bijection,
+                  "factor order vs pattern containment on {213,231}-avoiders",
+                  _bijection_modes),
+    "crosscheck": (cmd_crosscheck, "run every method on every interval up to a cap",
+                   lambda p: _add_flags(p, "--poset", "--alphabet", "--max-size",
+                                        "--format", "--cache", "--jobs", "--force")),
+    "table1": (cmd_table1, "reference table for the interval [1, 213546]", lambda p: None),
+    "iso-search": (cmd_iso_search,
+                   "look for factor intervals isomorphic to pattern intervals",
+                   _iso_search_args),
+}
+
+
+# Built once per command per process, as each add_argument makes a
+# HelpFormatter: build_parser(name) holds only that command, and
+# build_parser() the full tree.
+@cache
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="posetmorse",
+        description="Mobius functions and homotopy types of intervals in "
+                    "the consecutive pattern poset and in factor order, "
+                    "via closed forms, discrete Morse theory, and brute "
+                    "force.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    if command is not None:  # usage lists every command (on the full tree
+        # this would rename the argument "command" in its errors)
+        sub.metavar = "{" + ",".join(COMMANDS) + "}"
+    for name in COMMANDS if command is None else (command,):
+        func, help_text, declare = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        declare(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0]) if argv and argv[0] in COMMANDS else build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except IncomparableError as exc:

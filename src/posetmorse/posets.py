@@ -126,8 +126,9 @@ class PatternPoset(_LengthGraded):
 def check_alphabet(letters, text: str | None = None) -> tuple[str, ...]:
     """The letters as a tuple, when each word over them has its own text
     (see words) on one line: some letter, none repeated, empty, holding a
-    comma, spaced, unprintable (a tab, a newline) or a run of others.  An
-    error names the alphabet by text, or its letters comma-joined."""
+    comma, spaced, unprintable (a tab, a newline), a run of others or the
+    zero that pads an expansion (FactorPoset.zero).  An error names the
+    alphabet by text, or its letters comma-joined."""
     letters = tuple(letters)
     text = ",".join(letters) if text is None else text
     if not letters:
@@ -136,7 +137,7 @@ def check_alphabet(letters, text: str | None = None) -> tuple[str, ...]:
         raise ValueError(f"alphabet has repeated letters: {text!r}")
     for s in letters:
         run = len(s) > 1 and set(s) <= set(letters)
-        if not s or "," in s or s != s.strip() or run or not s.isprintable():
+        if s in ("", FactorPoset.zero) or "," in s or s != s.strip() or run or not s.isprintable():
             raise ValueError(f"ambiguous alphabet {text!r}: letter {s!r} has no text of its own")
     return letters
 

@@ -8,8 +8,10 @@ u <= w when u appears as a block of consecutive letters of w.
 Text form: words of one-character letters render as plain strings
 ("abb"), the empty word as "", others as comma-separated letters ("a,bb";
 "bb" alone).  posets.check_alphabet rejects the alphabets in which two
-words share a text.  format_word is memoized process-wide (8,192
-entries, like _factor_set), so a sweep writes each word's text once.
+words share a text.  The down-set of w is w with those of w[:-1] and
+w[1:], as every proper factor lies in one of these two; it and
+format_word are memoized process-wide (8,192 entries), so a sweep builds
+each factor's set and writes each word's text once.
 """
 
 from __future__ import annotations
@@ -44,13 +46,11 @@ def is_factor(u: Word, w: Word) -> bool:
 
 @lru_cache(maxsize=8192)  # every word over {a,b} of length <= 12
 def _factor_set(w: Word) -> frozenset[Word]:
-    """All factors of w, the empty word included."""
-    out = {()}
-    n = len(w)
-    for width in range(1, n + 1):
-        for lo in range(n - width + 1):
-            out.add(w[lo:lo + width])
-    return frozenset(out)
+    """All factors of w, the empty word included: w with the factors of
+    its two longest proper factors; no cover rule."""
+    if not w:
+        return frozenset(((),))
+    return frozenset((w,)) | _factor_set(w[:-1]) | _factor_set(w[1:])
 
 
 def is_flat(w: Word) -> bool:

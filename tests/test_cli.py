@@ -419,9 +419,11 @@ def test_alphabet_flag(capsys):
     (("a", "ab", "--poset", "factor", "--alphabet", "a,,b"), "'a,,b'"),
     (("a\nb", "a\nb", "--poset", "factor", "--alphabet", "a\nb,c"),
      "letter 'a\\nb' has no text of its own"),
+    (("0", "00", "--poset", "factor", "--alphabet", "0a"), "'0a': letter '0'"),
+    (("eps", "0", "--poset", "factor", "--alphabet", "0a"), "'0a': letter '0'"),
 ], ids=["arabic-indic", "superscript", "plus", "underscore", "trailing-comma",
         "empty-part", "empty", "ambiguous-alphabet", "spaced-letter", "empty-letter",
-        "newline-letter"])
+        "newline-letter", "zero-letter", "zero-letter-over-eps"])
 def test_malformed_interval_input_is_one_error_line(capsys, command, argv, named):
     code, out, err = run_cli(capsys, command, *argv)
     assert (code, out) == (3, "")
@@ -685,13 +687,42 @@ def test_one_parser_serves_every_call_in_a_process(capsys):
 
     cli.build_parser.cache_clear()
     reused = [call(argv) for argv in argvs]
-    assert cli.build_parser.cache_info().misses == 1
+    assert cli.build_parser.cache_info().misses == 2  # one per command asked for
     fresh = []
     for argv in argvs:
         cli.build_parser.cache_clear()
         fresh.append(call(argv))
     assert reused == fresh
     assert [code for code, _, _ in reused] == [3, 0, 0]
+
+
+def test_a_command_builds_only_its_own_parser():
+    def subparsers(parser):
+        [choices] = [a.choices for a in parser._actions if isinstance(a.choices, dict)]
+        return choices
+
+    assert list(subparsers(cli.build_parser("mobius"))) == ["mobius"]
+    bijection = subparsers(cli.build_parser("bijection"))
+    assert list(bijection) == ["bijection"]
+    assert list(subparsers(bijection["bijection"])) == ["map", "unmap", "verify"]
+    assert list(subparsers(cli.build_parser())) == list(cli.COMMANDS)
+
+
+USAGE = json.loads((DATA / "usage_golden.json").read_text())
+
+
+@pytest.mark.skipif("%d.%d" % sys.version_info[:2] != USAGE["python"],
+                    reason="argparse lays out help differently in each Python minor version")
+@pytest.mark.parametrize("case", USAGE["cases"],
+                         ids=lambda case: " ".join(case["argv"]) or "no-arguments")
+def test_help_and_usage_output_is_golden(capsys, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", str(USAGE["columns"]))
+    try:
+        code = cli.main(case["argv"])
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (case["code"], case["stdout"], case["stderr"])
 
 
 def test_each_subcommand_takes_only_the_flags_it_reads():

@@ -68,9 +68,11 @@ def test_a_string_alphabet_is_stored_as_its_letters():
     (("a,b", "c"), "ambiguous alphabet 'a,b,c': letter 'a,b' has no text of its own"),
     # a tab would split a cache record, a newline a line of output
     (("a\tb", "c"), "ambiguous alphabet 'a\\tb,c': letter 'a\\tb' has no text of its own"),
-    (("a", "b\nc"), "ambiguous alphabet 'a,b\\nc': letter 'b\\nc' has no text of its own")],
+    (("a", "b\nc"), "ambiguous alphabet 'a,b\\nc': letter 'b\\nc' has no text of its own"),
+    # an expansion pads with '0', so the element 0 of [0, 00] would print as 00
+    (("0", "a"), "ambiguous alphabet '0,a': letter '0' has no text of its own")],
     ids=["run-of-letters", "spaced", "repeated", "empty", "empty-letter", "comma-letter",
-         "tab-letter", "newline-letter"])
+         "tab-letter", "newline-letter", "zero-letter"])
 def test_a_library_alphabet_in_which_two_words_share_a_text_is_rejected(alphabet, message):
     # (a, b) and (ab,) would both read 'ab'
     with pytest.raises(ValueError) as raised:

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
+from posetmorse import words
 from posetmorse.words import (as_word, down_covers_word, format_word,
                               inner_word, is_factor, is_flat, outer_word,
                               parse_word)
@@ -13,6 +15,19 @@ from posetmorse.words import (as_word, down_covers_word, format_word,
 
 def w(text):
     return tuple(text)
+
+
+def all_slices(top):
+    """The definition of the down-set: every factor of top, of every
+    width, the empty word included."""
+    n = len(top)
+    return frozenset(top[lo:lo + width] for width in range(n + 1) for lo in range(n - width + 1))
+
+
+# every word over {a,b} of length <= 8, then two seeded ones over {a,b,c} at each length 12 to 16
+SMALL = [u for n in range(9) for u in itertools.product("ab", repeat=n)]
+_rng = random.Random(1241)
+LONG = [tuple(_rng.choices("abc", k=n)) for n in range(12, 17) for _ in range(2)]
 
 
 def test_is_factor_basics():
@@ -100,3 +115,15 @@ def test_a_letter_or_a_word_over_the_alphabet_comes_before_eps():
     assert parse_word("eps", ("eps",)) == ("eps",)
     assert parse_word("ε", ("ε",)) == ("ε",)
     assert parse_word("eps", ("ab", "cd")) == ()
+
+
+def test_the_down_set_is_every_factor():
+    for top in SMALL + LONG:
+        assert words._factor_set(top) == all_slices(top)
+
+
+def test_a_cold_down_set_builds_each_factor_once():
+    for top in LONG[-2:]:
+        words._factor_set.cache_clear()
+        assert words._factor_set(top) == all_slices(top)
+        assert words._factor_set.cache_info().misses == len(all_slices(top))
