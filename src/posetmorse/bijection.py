@@ -16,7 +16,7 @@ leftover value lands in the final position.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .perms import format_permutation, leq_consecutive, parse_permutation
 from .words import format_word, is_factor, parse_word
@@ -90,20 +90,19 @@ def avoids_213_231(p: tuple[int, ...]) -> bool:
     return True
 
 
-@dataclass
-class IsomorphismReport:
+class IsomorphismReport(NamedTuple):
     """Outcome of the exhaustive order-isomorphism check up to one length:
     the counts of word pairs whose order the map breaks, of words that do
     not round-trip and of lengths whose images are not the avoiders, and
     the avoiders of each length as (found, 2^(m-1))."""
 
     max_length: int
-    words_checked: int = 0
-    pairs_checked: int = 0
-    order_violations: int = 0
-    roundtrip_failures: int = 0
-    image_mismatches: int = 0
-    avoider_counts: dict[int, tuple[int, int]] = field(default_factory=dict)
+    words_checked: int
+    pairs_checked: int
+    order_violations: int
+    roundtrip_failures: int
+    image_mismatches: int
+    avoider_counts: dict[int, tuple[int, int]]
 
     @property
     def ok(self) -> bool:
@@ -123,29 +122,34 @@ def verify_isomorphism(max_length: int) -> IsomorphismReport:
         raise ValueError("need max_length of at least two")
     if max_length > 8:
         raise ValueError("exhaustive check capped at length eight")
-    report = IsomorphismReport(max_length=max_length)
-    all_words = [
-        w for n in range(max_length)
-        for w in itertools.product(_AB, repeat=n)
-    ]
-    report.words_checked = len(all_words)
-    images = {}
-    for w in all_words:
-        p = word_to_perm(w)
-        images[w] = p
-        if perm_to_word(p) != w:
-            report.roundtrip_failures += 1
+    images = {w: word_to_perm(w) for n in range(max_length)
+              for w in itertools.product(_AB, repeat=n)}
+    avoider_counts, image_mismatches = {}, 0
     for m in range(1, max_length + 1):
         avoiders = {p for p in itertools.permutations(range(1, m + 1))
                     if avoids_213_231(p)}
-        report.avoider_counts[m] = (len(avoiders), 2 ** (m - 1))
-        image_m = {p for w, p in images.items() if len(p) == m}
-        if image_m != avoiders:
-            report.image_mismatches += 1
-    for u in all_words:
-        pu = images[u]
-        for w in all_words:
-            report.pairs_checked += 1
-            if is_factor(u, w) != leq_consecutive(pu, images[w]):
-                report.order_violations += 1
-    return report
+        avoider_counts[m] = (len(avoiders), 2 ** (m - 1))
+        image_mismatches += {p for p in images.values() if len(p) == m} != avoiders
+    return IsomorphismReport(
+        max_length, words_checked=len(images), pairs_checked=len(images) ** 2,
+        order_violations=sum(is_factor(u, w) != leq_consecutive(pu, pw)
+                             for u, pu in images.items() for w, pw in images.items()),
+        roundtrip_failures=sum(perm_to_word(p) != w for w, p in images.items()),
+        image_mismatches=image_mismatches, avoider_counts=avoider_counts)
+
+
+def isomorphism_text(report: IsomorphismReport) -> str:
+    lines = [f"bijection check through length {report.max_length}",
+             f"  words checked: {report.words_checked}",
+             f"  ordered pairs checked: {report.pairs_checked}"]
+    for m, (got, want) in sorted(report.avoider_counts.items()):
+        lines.append(f"  avoiders of length {m}: {got} (expected {want})")
+    lines.append("ok" if report.ok else
+                 f"failed: {report.order_violations} order violations, "
+                 f"{report.roundtrip_failures} round-trip failures, "
+                 f"{report.image_mismatches} image mismatches")
+    return "\n".join(lines) + "\n"
+
+
+def isomorphism_json(report: IsomorphismReport) -> dict:
+    return dict(report._asdict(), ok=report.ok)

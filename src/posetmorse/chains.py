@@ -101,27 +101,25 @@ def walk(poset, path: Path, bottoms, visit) -> None:
 
     Nodes are visited in preorder, each before its children, so a subtree
     is one run of visits, and a visitor that writes slot d at depth d
-    holds the current node's ancestors in slots 0..d-1, in preorder, with
-    no push or pop.  A visitor that returns true skips the node's
-    children (morse.MorseFold.pruning_visit).
+    holds the current node's ancestors in slots 0..d-1 with no stack of
+    its own.  A visitor that returns true skips the node's children
+    (morse.MorseFold.pruning_visit).
     """
     elements, windows, labels = path.elements, path.windows, path.labels
     floor = min((poset.rank(b) for b in bottoms), default=poset.rank(elements[0]))
-
-    def descend(d) -> None:
+    stack = [(0, elements[0], windows[0], 0)]  # not the call stack: tops of any length
+    while stack:
+        d, element, window, label = stack.pop()
+        elements[d], windows[d] = element, window
+        if d:
+            labels[d - 1] = label
         if visit(d):
-            return
-        lo, hi = windows[d]
-        if hi - lo > floor:
-            for child, pos in reversed(poset.down_covers(elements[d])):
-                elements[d + 1] = child
-                if pos == 1:
-                    windows[d + 1], labels[d] = (lo + 1, hi), lo + 1
-                else:
-                    windows[d + 1], labels[d] = (lo, hi - 1), hi
-                descend(d + 1)
-
-    descend(0)
+            continue
+        lo, hi = window
+        if hi - lo > floor:  # pushed in order, so the last cover pops first
+            for child, pos in poset.down_covers(element):
+                stack.append((d + 1, child, (lo + 1, hi), lo + 1) if pos == 1
+                             else (d + 1, child, (lo, hi - 1), hi))
 
 
 def classify_steps(chain: MaximalChain) -> tuple[StepClass, ...]:

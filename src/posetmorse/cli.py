@@ -154,9 +154,8 @@ def cmd_homotopy(args) -> int:
 
 
 def cmd_bijection(args) -> int:
-    from dataclasses import asdict
-
-    from .bijection import perm_to_word, verify_isomorphism, word_to_perm
+    from .bijection import (isomorphism_json, isomorphism_text, perm_to_word,
+                            verify_isomorphism, word_to_perm)
 
     if args.mode != "verify":  # map and unmap: read one side, print the other
         if args.mode == "map":
@@ -170,21 +169,7 @@ def cmd_bijection(args) -> int:
         _emit(args, lambda: shown + "\n", pair)
         return 0
     report = verify_isomorphism(args.max_length)
-
-    def text() -> str:
-        lines = [f"bijection check through length {report.max_length}",
-                 f"  words checked: {report.words_checked}",
-                 f"  ordered pairs checked: {report.pairs_checked}"]
-        for m in sorted(report.avoider_counts):
-            got, want = report.avoider_counts[m]
-            lines.append(f"  avoiders of length {m}: {got} (expected {want})")
-        lines.append("ok" if report.ok else
-                     f"failed: {report.order_violations} order violations, "
-                     f"{report.roundtrip_failures} round-trip failures, "
-                     f"{report.image_mismatches} image mismatches")
-        return "\n".join(lines) + "\n"
-
-    _emit(args, text, dict(asdict(report), ok=report.ok))
+    _emit(args, lambda: isomorphism_text(report), isomorphism_json(report))
     return 0 if report.ok else 1
 
 

@@ -15,7 +15,7 @@ claim beyond the sizes it was run at.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 from .posets import (FactorPoset, IntervalStructure, PatternPoset,
                      interval_structure)
@@ -80,8 +80,7 @@ def find_isomorphism(a: IntervalStructure, la: list, b: IntervalStructure,
     return [int(v) for v in image] if extend(0) else None  # type: ignore[arg-type]
 
 
-@dataclass
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     bottom: str
     top: str
     size: int
@@ -90,16 +89,15 @@ class CatalogEntry:
     word_top: str | None = None
 
 
-@dataclass
-class IsoSearchReport:
+class IsoSearchReport(NamedTuple):
     pattern_cap: int
     word_cap: int
     alphabet: tuple[str, ...]
-    entries: list[CatalogEntry] = field(default_factory=list)
+    entries: list[CatalogEntry]
 
     @property
     def matched(self) -> int:
-        return sum(1 for e in self.entries if e.matched)
+        return sum(e.matched for e in self.entries)
 
 
 def _canonical_words(alphabet: tuple[str, ...], max_len: int):
@@ -133,24 +131,18 @@ def run_iso_search(pattern_cap: int = 4, word_cap: int = 4,
             by_cert.setdefault(certificate(c), []).append((u, w, s, c))
 
     pposet = PatternPoset(max_top=None)
-    report = IsoSearchReport(pattern_cap=pattern_cap, word_cap=word_cap,
-                             alphabet=alphabet)
+    entries = []
     for d in range(1, pattern_cap + 1):
         for tau in pposet.elements_of_rank(d):
             for sigma in sorted(pposet.down_set(tau), key=lambda e: (len(e), e)):
                 s = interval_structure(pposet, sigma, tau)
-                entry = CatalogEntry(
-                    bottom=pposet.format(sigma), top=pposet.format(tau),
-                    size=s.size, matched=False)
                 c = colours(s)
-                for u, w, ws, wc in by_cert.get(certificate(c), []):
-                    if find_isomorphism(s, c, ws, wc) is not None:
-                        entry.matched = True
-                        entry.word_bottom = wposet.format(u)
-                        entry.word_top = wposet.format(w)
-                        break
-                report.entries.append(entry)
-    return report
+                match = next(((u, w) for u, w, ws, wc in by_cert.get(certificate(c), ())
+                              if find_isomorphism(s, c, ws, wc) is not None), None)
+                entries.append(CatalogEntry(
+                    pposet.format(sigma), pposet.format(tau), s.size, match is not None,
+                    *map(wposet.format, match or ())))  # unmatched: None, None
+    return IsoSearchReport(pattern_cap, word_cap, alphabet, entries)
 
 
 def iso_search_json(report: IsoSearchReport) -> dict:
@@ -160,7 +152,7 @@ def iso_search_json(report: IsoSearchReport) -> dict:
         "alphabet": format_word(report.alphabet),
         "total": len(report.entries),
         "matched": report.matched,
-        "entries": [asdict(e) for e in report.entries],
+        "entries": [e._asdict() for e in report.entries],
     }
 
 

@@ -6,6 +6,8 @@ import itertools
 
 import pytest
 
+import posetmorse.bijection as bijection
+import posetmorse.cli as cli
 from posetmorse.bijection import (avoids_213_231, perm_to_word,
                                   verify_isomorphism, word_to_perm)
 from posetmorse.perms import leq_consecutive, standardize
@@ -87,3 +89,28 @@ def test_verify_isomorphism_report():
         verify_isomorphism(1)
     with pytest.raises(ValueError):
         verify_isomorphism(9)
+
+
+def test_verify_isomorphism_counts_each_kind_of_failure(monkeypatch, capsys):
+    # a map that swaps the images of ab and ba breaks the order and the
+    # round trip but keeps each length's image set; an inverse that
+    # returns the empty word breaks the round trip and, through
+    # avoids_213_231, makes every permutation an avoider
+    swapped = {("a", "b"): word_to_perm(("b", "a")), ("b", "a"): word_to_perm(("a", "b"))}
+    monkeypatch.setattr(bijection, "word_to_perm", lambda w: swapped.get(w) or word_to_perm(w))
+    report = verify_isomorphism(4)
+    assert report.order_violations > 0 and report.roundtrip_failures == 2
+    assert report.image_mismatches == 0 and not report.ok
+
+    monkeypatch.undo()
+    monkeypatch.setattr(bijection, "perm_to_word", lambda p: ())
+    report = verify_isomorphism(4)
+    assert report.order_violations == 0 and report.roundtrip_failures == 14
+    assert report.image_mismatches == 2 and not report.ok
+    assert report.avoider_counts[4] == (24, 8)
+
+    code = cli.main(["bijection", "verify", "--max-length", "4"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.endswith("failed: 0 order violations, 14 round-trip failures, "
+                        "2 image mismatches\n")

@@ -618,11 +618,16 @@ def test_a_factor_sweep_of_size_zero_checks_the_empty_word(capsys):
     assert "intervals checked: 1\n" in out
 
 
+def _in_a_fresh_interpreter(script):
+    # a fresh interpreter, as the tests' own imports hold multiprocessing
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60, check=False)
+
+
 def test_start_up_loads_only_what_the_command_runs():
-    # the pool, json, iso-search, the bijection and dataclasses (with
-    # inspect) load under the commands that use them, not at import and
-    # not for a text mobius; a fresh
-    # interpreter, as the tests' own imports hold multiprocessing
+    # the pool, json, iso-search and the bijection load under the commands
+    # that use them, not at import and not for a text mobius
     script = ("import sys\nfrom posetmorse import cli\n"
               "deferred = {'multiprocessing', 'concurrent.futures', 'json',\n"
               "            'posetmorse.isosearch', 'posetmorse.bijection',\n"
@@ -631,11 +636,38 @@ def test_start_up_loads_only_what_the_command_runs():
               "code = cli.main(['mobius', '1', '213546'])\n"
               "loaded.append(sorted(deferred & set(sys.modules)))\n"
               "print(code, loaded, file=sys.stderr)\n")
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=60, check=False)
+    proc = _in_a_fresh_interpreter(script)
     assert proc.stdout.endswith("mobius: 1\n")
     assert proc.stderr == "0 [[], []]\n"
+
+
+def test_the_report_commands_load_no_dataclasses():
+    # their reports are named tuples, so no command loads dataclasses
+    # (or inspect, which it imports)
+    script = ("import sys\nfrom posetmorse import cli\n"
+              "codes = [cli.main(['iso-search', '--pattern-cap', '2', '--word-cap', '2']),\n"
+              "         cli.main(['bijection', 'verify', '--max-length', '3'])]\n"
+              "print(codes, sorted({'dataclasses', 'inspect'} & set(sys.modules)),\n"
+              "      file=sys.stderr)\n")
+    proc = _in_a_fresh_interpreter(script)
+    assert proc.stdout.endswith("ok\n")
+    assert proc.stderr == "[0, 0] []\n"
+
+
+@pytest.mark.parametrize("command", ["homotopy", "chains", "morse-report"])
+def test_a_deep_factor_top_is_walked_without_recursion(capsys, command):
+    # the walk keeps its own stack, so 1,200 covers down one chain end
+    # cleanly; the call stack held about a thousand
+    top = "a" * 1200
+    head, tail = {
+        "homotopy": ("contractible\n", "contractible\n"),
+        "chains": (f"1 maximal chains of [, {top}]\n", "0" * 1200 + "\n"),
+        "morse-report": (f"minimal skipped intervals for [, {top}]\n",
+                         "chains: 1\ncritical chains: 0\nmobius: 0\nhomotopy: contractible\n"),
+    }[command]
+    code, out, err = run_cli(capsys, command, "eps", top, "--poset", "factor", "--force")
+    assert (code, err) == (0, "")
+    assert out.startswith(head) and out.endswith(tail)
 
 
 def test_an_interrupt_while_the_package_imports_exits_130(tmp_path):
@@ -721,6 +753,18 @@ def test_help_and_usage_output_is_golden(capsys, monkeypatch, case):
         code = cli.main(case["argv"])
     except SystemExit as exc:
         code = exc.code
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (case["code"], case["stdout"], case["stderr"])
+
+
+REPORTS = json.loads((DATA / "reports_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", REPORTS["cases"], ids=lambda case: " ".join(case["argv"]))
+def test_report_output_is_golden(capsys, case):
+    # iso-search and bijection as they printed before their reports became
+    # named tuples, byte for byte
+    code = cli.main(case["argv"])
     out = capsys.readouterr()
     assert (code, out.out, out.err) == (case["code"], case["stdout"], case["stderr"])
 

@@ -6,6 +6,7 @@ import hashlib
 
 import pytest
 
+import posetmorse.isosearch as isosearch
 from posetmorse.isosearch import (_canonical_words, certificate, colours,
                                   find_isomorphism, iso_search_json,
                                   iso_search_text, run_iso_search)
@@ -131,6 +132,24 @@ def test_run_iso_search_small():
     entry = by_pair[("1", "213")]
     assert entry.matched
     assert entry.word_top in ("ab", "aa")
+
+
+def test_the_matcher_has_the_final_word_and_the_first_confirmed_match_is_kept(monkeypatch):
+    # no two intervals searched share a certificate without being
+    # isomorphic, so only a stand-in matcher shows what a rejection does
+    asked = []
+
+    def matcher(verdict):
+        return lambda *args: asked.append(args) or verdict
+
+    monkeypatch.setattr(isosearch, "find_isomorphism", matcher(None))
+    report = run_iso_search(3, 3)
+    assert report.matched == 0
+    assert {(e.word_bottom, e.word_top) for e in report.entries} == {(None, None)}
+    assert len(asked) > len(report.entries)
+    asked.clear()
+    monkeypatch.setattr(isosearch, "find_isomorphism", matcher([]))
+    assert run_iso_search(3, 3).matched == len(asked) == 27
 
 
 def test_the_catalogue_at_pattern_cap_5_and_word_cap_7_is_pinned():
