@@ -16,12 +16,13 @@ across calls, so a check reads only values computed in its own call.  A
 cache file is only checked against the brute-force values and appended to,
 never read in their place.  A parallel sweep submits runs of consecutive
 tops in order and reads them in order, so its records arrive in sweep
-order, as in a serial one.  The pool's modules (multiprocessing,
-concurrent.futures, signal) load only when a sweep starts a pool, so a
-command that answers one interval, or a serial sweep, does not import
-them.  A worker killed from outside (the OOM killer, SIGKILL) breaks the
-pool: the executor stops the other workers, and the sweep raises
-WorkerDied naming the dead one.
+order, as in a serial one.  Each run is folded into the report, and the
+cache, as it arrives, while later runs still compute.  The pool's modules
+(multiprocessing, concurrent.futures, signal) load only when a sweep
+starts a pool, so a command that answers one interval, or a serial sweep,
+does not import them.  A worker killed from outside (the OOM killer,
+SIGKILL) breaks the pool: the executor stops the other workers, and the
+sweep raises WorkerDied naming the dead one.
 
 Per interval the harness runs the route checks of Routes.problems, as the
 mobius subcommand does: the closed form, the critical-chain count and the
@@ -274,9 +275,10 @@ def _interval_records(poset, tops) -> list[IntervalRecord]:
             for top in tops for routes in top_routes(poset, top, laws=True).values()]
 
 
-def _worker(args) -> list[IntervalRecord]:
-    """One pool chunk: every interval under the given tops."""
-    return _interval_records(*args)
+def _worker(args) -> list[tuple]:
+    """One pool run: every interval under the given tops, as plain tuples,
+    which pickle without running Python code per record, as named ones do."""
+    return [tuple(r) for r in _interval_records(*args)]
 
 
 def run_crosscheck(poset, max_size: int, cache: MobiusCache | None = None,
@@ -287,10 +289,12 @@ def run_crosscheck(poset, max_size: int, cache: MobiusCache | None = None,
     rank: a sweep that checks no interval would pass vacuously.  The unit
     of parallel work is a run of consecutive tops, about four runs per
     worker, and the runs come back in sweep order.  At most one worker
-    process runs per CPU; jobs=None asks for one per CPU.  After the sweep,
-    in sweep order, each interval's brute-force value is checked against
-    the cache, and appended to it when the file holds no record; a held
-    record that differs is one more problem of that interval.
+    process runs per CPU; jobs=None asks for one per CPU.  As each run
+    arrives, in sweep order, each interval's brute-force value is checked
+    against the cache, and appended to it when the file holds no record; a
+    held record that differs is one more problem of that interval.  A sweep
+    cut short has appended the records of the runs it folded, a prefix of
+    the file a whole sweep writes.
     """
     if max_size < poset.min_rank:
         raise ValueError(f"max size must be at least {poset.min_rank}, got {max_size}")
@@ -305,6 +309,21 @@ def run_crosscheck(poset, max_size: int, cache: MobiusCache | None = None,
         e for d in range(poset.min_rank, max_size + 1)
         for e in poset.elements_of_rank(d)
     ]
+    histogram: dict[int, int] = {}
+    mismatches: list[str] = []
+
+    def fold(records: list[IntervalRecord], start: int) -> None:
+        """Check the records from start on against the cache and count them in."""
+        for k in range(start, len(records)):
+            rec = records[k]
+            stale = cache.check(poset.tag, rec.bottom, rec.top,
+                                rec.mu_brute) if cache is not None else None
+            if stale:
+                records[k] = rec = rec._replace(problems=rec.problems + (stale,))
+            histogram[rec.mu_brute] = histogram.get(rec.mu_brute, 0) + 1
+            for problem in rec.problems:
+                mismatches.append(f"[{rec.bottom}, {rec.top}] {problem}")
+
     if jobs > 1 and len(tops) > 1:
         import multiprocessing
         import signal
@@ -325,7 +344,12 @@ def run_crosscheck(poset, max_size: int, cache: MobiusCache | None = None,
                 try:
                     runs = [pool.submit(_worker, (poset, c)) for c in chunks]
                     workers = set(multiprocessing.active_children()) - others
-                    records = [r for run in runs for r in run.result()]
+                    records: list[IntervalRecord] = []
+                    runs.reverse()
+                    while runs:  # in sweep order; a folded run's future and tuples go
+                        start = len(records)
+                        records += map(IntervalRecord._make, runs.pop().result())
+                        fold(records, start)
                 except KeyboardInterrupt:
                     for worker in set(multiprocessing.active_children()) - others:
                         worker.terminate()
@@ -335,17 +359,7 @@ def run_crosscheck(poset, max_size: int, cache: MobiusCache | None = None,
             raise WorkerDied(_death(workers)) from None
     else:
         records = _interval_records(poset, tops)
-
-    histogram: dict[int, int] = {}
-    mismatches: list[str] = []
-    for k, rec in enumerate(records):
-        stale = cache.check(poset.tag, rec.bottom, rec.top,
-                            rec.mu_brute) if cache is not None else None
-        if stale:
-            records[k] = rec = rec._replace(problems=rec.problems + (stale,))
-        histogram[rec.mu_brute] = histogram.get(rec.mu_brute, 0) + 1
-        for problem in rec.problems:
-            mismatches.append(f"[{rec.bottom}, {rec.top}] {problem}")
+        fold(records, 0)
     return CrosscheckReport(poset.tag, max_size, len(records), histogram, mismatches, records)
 
 

@@ -16,10 +16,12 @@ padded with zeros outside the occupied window ("000213").
 The down-set of tau is tau with those of tau[:-1] and tau[1:], standardized;
 it and down_covers, interior, exterior and format_permutation are memoized
 process-wide (8,192 entries): two standardize calls per new permutation.
+The exterior is the order-preserving border, from one failure-function pass.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -141,7 +143,10 @@ def interior(tau: tuple[int, ...]) -> tuple[int, ...]:
 def exterior(tau: tuple[int, ...]) -> tuple[int, ...]:
     """
     The longest permutation that is the standard form of both a proper
-    prefix and a suffix of tau.
+    prefix and a suffix of tau, its order-preserving border (Kubica et al.,
+    IPL 2013): a border of length b of tau[:i] grows by tau[i] when tau[i]
+    lies between the border's letters at offsets below[b] and above[b], as
+    tau[b] lies between tau[below[b]] and tau[above[b]].
 
     >>> exterior((2, 1, 3, 5, 4))
     (2, 1)
@@ -150,13 +155,25 @@ def exterior(tau: tuple[int, ...]) -> tuple[int, ...]:
     >>> exterior((1, 2))
     (1,)
     """
-    if len(tau) < 2:
+    n = len(tau)
+    if n < 2:
         raise ValueError("exterior needs length at least two")
-    for k in range(len(tau) - 1, 0, -1):
-        p = standardize(tau[:k])
-        if p == standardize(tau[-k:]):
-            return p
-    raise AssertionError("unreachable: length-one affixes always agree")
+    at = {v: i for i, v in enumerate(tau)}
+    # below[i], above[i]: where the nearest smaller and larger letters before i stand, or -1
+    seen, below, above = [], [], []
+    for v in tau:
+        k = bisect_left(seen, v)
+        below.append(at[seen[k - 1]] if k else -1)
+        above.append(at[seen[k]] if k < len(seen) else -1)
+        seen.insert(k, v)
+    border = [0, 0]  # border[k]: the longest proper border of tau[:k]
+    for i in range(1, n):
+        b, v = border[i], tau[i]
+        while b and not ((below[b] < 0 or tau[i - b + below[b]] < v)
+                         and (above[b] < 0 or v < tau[i - b + above[b]])):
+            b = border[b]
+        border.append(b + 1)
+    return standardize(tau[:border[n]])
 
 
 @lru_cache(maxsize=8192)

@@ -20,7 +20,7 @@ import posetmorse.closed_form as closed_form
 import posetmorse.crosscheck as crosscheck
 import posetmorse.isosearch as isosearch
 from posetmorse.morse import homotopy_type
-from posetmorse.posets import FactorPoset, PatternPoset
+from posetmorse.posets import FactorPoset, MobiusCache, PatternPoset
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -928,3 +928,75 @@ run()
         proc.kill()
     assert (proc.returncode, out, err) == (
         5, "", f"error: crosscheck worker {pid} was killed by SIGKILL\n")
+
+
+def test_an_interrupted_parallel_sweep_leaves_a_prefix_of_the_cache_file(
+        capsys, tmp_path, two_cpus):
+    # the first run computes at once; every later one marks its worker and
+    # sleeps first.  Once the first run is back, SIGINT goes to the parent,
+    # and then, on a second sweep, SIGKILL to a worker.  Each leaves the
+    # records it folded, whole lines in sweep order, and a rerun completes
+    # the file a serial sweep writes
+    serial = tmp_path / "serial.cache"
+    code, _, _ = run_cli(capsys, "crosscheck", "--max-size", "6", "--jobs", "1",
+                         "--cache", str(serial))
+    assert code == 0
+    want = serial.read_bytes()
+    for how in ("sigint", "sigkill"):
+        marks = tmp_path / how
+        marks.mkdir()
+        cache = tmp_path / f"{how}.cache"
+        script = f"""\
+import functools, os, pathlib, signal, sys, time
+from posetmorse import crosscheck
+from posetmorse.cli import run
+signal.signal(signal.SIGINT, signal.default_int_handler)
+os.cpu_count = lambda: 2
+worker = crosscheck._worker
+marks = pathlib.Path({str(marks)!r})
+
+@functools.wraps(worker)
+def paced(args):
+    if args[1][0] == (1,):
+        records = worker(args)
+        (marks / "first").touch()
+        return records
+    (marks / f"pid.{{os.getpid()}}").touch()
+    time.sleep(30)
+    return worker(args)
+
+crosscheck._worker = paced
+sys.argv = ['posetmorse', 'crosscheck', '--max-size', '6', '--jobs', '2',
+            '--cache', {str(cache)!r}]
+run()
+"""
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+        proc = subprocess.Popen([sys.executable, "-c", script], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                text=True, start_new_session=True)
+        try:
+            deadline = time.monotonic() + 30
+            while not (marks / "first").exists():
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+            time.sleep(0.5)  # the first run folded, the others asleep
+            if how == "sigint":
+                proc.send_signal(signal.SIGINT)
+                expect = (130, "", "interrupted\n")
+            else:
+                pid = int(min(marks.glob("pid.*")).suffix[1:])
+                os.kill(pid, signal.SIGKILL)
+                expect = (5, "", f"error: crosscheck worker {pid} was killed by SIGKILL\n")
+            out, err = proc.communicate(timeout=60)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.kill()
+        assert (proc.returncode, out, err) == expect
+        left = cache.read_bytes()
+        MobiusCache(str(cache)).close()
+        assert left.endswith(b"\n") and want.startswith(left) and len(left) < len(want)
+        code, out, _ = run_cli(capsys, "crosscheck", "--max-size", "6", "--jobs", "2",
+                               "--cache", str(cache))
+        assert code == 0 and "intervals checked: 10087" in out
+        assert cache.read_bytes() == want

@@ -109,6 +109,16 @@ def test_a_parallel_sweep_reports_as_a_serial_one(pool, monkeypatch):
     assert parallel.mismatches == serial.mismatches
 
 
+def test_a_real_pool_returns_named_records(monkeypatch):
+    # workers ship plain tuples, and the parent rebuilds each record
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    serial = crosscheck.run_crosscheck(PatternPoset(), 4, jobs=1)
+    parallel = crosscheck.run_crosscheck(PatternPoset(), 4, jobs=2)
+    assert all(type(r) is crosscheck.IntervalRecord for r in parallel.records)
+    assert ((parallel.records, parallel.mu_histogram, parallel.mismatches)
+            == (serial.records, serial.mu_histogram, serial.mismatches))
+
+
 def test_a_record_holds_only_what_the_sweep_reports():
     # a route value that agrees equals mu_brute, and one that disagrees is
     # named in its own problem line

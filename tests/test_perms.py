@@ -154,6 +154,32 @@ def test_exterior_is_longest_common_affix_pattern():
                 assert standardize(p[:longer]) != standardize(p[n - longer:])
 
 
+def exterior_by_affixes(tau):
+    """The definition of the exterior: the longest proper prefix whose
+    standard form is that of the suffix of its length."""
+    for k in range(len(tau) - 1, 0, -1):
+        p = standardize(tau[:k])
+        if p == standardize(tau[-k:]):
+            return p
+    raise AssertionError("unreachable: length-one affixes always agree")
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, pytest.param(9, marks=pytest.mark.slow)])
+def test_exterior_equals_the_affix_oracle_on_every_permutation(n):
+    for p in itertools.permutations(range(1, n + 1)):
+        assert exterior.__wrapped__(p) == exterior_by_affixes(p), p
+
+
+def test_exterior_equals_the_affix_oracle_on_long_tops():
+    # monotone tops have the longest borders, seeded ones mostly short
+    rng = random.Random(6060)
+    tops = [t for n in range(2, 61)
+            for t in (tuple(range(1, n + 1)), tuple(range(n, 0, -1)),
+                      tuple(rng.sample(range(1, n + 1), n)))]
+    for tau in tops + LONG:
+        assert exterior.__wrapped__(tau) == exterior_by_affixes(tau), tau
+
+
 def test_format_and_parse_round_trip():
     assert format_permutation((2, 1, 3, 5, 4, 6)) == "213546"
     assert parse_permutation("213546") == (2, 1, 3, 5, 4, 6)
