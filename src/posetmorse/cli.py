@@ -70,11 +70,9 @@ def make_poset(args):
             else FactorPoset(parse_alphabet(args.alphabet), **limit))
 
 
-def _emit(args, text_fn, json_obj) -> None:
-    if args.fmt == "json":
-        sys.stdout.write(render.dump_json(json_obj))
-    else:
-        sys.stdout.write(text_fn())
+def _emit(args, text_fn, json_fn) -> None:
+    """Build and print only the format asked for."""
+    sys.stdout.write(render.dump_json(json_fn()) if args.fmt == "json" else text_fn())
 
 
 def parse_interval(args):
@@ -110,7 +108,7 @@ def cmd_mobius(args) -> int:
             lines.append("mismatch: methods disagree")
         return "\n".join(lines) + "\n"
 
-    _emit(args, text, {
+    _emit(args, text, lambda: {
         **render.interval_json(poset, bottom, top),
         "rank_gap": routes.report.rank_gap,
         "methods": methods,
@@ -129,7 +127,7 @@ def cmd_chains(args) -> int:
                 f"{render.interval_label(poset, bottom, top)}\n")
         return head + render.chain_table(poset, chains) + "\n"
 
-    _emit(args, text, render.chains_json(poset, bottom, top, chains))
+    _emit(args, text, lambda: render.chains_json(poset, bottom, top, chains))
     return 0
 
 
@@ -137,7 +135,7 @@ def cmd_morse_report(args) -> int:
     poset, bottom, top = parse_interval(args)
     report = morse_report(poset, bottom, top)
     _emit(args, lambda: render.morse_report_text(poset, report),
-          render.morse_report_json(poset, report))
+          lambda: render.morse_report_json(poset, report))
     return 0
 
 
@@ -145,7 +143,7 @@ def cmd_homotopy(args) -> int:
     poset, bottom, top = parse_interval(args)
     report = morse_summary(poset, bottom, top)
     homotopy = report.homotopy_type()
-    _emit(args, lambda: f"{homotopy}\n", {
+    _emit(args, lambda: f"{homotopy}\n", lambda: {
         **render.interval_json(poset, bottom, top),
         "homotopy": homotopy,
         "mobius": report.mobius,
@@ -166,20 +164,19 @@ def cmd_bijection(args) -> int:
             w = perm_to_word(p)
         pair = {"word": format_word(w), "permutation": format_permutation(p)}
         shown = pair["permutation"] if args.mode == "map" else pair["word"] or "eps"
-        _emit(args, lambda: shown + "\n", pair)
+        _emit(args, lambda: shown + "\n", lambda: pair)
         return 0
     report = verify_isomorphism(args.max_length)
-    _emit(args, lambda: isomorphism_text(report), isomorphism_json(report))
+    _emit(args, lambda: isomorphism_text(report), lambda: isomorphism_json(report))
     return 0 if report.ok else 1
 
 
 def cmd_crosscheck(args) -> int:
     poset = make_poset(args)
-    with (contextlib.closing(MobiusCache(args.cache)) if args.cache
+    with (contextlib.closing(MobiusCache(args.cache)) if args.cache is not None
           else contextlib.nullcontext()) as cache:
         report = run_crosscheck(poset, args.max_size, cache, jobs=args.jobs)
-    _emit(args, lambda: crosscheck_text(report),
-          crosscheck_json(report))
+    _emit(args, lambda: crosscheck_text(report), lambda: crosscheck_json(report))
     return 0 if report.ok else 1
 
 
@@ -196,7 +193,7 @@ def cmd_iso_search(args) -> int:
         if cap > limit and not args.force:
             raise SizeLimitError(f"{name} cap {cap} above guardrail {limit}")
     report = run_iso_search(args.pattern_cap, args.word_cap, alphabet)
-    _emit(args, lambda: iso_search_text(report), iso_search_json(report))
+    _emit(args, lambda: iso_search_text(report), lambda: iso_search_json(report))
     return 0
 
 

@@ -10,10 +10,11 @@ bottoms must lie under the top.  Brute force, the Euler characteristic and,
 for the chain laws, the chain count read only the order relation, so they
 are computed per top and read per bottom: top_routes enumerates a top's
 down-set once for a column of each, and one walk from the top folds the
-Morse route (morse.MorseFold), and for the sweep the chain laws (LawFold),
-down the chains of every bottom asked for.  No route value is memoized
-across calls, so a check reads only values computed in its own call.  A
-cache file is only checked against the brute-force values and appended to,
+Morse route (morse.MorseFold) down the chains of every bottom.  One switch,
+laws on whole tops: given no bottoms, it takes all, and folds the chain
+laws (LawFold) too, as the sweep asks.  No route value is memoized across
+calls, so a check reads only values computed in its own call.  A cache
+file is only checked against the brute-force values and appended to,
 never read in their place.  A parallel sweep submits runs of consecutive
 tops in order and reads them in order, so its records arrive in sweep
 order, as in a serial one.  Each run is folded into the report, and the
@@ -65,13 +66,14 @@ class WorkerDied(RuntimeError):
 
 class Routes(NamedTuple):
     """Every Mobius route on one interval, and the problem lines of the
-    chain laws where they were asked for (LawFold.laws)."""
+    chain laws (LawFold.laws); one switch, laws on whole tops: None where
+    top_routes was given bottoms."""
 
     closed: int
     report: MorseReport
     brute: int
     euler: int | None
-    laws: tuple[str, ...] | None = None
+    laws: tuple[str, ...] | None
 
     def problems(self) -> list[str]:
         """The route checks that check_interval and cli.cmd_mobius share.
@@ -86,36 +88,37 @@ class Routes(NamedTuple):
         return problems
 
 
-def top_routes(poset, top, bottoms=None, laws=False) -> dict:
+def top_routes(poset, top, bottoms=None) -> dict:
     """
     The Routes of [b, top] for every b in bottoms, which must lie under the
-    top, every element under the top when bottoms is None, with the chain
-    laws when laws is true.  One enumeration of the top's down-set gives
-    the columns of brute force, the Euler characteristic and, with the
-    laws, the chain count, and one walk folds the Morse route, and the
-    laws, down the chains of every bottom; without the laws it skips the
-    subtrees of dead nodes (MorseFold.pruning_visit).
+    top.  One switch, laws on whole tops: no bottoms means every element
+    under the top, with the chain laws folded down the full walk (the
+    sweep); given bottoms get the routes alone, on a walk that skips the
+    subtrees of dead nodes (MorseFold.pruning_visit).  One enumeration of
+    the top's down-set gives the columns of brute force, the Euler
+    characteristic and, with the laws, the chain count.
 
     >>> from posetmorse.posets import PatternPoset
     >>> p, top = PatternPoset(), (2, 1, 3, 5, 4, 6)
-    >>> top_routes(p, top)[(1,)] == evaluate(p, (1,), top)
+    >>> routes = top_routes(p, top)[(1,)]
+    >>> routes.laws == () and routes._replace(laws=None) == evaluate(p, (1,), top)
     True
     """
     interval = interval_structure(poset, poset.minimum, top)
-    if bottoms is None:
-        bottoms = interval.elements
-    position = {e: i for i, e in enumerate(interval.elements)}
+    elements = interval.elements
     brute = mobius_bruteforce(poset, interval)
     euler = euler_characteristic(poset, interval)
-    fold = MorseFold(poset, top, bottoms)
-    count = naive_chain_count(poset, interval) if laws else None
-    law_fold = LawFold(poset, fold, {b: count[position[b]] for b in bottoms}) if laws else None
-    walk(poset, fold.path, bottoms, law_fold.visit if law_fold else fold.pruning_visit)
-    reports = fold.reports()
-    found = law_fold.laws(reports) if law_fold else {}
-    return {b: Routes(poset.mobius_closed_form(b, top), reports[b], brute[i], euler[i],
-                      found.get(b))
-            for b in bottoms for i in (position[b],)}
+    fold = MorseFold(poset, top, elements if bottoms is None else bottoms)
+    if bottoms is None:
+        law_fold = LawFold(poset, fold, dict(zip(elements, naive_chain_count(poset, interval))))
+        walk(poset, fold.path, elements, law_fold.visit)
+        found = law_fold.laws()
+    else:
+        walk(poset, fold.path, bottoms, fold.pruning_visit)
+        found = dict.fromkeys(bottoms)
+    position = {e: i for i, e in enumerate(elements)}
+    return {b: Routes(poset.mobius_closed_form(b, top), report, brute[i], euler[i], found[b])
+            for b, report in fold.reports().items() for i in (position[b],)}
 
 
 def evaluate(poset, bottom, top) -> Routes:
@@ -126,7 +129,8 @@ def evaluate(poset, bottom, top) -> Routes:
 
 class LawFold:
     """
-    The chain laws folded down one walk beside the Morse route: visit(d)
+    The chain laws of a whole top, folded down its full walk beside the
+    Morse route, whose fold tallies every element under the top: visit(d)
     runs fold.visit(d), then checks the fast law on the chain the node
     ends, from the chain's own labels and elements, against the MSIs the
     fold found.  A child's chain is its parent's plus one step, so the
@@ -152,16 +156,17 @@ class LawFold:
       one.
     No law reads the disjoint family: MorseFold.visit adds a member only
     with its new MSI, past the last member and inside that MSI.
-    A chain that ends at a bottom b, a key of expect, adds to b's tally:
-    one chain, its label tuple as the last, the first two tuples in a row
-    that do not rise, its msi-fast line, and how many critical chains the
-    fold held for b before it.  laws() weighs the count against expect[b],
-    b's chains by the order relation, and b's report against the law that
-    at most one chain, the last, is critical (Babson and Hersh).  fast[d],
-    by depth as on the path, holds the fast law's spans of the chain at
-    depth d, by end, and the chain breaks the fast law when it differs from
-    msis[d]: at depth d both gain only spans that end at d - 1, so the two
-    agree exactly when every depth's new spans are that depth's new MSI.
+    A chain that ends at b adds to b's tally: one chain, its label tuple
+    as the last, the first two tuples in a row that do not rise, its
+    msi-fast line, and how many critical chains the fold held for b
+    before it.  laws() weighs the count against expect[b], b's chains by
+    the order relation, and the fold's critical tally of b against the law
+    that at most one chain, the last, is critical (Babson and Hersh).
+    fast[d], by depth as on the path, holds the fast law's spans of the
+    chain at depth d, by end, and the chain breaks the fast law when it
+    differs from msis[d]: at depth d both gain only spans that end at
+    d - 1, so the two agree exactly when every depth's new spans are that
+    depth's new MSI.
     """
 
     def __init__(self, poset, fold: MorseFold, expect: dict):
@@ -170,15 +175,14 @@ class LawFold:
         morse_visit, jump = fold.visit, poset.jump
         n = len(labels)
         self.fast = fast = [()] * (n + 1)
-        self.expect = expect
+        self.expect, self.critical = expect, critical
         # bottom -> [chains, last label tuple, first two not rising, lines, critical before]
         self.tallies = tallies = {b: [0, None, None, [], 0] for b in expect}
 
         def visit(d) -> None:
             e = elements[d]
-            at = tallies.get(e)
-            if at is not None:
-                at[4] = len(critical[e])
+            at = tallies[e]
+            at[4] = len(critical[e])
             morse_visit(d)
             if d > 1:
                 j = d - 1
@@ -190,28 +194,26 @@ class LawFold:
                         spans.append((i + 1, j))
                     i -= 1
                 fast[d] = fast[d - 1] + tuple(spans) if spans else fast[d - 1]
-            if at is not None:
-                ids = tuple(labels[:d])
-                if at[0] and at[2] is None and ids <= at[1]:
-                    at[2] = at[1], ids
-                at[0] += 1
-                at[1] = ids
-                if fast[d] != msis[d]:
-                    at[3].append(
-                        f"msi-fast: {sorted(fast[d])} != {list(msis[d])} on chain {ids}")
+            ids = tuple(labels[:d])
+            if at[0] and at[2] is None and ids <= at[1]:
+                at[2] = at[1], ids
+            at[0] += 1
+            at[1] = ids
+            if fast[d] != msis[d]:
+                at[3].append(f"msi-fast: {sorted(fast[d])} != {list(msis[d])} on chain {ids}")
 
         self.visit = visit
 
-    def laws(self, reports: dict) -> dict:
-        """The law lines of every bottom, with its report once the walk is
-        done: the rise line, the count line, the msi-fast lines in chain
-        order, then the critical lines."""
+    def laws(self) -> dict:
+        """The law lines of every bottom once the walk is done: the rise
+        line, the count line, the msi-fast lines in chain order, then the
+        critical lines."""
         found = {}
         for b, (count, _, fall, lines, before) in self.tallies.items():
             head = [f"chains: labels {fall[0]} then {fall[1]} do not rise"] if fall else []
             if count != self.expect[b]:
                 head.append(f"chains: found {count}, naive descent gives {self.expect[b]}")
-            critical = reports[b].critical_count
+            critical = len(self.critical[b])
             if critical > 1:
                 lines = lines + [f"critical: {critical} critical chains"]
             elif critical and before:
@@ -259,11 +261,12 @@ def naive_chain_count(poset, interval: IntervalStructure) -> tuple[int, ...]:
 
 def check_interval(poset, routes: Routes) -> IntervalRecord:
     """The record of one interval from its routes with the chain laws,
-    from top_routes(..., laws=True): the interval's texts, its brute-force
-    value, which the histogram and the cache check read, and its problem
-    lines, the route checks' then the laws'.  A route that disagrees with
-    brute force is named in its mu-disagreement or mu-euler line, and one
-    that agrees holds the brute-force value."""
+    from top_routes(poset, top) (one switch, laws on whole tops): the
+    interval's texts, its brute-force value, which the histogram and the
+    cache check read, and its problem lines, the route checks' then the
+    laws'.  A route that disagrees with brute force is named in its
+    mu-disagreement or mu-euler line, and one that agrees holds the
+    brute-force value."""
     report = routes.report
     return IntervalRecord(poset.format(report.bottom), poset.format(report.top),
                           routes.brute, tuple(routes.problems()) + routes.laws)
@@ -272,7 +275,7 @@ def check_interval(poset, routes: Routes) -> IntervalRecord:
 def _interval_records(poset, tops) -> list[IntervalRecord]:
     """Every interval under the given tops, from one top_routes call per top."""
     return [check_interval(poset, routes)
-            for top in tops for routes in top_routes(poset, top, laws=True).values()]
+            for top in tops for routes in top_routes(poset, top).values()]
 
 
 def _worker(args) -> list[tuple]:
@@ -311,18 +314,17 @@ def run_crosscheck(poset, max_size: int, cache: MobiusCache | None = None,
     ]
     histogram: dict[int, int] = {}
     mismatches: list[str] = []
+    records: list[IntervalRecord] = []
 
-    def fold(records: list[IntervalRecord], start: int) -> None:
-        """Check the records from start on against the cache and count them in."""
-        for k in range(start, len(records)):
-            rec = records[k]
-            stale = cache.check(poset.tag, rec.bottom, rec.top,
-                                rec.mu_brute) if cache is not None else None
-            if stale:
-                records[k] = rec = rec._replace(problems=rec.problems + (stale,))
+    def fold(run) -> None:
+        """Check each record of a run against the cache, count it in and keep it."""
+        for got in run:
+            stale = cache is not None and cache.check(poset.tag, got.bottom, got.top, got.mu_brute)
+            rec = got._replace(problems=got.problems + (stale,)) if stale else got
             histogram[rec.mu_brute] = histogram.get(rec.mu_brute, 0) + 1
             for problem in rec.problems:
                 mismatches.append(f"[{rec.bottom}, {rec.top}] {problem}")
+            records.append(rec)
 
     if jobs > 1 and len(tops) > 1:
         import multiprocessing
@@ -344,12 +346,9 @@ def run_crosscheck(poset, max_size: int, cache: MobiusCache | None = None,
                 try:
                     runs = [pool.submit(_worker, (poset, c)) for c in chunks]
                     workers = set(multiprocessing.active_children()) - others
-                    records: list[IntervalRecord] = []
                     runs.reverse()
                     while runs:  # in sweep order; a folded run's future and tuples go
-                        start = len(records)
-                        records += map(IntervalRecord._make, runs.pop().result())
-                        fold(records, start)
+                        fold(map(IntervalRecord._make, runs.pop().result()))
                 except KeyboardInterrupt:
                     for worker in set(multiprocessing.active_children()) - others:
                         worker.terminate()
@@ -358,8 +357,7 @@ def run_crosscheck(poset, max_size: int, cache: MobiusCache | None = None,
             # a worker died; the executor stopped and joined the others
             raise WorkerDied(_death(workers)) from None
     else:
-        records = _interval_records(poset, tops)
-        fold(records, 0)
+        fold(_interval_records(poset, tops))
     return CrosscheckReport(poset.tag, max_size, len(records), histogram, mismatches, records)
 
 

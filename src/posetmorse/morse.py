@@ -35,8 +35,8 @@ definitions the fold is tested against.
 
 A family only grows down the walk, each new member past the last, so a
 node with an uncovered index below its last member's end has no critical
-chain under it.  The routes alone (morse_summary, and top_routes without
-the chain laws) skip such a dead node's subtree; listings walk it all.
+chain under it.  The routes alone (morse_summary, top_routes given
+bottoms) skip such a dead node's subtree; listings and laws walk it all.
 
 A chain interval (i, j) is stored by the closed index range of the chain
 elements it holds, 1 <= i <= j <= steps-1.

@@ -275,12 +275,14 @@ class MobiusCache:
     buffered handle, each record in one write call, and close flushes them.
     A final line without its newline is a record torn by an interrupted
     append: loading skips it, and the first append cuts it off so that the
-    new record starts on a line of its own.  A path
-    that cannot serve as the file raises ValueError before anything is
-    computed: a directory, a missing directory, or missing permissions.
+    new record starts on a line of its own.  A path that cannot serve as
+    the file raises ValueError before anything is computed: an empty path,
+    a directory, a missing directory, or missing permissions.
     """
 
     def __init__(self, path: str):
+        if not path:
+            raise ValueError("cache file path is empty")
         self.path = path
         self._data: dict[tuple[str, str, str], int] = {}
         self._lock = threading.Lock()

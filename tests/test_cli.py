@@ -71,7 +71,7 @@ def test_mobius_and_check_interval_judge_the_routes_by_one_rule(
     # the Morse route alone parts from the other three, which agree on 1:
     # two critical chains of dimension 0 give a Morse sum of 2
     poset, bottom, top = PatternPoset(), (1,), (2, 1, 3, 5, 4, 6)
-    real = crosscheck.top_routes(poset, top, (bottom,), laws=True)[bottom]
+    real = crosscheck.top_routes(poset, top)[bottom]
     routes = real._replace(report=real.report._replace(critical_dims=(0, 0)))
     assert (routes.closed, routes.report.mobius, routes.brute, routes.euler) == (1, 2, 1, 1)
     monkeypatch.setattr(cli, "evaluate", lambda *args: routes)
@@ -89,7 +89,7 @@ def test_the_euler_route_is_judged_from_rank_gap_two(capsys, monkeypatch,
                                                      bottom, top, gap):
     # at rank gap one the open interval is empty and Euler checks nothing
     poset = PatternPoset()
-    real = crosscheck.top_routes(poset, top, (bottom,), laws=True)[bottom]
+    real = crosscheck.top_routes(poset, top)[bottom]
     routes = real._replace(euler=real.brute + 2)
     assert routes.report.rank_gap == gap
     monkeypatch.setattr(cli, "evaluate", lambda *args: routes)
@@ -163,6 +163,18 @@ def test_morse_report_json_round_trips(capsys):
                            "--format", "json")
     assert code == 0
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+def test_text_output_builds_no_json(capsys, monkeypatch):
+    # a command builds only the format asked for
+    def unbuilt(*args):
+        raise AssertionError("the JSON was built")
+
+    monkeypatch.setattr(cli.render, "chains_json", unbuilt)
+    monkeypatch.setattr(cli.render, "morse_report_json", unbuilt)
+    for command in ("chains", "morse-report"):
+        code, out, _ = run_cli(capsys, command, "1", "213546")
+        assert code == 0 and out.endswith("\n")
 
 
 def test_morse_report_of_a_contractible_interval(capsys):
@@ -329,11 +341,13 @@ def test_crosscheck_rejects_an_unusable_cache_before_the_sweep(
         raise AssertionError("the sweep ran")
 
     monkeypatch.setattr(cli, "run_crosscheck", no_sweep)
-    path = tmp_path / "missing" / "mu.cache"
-    code, out, err = run_cli(capsys, "crosscheck", "--max-size", "3",
-                             "--cache", str(path))
-    assert code == 3 and out == ""
-    assert str(path) in err
+    missing = tmp_path / "missing" / "mu.cache"
+    for path, message in ((str(missing), f"cache file {missing}: no directory"),
+                          ("", "cache file path is empty")):
+        code, out, err = run_cli(capsys, "crosscheck", "--max-size", "3",
+                                 "--cache", path)
+        assert code == 3 and out == ""
+        assert f"error: {message}" in err
 
 
 def test_crosscheck_rejects_jobs_below_one(capsys):
@@ -502,6 +516,23 @@ def test_poisoned_cache_is_named_with_two_jobs(capsys, tmp_path, two_cpus):
     assert json.loads(out)["mismatches"] == [
         f"[1, 12] cache: {path} holds 5, brute force gives -1"]
     assert path.read_text() == POISONED_SWEEP
+
+
+def test_a_stale_cache_record_lands_on_its_own_record(tmp_path, two_cpus):
+    # the library report, at either job count: the record of [1, 12] ends
+    # with its cache line, which is the sweep's one mismatch
+    path = tmp_path / "poisoned.cache"
+    stale = f"cache: {path} holds 5, brute force gives -1"
+    reports = []
+    for jobs in (1, 2):
+        path.write_text("pattern\t1\t12\t5\n")
+        with contextlib.closing(MobiusCache(str(path))) as cache:
+            report = crosscheck.run_crosscheck(PatternPoset(), 2, cache, jobs=jobs)
+        [record] = [r for r in report.records if (r.bottom, r.top) == ("1", "12")]
+        assert record.problems[-1] == stale
+        assert report.mismatches == [f"[1, 12] {stale}"]
+        reports.append((report.records, report.mismatches))
+    assert reports[0] == reports[1]
 
 
 def test_a_warm_cache_does_not_hide_a_wrong_brute_force(
