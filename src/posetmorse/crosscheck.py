@@ -15,15 +15,9 @@ laws on whole tops: given no bottoms, it takes all, and folds the chain
 laws (LawFold) too, as the sweep asks.  No route value is memoized across
 calls, so a check reads only values computed in its own call.  A cache
 file is only checked against the brute-force values and appended to,
-never read in their place.  A parallel sweep submits runs of consecutive
-tops in order and reads them in order, so its records arrive in sweep
-order, as in a serial one.  Each run is folded into the report, and the
-cache, as it arrives, while later runs still compute.  The pool's modules
-(multiprocessing, concurrent.futures, signal) load only when a sweep
-starts a pool, so a command that answers one interval, or a serial sweep,
-does not import them.  A worker killed from outside (the OOM killer,
-SIGKILL) breaks the pool: the executor stops the other workers, and the
-sweep raises WorkerDied naming the dead one.
+never read in their place.  A parallel sweep forks its own workers
+(_fork_runs) and folds their runs of consecutive tops into the report, and
+the cache, in sweep order as each arrives.
 
 Per interval the harness runs the route checks of Routes.problems, as the
 mobius subcommand does: the closed form, the critical-chain count and the
@@ -60,8 +54,8 @@ from .posets import (IntervalStructure, MobiusCache, euler_characteristic,
 
 
 class WorkerDied(RuntimeError):
-    """A pool worker of a parallel sweep died, killed from outside (the
-    OOM killer, SIGKILL) or exited; the sweep cannot finish."""
+    """A worker of a parallel sweep died, killed from outside (the OOM
+    killer, SIGKILL) or exited; the sweep cannot finish."""
 
 
 class Routes(NamedTuple):
@@ -279,7 +273,7 @@ def _interval_records(poset, tops) -> list[IntervalRecord]:
 
 
 def _worker(args) -> list[tuple]:
-    """One pool run: every interval under the given tops, as plain tuples,
+    """One run of a worker: every interval under the given tops, as plain tuples,
     which pickle without running Python code per record, as named ones do."""
     return [tuple(r) for r in _interval_records(*args)]
 
@@ -292,7 +286,8 @@ def run_crosscheck(poset, max_size: int, cache: MobiusCache | None = None,
     rank: a sweep that checks no interval would pass vacuously.  The unit
     of parallel work is a run of consecutive tops, about four runs per
     worker, and the runs come back in sweep order.  At most one worker
-    process runs per CPU; jobs=None asks for one per CPU.  As each run
+    process runs per CPU (one CPU without os.fork); jobs=None asks for one
+    per CPU.  As each run
     arrives, in sweep order, each interval's brute-force value is checked
     against the cache, and appended to it when the file holds no record; a
     held record that differs is one more problem of that interval.  A sweep
@@ -302,7 +297,7 @@ def run_crosscheck(poset, max_size: int, cache: MobiusCache | None = None,
     if max_size < poset.min_rank:
         raise ValueError(f"max size must be at least {poset.min_rank}, got {max_size}")
     poset.check_length(max_size)
-    cpus = os.cpu_count() or 1
+    cpus = (os.cpu_count() or 1) if hasattr(os, "fork") else 1
     if jobs is None:
         jobs = cpus
     elif jobs < 1:
@@ -327,53 +322,80 @@ def run_crosscheck(poset, max_size: int, cache: MobiusCache | None = None,
             records.append(rec)
 
     if jobs > 1 and len(tops) > 1:
-        import multiprocessing
-        import signal
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
         # about four runs per worker, so one that draws cheap tops takes another
         size = -(-len(tops) // (4 * jobs))
         chunks = [tops[i:i + size] for i in range(0, len(tops), size)]
-        # workers ignore SIGINT; on an interrupt, stop this pool's workers
-        # mid-chunk and no other child.  Each run's future is read in order,
-        # so none is cancelled under the executor as it shuts down
-        others = set(multiprocessing.active_children())
-        workers: set = set()
-        try:
-            with ProcessPoolExecutor(min(jobs, len(chunks)), initializer=signal.signal,
-                                     initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
-                try:
-                    runs = [pool.submit(_worker, (poset, c)) for c in chunks]
-                    workers = set(multiprocessing.active_children()) - others
-                    runs.reverse()
-                    while runs:  # in sweep order; a folded run's future and tuples go
-                        fold(map(IntervalRecord._make, runs.pop().result()))
-                except KeyboardInterrupt:
-                    for worker in set(multiprocessing.active_children()) - others:
-                        worker.terminate()
-                    raise
-        except BrokenProcessPool:
-            # a worker died; the executor stopped and joined the others
-            raise WorkerDied(_death(workers)) from None
+        _fork_runs(poset, chunks, min(jobs, len(chunks)), fold)
     else:
         fold(_interval_records(poset, tops))
     return CrosscheckReport(poset.tag, max_size, len(records), histogram, mismatches, records)
 
 
-def _death(workers) -> str:
-    """Name the worker of a broken pool that died first: the others end
-    by the executor's SIGTERM."""
+def _fork_runs(poset, chunks, jobs, fold) -> None:
+    """Fold the runs in sweep order, run k from worker k % jobs of the jobs
+    forked ones.  Each worker pickles its runs down its own pipe, each
+    after its length, and the parent reads every pipe as data comes, so a
+    worker that dies is seen at once: its pipe ends before its last run,
+    which raises WorkerDied, named from the wait status.  An exception in
+    a run is raised in its turn.  However this ends, the workers are killed
+    and reaped, so RUSAGE_CHILDREN counts them.  The caller holds no other
+    thread: a fork copies only the calling one."""
+    import pickle
+    import select
     import signal
 
-    dead = sorted((w for w in workers if w.exitcode is not None),
-                  key=lambda w: w.exitcode == -signal.SIGTERM)
-    if not dead:
-        return "a crosscheck worker process died"
-    worker, code = dead[0], dead[0].exitcode
-    how = (f"was killed by {signal.Signals(-code).name}" if code < 0
-           else f"exited with code {code}")
-    return f"crosscheck worker {worker.pid} {how}"
+    workers = {}  # read end of a pipe -> [pid, bytes read, the runs still owed]
+    runs = {}  # run index -> the run, read ahead of its turn
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        for w in range(jobs):  # SIGINT stays blocked until the worker ignores it
+            read, write = os.pipe()
+            if not (pid := os.fork()):  # the worker, which never returns
+                try:
+                    signal.signal(signal.SIGINT, signal.SIG_IGN)
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                    os.close(read)  # with the parent gone, a write fails
+                    out = open(write, "wb")
+                    for tops in chunks[w::jobs]:
+                        try:
+                            data = pickle.dumps(_worker((poset, tops)))
+                        except Exception as exc:
+                            data = pickle.dumps(exc)
+                        out.write(len(data).to_bytes(8, "big") + data)
+                        out.flush()
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write)
+            workers[read] = [pid, bytearray(), list(range(w, len(chunks), jobs))]
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        for k in range(len(chunks)):
+            while k not in runs:
+                waiting = [fd for fd, (_, _, owed) in workers.items() if owed]
+                for fd in select.select(waiting, [], [])[0]:
+                    pid, buf, owed = workers[fd]
+                    data = os.read(fd, 1 << 16)
+                    if not data:  # the pipe ended early: the worker died
+                        del workers[fd]
+                        os.close(fd)
+                        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                        raise WorkerDied(f"crosscheck worker {pid} " + (
+                            f"was killed by {signal.Signals(-code).name}" if code < 0
+                            else f"exited with code {code}"))
+                    buf += data
+                    while len(buf) >= 8 + (n := int.from_bytes(buf[:8], "big")):
+                        runs[owed.pop(0)] = pickle.loads(buf[8:8 + n])
+                        del buf[:8 + n]
+            run = runs.pop(k)
+            if isinstance(run, Exception):
+                raise run
+            fold(map(IntervalRecord._make, run))
+    finally:
+        for fd, (pid, _, _) in workers.items():
+            os.close(fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)  # had a fork failed
 
 
 def crosscheck_json(report: CrosscheckReport) -> dict:

@@ -77,9 +77,15 @@ def is_monotone(p: Sequence[int]) -> bool:
 
 @lru_cache(maxsize=8192)  # every pattern of length <= 7
 def _window_patterns(tau: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
-    """tau with the down-sets of its two longest proper windows; no cover rule."""
+    """tau with the down-sets of its two longest proper windows; no cover
+    rule.  Past 64 letters, tau[:-64] and tau[64:] are made first, which
+    caches every window that lacks 64 letters at one end, so a call
+    recurses through at most 128 uncached levels, not one per letter."""
     if len(tau) == 1:
         return frozenset((tau,))
+    if len(tau) > 64:
+        _window_patterns(standardize(tau[:-64]))
+        _window_patterns(standardize(tau[64:]))
     return (frozenset((tau,)) | _window_patterns(standardize(tau[:-1]))
             | _window_patterns(standardize(tau[1:])))
 

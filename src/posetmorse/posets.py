@@ -277,7 +277,8 @@ class MobiusCache:
     append: loading skips it, and the first append cuts it off so that the
     new record starts on a line of its own.  A path that cannot serve as
     the file raises ValueError before anything is computed: an empty path,
-    a directory, a missing directory, or missing permissions.
+    a directory or a path that ends in a separator, a missing directory,
+    or missing permissions.
     """
 
     def __init__(self, path: str):
@@ -289,7 +290,7 @@ class MobiusCache:
         self._handle = None
         self._clean_size: int | None = None
         parent = os.path.dirname(os.path.abspath(path))
-        if os.path.isdir(path):
+        if os.path.isdir(path) or not os.path.basename(path):
             raise ValueError(f"cache file {path} is a directory")
         if not os.path.isdir(parent):
             raise ValueError(f"cache file {path}: no directory {parent}")

@@ -47,9 +47,15 @@ def is_factor(u: Word, w: Word) -> bool:
 @lru_cache(maxsize=8192)  # every word over {a,b} of length <= 12
 def _factor_set(w: Word) -> frozenset[Word]:
     """All factors of w, the empty word included: w with the factors of
-    its two longest proper factors; no cover rule."""
+    its two longest proper factors; no cover rule.  Past 64 letters,
+    w[:-64] and w[64:] are made first, which caches every factor that
+    lacks 64 letters at one end, so a call recurses through at most 128
+    uncached levels, not one per letter."""
     if not w:
         return frozenset(((),))
+    if len(w) > 64:
+        _factor_set(w[:-64])
+        _factor_set(w[64:])
     return frozenset((w,)) | _factor_set(w[:-1]) | _factor_set(w[1:])
 
 

@@ -335,6 +335,20 @@ def test_cache_path_that_is_a_directory_exits_three(capsys, tmp_path):
     assert f"cache file {tmp_path} is a directory" in err
 
 
+def test_cache_path_ending_in_a_separator_exits_three_before_the_sweep(
+        capsys, tmp_path, monkeypatch):
+    # such a path names a directory: the cache cannot be a file there, so
+    # the command stops before any interval is computed and creates nothing
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "run_crosscheck", no_sweep)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *CACHED_SWEEP, "newfile" + os.sep)
+    assert (code, out, err) == (3, "", f"error: cache file newfile{os.sep} is a directory\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_crosscheck_rejects_an_unusable_cache_before_the_sweep(
         capsys, tmp_path, monkeypatch):
     def no_sweep(*args, **kwargs):
@@ -485,7 +499,7 @@ def test_poisoned_cache_is_named_in_the_mismatch(capsys, tmp_path):
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """--jobs 2 starts a real pool of two workers, whatever the CPU count."""
+    """--jobs 2 forks two real workers, whatever the CPU count."""
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
 
@@ -505,6 +519,19 @@ def test_crosscheck_cache_file_is_the_same_at_every_job_count(
         files[jobs] = path.read_bytes()
     assert files["2"] == files["1"]
     assert files["1"].count(b"\n") == intervals  # one record per interval
+
+
+def _boom(args):
+    raise ValueError("boom")
+
+
+def test_an_exception_in_a_worker_run_is_the_sweep_s_error(capsys, two_cpus, monkeypatch):
+    # raised inside each worker's run, it comes back to the parent, which
+    # raises it again: one error line and exit 3.  That no worker is left
+    # behind is the check of conftest's guard, which sees every child
+    monkeypatch.setattr(crosscheck, "_worker", _boom)
+    code, out, err = run_cli(capsys, "crosscheck", "--max-size", "4", "--jobs", "2")
+    assert (code, out, err) == (3, "", "error: boom\n")
 
 
 def test_poisoned_cache_is_named_with_two_jobs(capsys, tmp_path, two_cpus):
@@ -650,7 +677,7 @@ def test_a_factor_sweep_of_size_zero_checks_the_empty_word(capsys):
 
 
 def _in_a_fresh_interpreter(script):
-    # a fresh interpreter, as the tests' own imports hold multiprocessing
+    # a fresh interpreter: the test process has loaded what these tests look for
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
     return subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=60, check=False)
@@ -670,6 +697,21 @@ def test_start_up_loads_only_what_the_command_runs():
     proc = _in_a_fresh_interpreter(script)
     assert proc.stdout.endswith("mobius: 1\n")
     assert proc.stderr == "0 [[], []]\n"
+
+
+def test_a_parallel_sweep_loads_no_process_pool_framework():
+    # the sweep forks its two workers itself: neither concurrent.futures
+    # nor multiprocessing loads, nor the logging they import
+    script = ("import os, sys\nfrom posetmorse import cli\n"
+              "os.cpu_count = lambda: 2\nforks, fork = [], os.fork\n"
+              "os.fork = lambda: forks.append(0) or fork()\n"
+              "code = cli.main(['crosscheck', '--max-size', '4', '--jobs', '2'])\n"
+              "framework = {'concurrent.futures', 'multiprocessing', 'logging'}\n"
+              "print(code, len(forks), sorted(framework & set(sys.modules)),\n"
+              "      file=sys.stderr)\n")
+    proc = _in_a_fresh_interpreter(script)
+    assert proc.stdout.endswith("mismatches: 0\n")
+    assert proc.stderr == "0 2 []\n"
 
 
 def test_the_report_commands_load_no_dataclasses():
@@ -699,6 +741,33 @@ def test_a_deep_factor_top_is_walked_without_recursion(capsys, command):
     code, out, err = run_cli(capsys, command, "eps", top, "--poset", "factor", "--force")
     assert (code, err) == (0, "")
     assert out.startswith(head) and out.endswith(tail)
+
+
+DEEP_MOBIUS = ("  closed form: 0\n  morse sum:   0\n  brute force: 0\n  euler char:  0\n"
+               "mobius: 0\n")
+
+
+@pytest.mark.parametrize("command", ["mobius", "homotopy", "chains"])
+def test_a_deep_pattern_top_ends_with_the_closed_form_s_value(capsys, command):
+    # the down-set of 1,2,...,600 is built with no recursion per letter;
+    # the call stack held about five hundred
+    top = tuple(range(1, 601))
+    text = ",".join(map(str, top))
+    assert PatternPoset().mobius_closed_form((1,), top) == 0
+    code, out, err = run_cli(capsys, command, "1", text, "--force")
+    assert (code, err) == (0, "")
+    assert {"mobius": out.endswith(DEEP_MOBIUS),
+            "homotopy": out == "contractible\n",
+            "chains": out.startswith(f"1 maximal chains of [1, {text}]\n")}[command]
+
+
+def test_a_deep_factor_top_has_the_closed_form_s_mobius_value(capsys):
+    top = ("a",) * 600
+    assert FactorPoset().mobius_closed_form((), top) == 0
+    code, out, err = run_cli(capsys, "mobius", "eps", "a" * 600, "--poset", "factor",
+                             "--force")
+    assert (code, err) == (0, "")
+    assert out.endswith(DEEP_MOBIUS)
 
 
 def test_an_interrupt_while_the_package_imports_exits_130(tmp_path):

@@ -4,14 +4,12 @@ the exhaustive sweeps through every check."""
 from __future__ import annotations
 
 import collections
-import concurrent.futures
 import contextlib
 import hashlib
 import json
 import os
 import random
 import signal
-from concurrent.futures import Future
 
 import pytest
 
@@ -29,74 +27,77 @@ from test_morse import assert_walk_msis_match_the_oracle, msis_fast
 from test_posets import assert_columns_match_the_oracles, euler_by_walk
 
 
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, the worker
-    initializer and the submitted runs, and runs each in this process, so
-    no real pool is ever started."""
-
-    sizes: list[int] = []
-    initializers: list[tuple] = []
-    submitted: list = []
-
-    def __init__(self, max_workers, initializer=None, initargs=()):
-        RecordingPool.sizes.append(max_workers)
-        RecordingPool.initializers.append((initializer, initargs))
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, item):
-        RecordingPool.submitted.append(item)
-        run = Future()
-        run.set_result(fn(item))
-        return run
-
-
 @pytest.fixture
-def pool(monkeypatch):
-    RecordingPool.sizes = []
-    RecordingPool.initializers = []
-    RecordingPool.submitted = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+def forks(monkeypatch):
+    """Three CPUs, and the pid of each worker a sweep forks, in fork order.
+    The workers are real: each runs its runs and exits in os._exit."""
+    real, pids = os.fork, []
+
+    def recording_fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    return RecordingPool
+    return pids
 
 
-def test_jobs_are_clamped_to_the_cpu_count(pool):
+def test_jobs_are_clamped_to_the_cpu_count(forks):
     report = crosscheck.run_crosscheck(PatternPoset(), 4, jobs=1000)
-    assert pool.sizes == [3]
+    assert len(forks) == 3
     assert report.ok and report.total == 167
 
 
-def test_jobs_none_means_one_per_cpu(pool):
+def test_jobs_none_means_one_per_cpu(forks):
     crosscheck.run_crosscheck(PatternPoset(), 3, jobs=None)
-    assert pool.sizes == [3]
+    assert len(forks) == 3
 
 
-def test_jobs_within_the_cpu_count_are_kept(pool):
+def test_jobs_within_the_cpu_count_are_kept(forks):
     crosscheck.run_crosscheck(PatternPoset(), 3, jobs=2)
-    assert pool.sizes == [2]
+    assert len(forks) == 2
 
 
-def test_pool_workers_ignore_sigint(pool):
-    # an interrupt is handled by the parent alone, which stops the workers
-    crosscheck.run_crosscheck(PatternPoset(), 3, jobs=2)
-    assert pool.initializers == [(signal.signal, (signal.SIGINT, signal.SIG_IGN))]
+def test_without_fork_a_sweep_runs_serially(forks, monkeypatch):
+    # where os.fork is missing the CPU count reads as one
+    monkeypatch.delattr(os, "fork")
+    report = crosscheck.run_crosscheck(PatternPoset(), 4, jobs=None)
+    assert forks == [] and report.ok and report.total == 167
 
 
-def test_a_parallel_sweep_maps_runs_of_consecutive_tops_in_order(pool):
+def test_pool_workers_ignore_sigint(forks, monkeypatch):
+    # an interrupt is handled by the parent alone, which stops the workers.
+    # Each run reports its worker's SIGINT handler and blocked signals
+    monkeypatch.setattr(crosscheck, "_worker", lambda args: [
+        ("", "", signal.getsignal(signal.SIGINT),
+         tuple(signal.pthread_sigmask(signal.SIG_BLOCK, ())))])
+    handler = signal.getsignal(signal.SIGINT)
+    blocked = signal.pthread_sigmask(signal.SIG_BLOCK, ())
+    report = crosscheck.run_crosscheck(PatternPoset(), 3, jobs=2)
+    assert {r.mu_brute for r in report.records} == {signal.SIG_IGN}
+    assert all(signal.SIGINT not in r.problems for r in report.records)
+    # the parent's handler and mask are as they were
+    assert signal.getsignal(signal.SIGINT) == handler
+    assert signal.pthread_sigmask(signal.SIG_BLOCK, ()) == blocked
+
+
+def test_a_parallel_sweep_maps_runs_of_consecutive_tops_in_order(forks, monkeypatch):
+    # each run comes back as one record of its worker's pid and its tops:
+    # run k was computed by worker k % jobs, and the runs cover the tops in order
+    monkeypatch.setattr(crosscheck, "_worker",
+                        lambda args: [(os.getpid(), args[1], 0, ())])
     poset = PatternPoset()
-    crosscheck.run_crosscheck(poset, 5, jobs=2)
-    chunks = [tops for _, tops in pool.submitted]
+    report = crosscheck.run_crosscheck(poset, 5, jobs=2)
+    runs = [(r.bottom, r.top) for r in report.records]
     tops = [e for n in range(1, 6) for e in poset.elements_of_rank(n)]
-    assert [top for chunk in chunks for top in chunk] == tops
-    assert len(chunks) > pool.sizes[0] == 2
+    assert [top for _, chunk in runs for top in chunk] == tops
+    assert [pid for pid, _ in runs] == [forks[k % 2] for k in range(len(runs))]
+    assert len(runs) > len(forks) == 2
 
 
-def test_a_parallel_sweep_reports_as_a_serial_one(pool, monkeypatch):
+def test_a_parallel_sweep_reports_as_a_serial_one(forks, monkeypatch):
     # a chain count one too high puts a mismatch on every interval
     real = crosscheck.naive_chain_count
     monkeypatch.setattr(crosscheck, "naive_chain_count", lambda poset, interval:
@@ -142,10 +143,10 @@ def test_each_record_is_a_named_tuple_of_its_fields(record, fields):
 
 
 @pytest.mark.parametrize("jobs", [0, -1])
-def test_jobs_below_one_are_rejected(pool, jobs):
+def test_jobs_below_one_are_rejected(forks, jobs):
     with pytest.raises(ValueError):
         crosscheck.run_crosscheck(PatternPoset(), 3, jobs=jobs)
-    assert pool.sizes == []
+    assert forks == []
 
 
 def _draw(rng, poset, n):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import ast
-import concurrent.futures
+import os
 import pathlib
 import re
 import shlex
@@ -33,10 +33,11 @@ def _command_lines() -> list[tuple[list[str], str | None]]:
 
 @pytest.fixture(autouse=True)
 def no_process_pool(monkeypatch):
+    # a parallel crosscheck forks its workers, as a process pool would
     def refuse(*args, **kwargs):
-        raise AssertionError("a README example started a process pool")
+        raise AssertionError("a README example forked a worker process")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
 
 
 def test_every_command_line_parses():
