@@ -2,7 +2,7 @@
 Command-line front end.
 
 mobius and crosscheck judge the routes by one rule, crosscheck's
-Routes.problems; only crosscheck goes on to the chain laws.  A command
+route_problems; only crosscheck goes on to the chain laws.  A command
 imports only what it runs: iso-search and bijection load their modules.
 
 Exit codes: 0 success, 1 invariant mismatch (a route check, a chain law,

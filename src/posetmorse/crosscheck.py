@@ -10,16 +10,19 @@ bottoms must lie under the top.  Brute force, the Euler characteristic and,
 for the chain laws, the chain count read only the order relation, so they
 are computed per top and read per bottom: top_routes enumerates a top's
 down-set once for a column of each, and one walk from the top folds the
-Morse route (morse.MorseFold) down the chains of every bottom.  One switch,
-laws on whole tops: given no bottoms, it takes all, and folds the chain
-laws (LawFold) too, as the sweep asks.  No route value is memoized across
-calls, so a check reads only values computed in its own call.  A cache
-file is only checked against the brute-force values and appended to,
-never read in their place.  A parallel sweep forks its own workers
-(_fork_runs) and folds their runs of consecutive tops into the report, and
-the cache, in sweep order as each arrives.
+Morse route (morse.MorseFold) down the chains of every bottom into a
+column of critical dimensions.  One switch, laws on whole tops: given no
+bottoms, it takes all, and folds the chain laws (LawFold) too, as the
+sweep asks.  The sweep reads each interval's record straight off its
+top's columns (check_interval); only evaluate builds a Routes, with its
+MorseReport.  No route value is memoized across calls, so a check reads
+only values computed in its own call.  A cache file is only checked
+against the brute-force values and appended to, never read in their
+place.  A parallel sweep forks its own workers (_fork_runs) and folds
+their runs of consecutive tops into the report, and the cache, in sweep
+order as each arrives.
 
-Per interval the harness runs the route checks of Routes.problems, as the
+Per interval the harness runs the route checks of route_problems, as the
 mobius subcommand does: the closed form, the critical-chain count and the
 brute-force recursion agree (plus the reduced Euler characteristic when the
 rank gap is at least two).  Then, from the chain laws the walk folded for
@@ -48,7 +51,7 @@ import os
 from typing import NamedTuple
 
 from .chains import walk
-from .morse import MorseFold, MorseReport
+from .morse import MorseFold, MorseReport, signed_count
 from .posets import (IntervalStructure, MobiusCache, euler_characteristic,
                      interval_structure, mobius_bruteforce)
 
@@ -58,67 +61,99 @@ class WorkerDied(RuntimeError):
     killer, SIGKILL) or exited; the sweep cannot finish."""
 
 
+def route_problems(closed: int, morse: int, brute: int, euler: int | None,
+                   rank_gap: int) -> list[str]:
+    """The route checks that check_interval and cli.cmd_mobius share.
+    At rank gap one the open interval is empty: Euler reads -1 and
+    checks nothing."""
+    problems = []
+    if not closed == morse == brute:
+        problems.append(f"mu-disagreement: closed={closed} morse={morse} brute={brute}")
+    if rank_gap >= 2 and euler != brute:
+        problems.append(f"mu-euler: euler={euler} brute={brute}")
+    return problems
+
+
 class Routes(NamedTuple):
-    """Every Mobius route on one interval, and the problem lines of the
-    chain laws (LawFold.laws); one switch, laws on whole tops: None where
-    top_routes was given bottoms."""
+    """Every Mobius route on one interval, as evaluate gives it."""
 
     closed: int
     report: MorseReport
     brute: int
     euler: int | None
-    laws: tuple[str, ...] | None
 
     def problems(self) -> list[str]:
-        """The route checks that check_interval and cli.cmd_mobius share.
-        At rank gap one the open interval is empty: Euler reads -1 and
-        checks nothing."""
-        closed, morse, brute = self.closed, self.report.mobius, self.brute
-        problems = []
-        if not closed == morse == brute:
-            problems.append(f"mu-disagreement: closed={closed} morse={morse} brute={brute}")
-        if self.report.rank_gap >= 2 and self.euler != brute:
-            problems.append(f"mu-euler: euler={self.euler} brute={brute}")
-        return problems
+        """The route checks of route_problems on this interval."""
+        report = self.report
+        return route_problems(self.closed, report.mobius, self.brute, self.euler,
+                              report.rank_gap)
 
 
-def top_routes(poset, top, bottoms=None) -> dict:
+class TopRoutes(NamedTuple):
+    """The routes of [b, top] as columns aligned with bottoms: the rank
+    gap, brute force, Euler, the critical chains' dimensions
+    (MorseFold.tallies) and the chain laws' lines (LawFold.laws), None
+    where top_routes was given bottoms.  The closed form is computed per
+    interval."""
+
+    top: object
+    bottoms: tuple
+    gaps: list[int]
+    brute: tuple[int, ...]
+    euler: tuple
+    dims: list[list[int]]
+    laws: list[tuple[str, ...]] | None
+
+
+def top_routes(poset, top, bottoms=None) -> TopRoutes:
     """
-    The Routes of [b, top] for every b in bottoms, which must lie under the
-    top.  One switch, laws on whole tops: no bottoms means every element
-    under the top, with the chain laws folded down the full walk (the
-    sweep); given bottoms get the routes alone, on a walk that skips the
-    subtrees of dead nodes (MorseFold.pruning_visit).  One enumeration of
-    the top's down-set gives the columns of brute force, the Euler
-    characteristic and, with the laws, the chain count.
+    The route columns of [b, top] for every b in bottoms, which must lie
+    under the top.  One switch, laws on whole tops: no bottoms means every
+    element under the top, in the order of its interval structure, with
+    the chain laws folded down the full walk (the sweep); given bottoms
+    get the routes alone, on a walk that skips the subtrees of dead nodes
+    (MorseFold.pruning_visit).  One enumeration of the top's down-set
+    gives the columns of brute force, the Euler characteristic and, with
+    the laws, the chain count.
 
     >>> from posetmorse.posets import PatternPoset
     >>> p, top = PatternPoset(), (2, 1, 3, 5, 4, 6)
-    >>> routes = top_routes(p, top)[(1,)]
-    >>> routes.laws == () and routes._replace(laws=None) == evaluate(p, (1,), top)
-    True
+    >>> routes = top_routes(p, top)
+    >>> i = routes.bottoms.index((1,))
+    >>> routes.gaps[i], routes.brute[i], routes.euler[i], routes.dims[i], routes.laws[i]
+    (5, 1, 1, [2], ())
+    >>> evaluate(p, (1,), top).report.critical_dims
+    (2,)
     """
     interval = interval_structure(poset, poset.minimum, top)
     elements = interval.elements
     brute = mobius_bruteforce(poset, interval)
     euler = euler_characteristic(poset, interval)
-    fold = MorseFold(poset, top, elements if bottoms is None else bottoms)
     if bottoms is None:
+        bottoms = elements
+        fold = MorseFold(poset, top, elements)
         law_fold = LawFold(poset, fold, dict(zip(elements, naive_chain_count(poset, interval))))
         walk(poset, fold.path, elements, law_fold.visit)
-        found = law_fold.laws()
+        laws = law_fold.laws()
     else:
+        bottoms = tuple(bottoms)
+        at = [elements.index(b) for b in bottoms]
+        brute, euler = tuple(brute[i] for i in at), tuple(euler[i] for i in at)
+        fold = MorseFold(poset, top, bottoms)
         walk(poset, fold.path, bottoms, fold.pruning_visit)
-        found = dict.fromkeys(bottoms)
-    position = {e: i for i, e in enumerate(elements)}
-    return {b: Routes(poset.mobius_closed_form(b, top), report, brute[i], euler[i], found[b])
-            for b, report in fold.reports().items() for i in (position[b],)}
+        laws = None
+    rank, n = poset.rank, poset.rank(top)
+    return TopRoutes(top, bottoms, [n - rank(b) for b in bottoms], brute, euler,
+                     list(fold.tallies.values()), laws)
 
 
 def evaluate(poset, bottom, top) -> Routes:
     """Every route on a checked pair: the one-bottom case of top_routes."""
     poset.check_pair(bottom, top)
-    return top_routes(poset, top, (bottom,))[bottom]
+    routes = top_routes(poset, top, (bottom,))
+    return Routes(poset.mobius_closed_form(bottom, top),
+                  MorseReport(bottom, top, routes.gaps[0], tuple(routes.dims[0])),
+                  routes.brute[0], routes.euler[0])
 
 
 class LawFold:
@@ -198,11 +233,11 @@ class LawFold:
 
         self.visit = visit
 
-    def laws(self) -> dict:
-        """The law lines of every bottom once the walk is done: the rise
-        line, the count line, the msi-fast lines in chain order, then the
-        critical lines."""
-        found = {}
+    def laws(self) -> list[tuple[str, ...]]:
+        """The law lines of every bottom once the walk is done, in the
+        order of expect: the rise line, the count line, the msi-fast lines
+        in chain order, then the critical lines."""
+        found = []
         for b, (count, _, fall, lines, before) in self.tallies.items():
             head = [f"chains: labels {fall[0]} then {fall[1]} do not rise"] if fall else []
             if count != self.expect[b]:
@@ -212,7 +247,7 @@ class LawFold:
                 lines = lines + [f"critical: {critical} critical chains"]
             elif critical and before:
                 lines = lines + ["critical: the critical chain is not the lexicographically last"]
-            found[b] = tuple(head + lines)
+            found.append(tuple(head + lines))
         return found
 
 
@@ -253,23 +288,26 @@ def naive_chain_count(poset, interval: IntervalStructure) -> tuple[int, ...]:
     return tuple(paths)
 
 
-def check_interval(poset, routes: Routes) -> IntervalRecord:
-    """The record of one interval from its routes with the chain laws,
-    from top_routes(poset, top) (one switch, laws on whole tops): the
-    interval's texts, its brute-force value, which the histogram and the
-    cache check read, and its problem lines, the route checks' then the
-    laws'.  A route that disagrees with brute force is named in its
+def check_interval(poset, routes: TopRoutes, i: int) -> IntervalRecord:
+    """The record of interval i of a top's route columns with the chain
+    laws, from top_routes(poset, top) (one switch, laws on whole tops):
+    the interval's texts, its brute-force value, which the histogram and
+    the cache check read, and its problem lines, the route checks' then
+    the laws'.  A route that disagrees with brute force is named in its
     mu-disagreement or mu-euler line, and one that agrees holds the
     brute-force value."""
-    report = routes.report
-    return IntervalRecord(poset.format(report.bottom), poset.format(report.top),
-                          routes.brute, tuple(routes.problems()) + routes.laws)
+    bottom, top, gap, brute = routes.bottoms[i], routes.top, routes.gaps[i], routes.brute[i]
+    problems = route_problems(poset.mobius_closed_form(bottom, top),
+                              signed_count(gap, routes.dims[i]), brute, routes.euler[i], gap)
+    return IntervalRecord(poset.format(bottom), poset.format(top), brute,
+                          tuple(problems) + routes.laws[i])
 
 
 def _interval_records(poset, tops) -> list[IntervalRecord]:
     """Every interval under the given tops, from one top_routes call per top."""
-    return [check_interval(poset, routes)
-            for top in tops for routes in top_routes(poset, top).values()]
+    return [check_interval(poset, routes, i)
+            for routes in (top_routes(poset, top) for top in tops)
+            for i in range(len(routes.bottoms))]
 
 
 def _worker(args) -> list[tuple]:

@@ -8,8 +8,10 @@ each element, which compares across structures; candidate pairs with
 equal certificates are then confirmed or rejected by a backtracking
 matcher on the full order relation, read off the same sets.  The
 certificate is an invariant, not a complete canonical form, so the
-matcher has the final word.  Exploratory tooling: the catalog makes no
-claim beyond the sizes it was run at.
+matcher has the final word.  Each interval's structure is cut from the
+one structure of its top's down-set (IntervalStructure.above).
+Exploratory tooling: the catalog makes no claim beyond the sizes it was
+run at.
 """
 
 from __future__ import annotations
@@ -124,25 +126,32 @@ def run_iso_search(pattern_cap: int = 4, word_cap: int = 4,
             raise ValueError(f"{name} cap must be at least {least}, got {cap}")
     wposet = FactorPoset(alphabet, max_top=None)
     by_cert: dict[tuple, list[tuple[tuple, tuple, IntervalStructure, list]]] = {}
-    for w in _canonical_words(alphabet, word_cap):
-        for u in sorted(wposet.down_set(w), key=lambda e: (len(e), e)):
-            s = interval_structure(wposet, u, w)
-            c = colours(s)
-            by_cert.setdefault(certificate(c), []).append((u, w, s, c))
+    for u, w, s in _intervals(wposet, _canonical_words(alphabet, word_cap)):
+        c = colours(s)
+        by_cert.setdefault(certificate(c), []).append((u, w, s, c))
 
     pposet = PatternPoset(max_top=None)
+    taus = (tau for d in range(1, pattern_cap + 1) for tau in pposet.elements_of_rank(d))
     entries = []
-    for d in range(1, pattern_cap + 1):
-        for tau in pposet.elements_of_rank(d):
-            for sigma in sorted(pposet.down_set(tau), key=lambda e: (len(e), e)):
-                s = interval_structure(pposet, sigma, tau)
-                c = colours(s)
-                match = next(((u, w) for u, w, ws, wc in by_cert.get(certificate(c), ())
-                              if find_isomorphism(s, c, ws, wc) is not None), None)
-                entries.append(CatalogEntry(
-                    pposet.format(sigma), pposet.format(tau), s.size, match is not None,
-                    *map(wposet.format, match or ())))  # unmatched: None, None
+    for sigma, tau, s in _intervals(pposet, taus):
+        c = colours(s)
+        match = next(((u, w) for u, w, ws, wc in by_cert.get(certificate(c), ())
+                      if find_isomorphism(s, c, ws, wc) is not None), None)
+        entries.append(CatalogEntry(
+            pposet.format(sigma), pposet.format(tau), s.size, match is not None,
+            *map(wposet.format, match or ())))  # unmatched: None, None
     return IsoSearchReport(pattern_cap, word_cap, alphabet, entries)
+
+
+def _intervals(poset, tops):
+    """Every [b, top] under each of tops with its structure, the bottoms
+    by length and then as tuples, each cut from the one structure of its
+    top's down-set."""
+    for top in tops:
+        full = interval_structure(poset, poset.minimum, top)
+        at = {e: i for i, e in enumerate(full.elements)}
+        for b in sorted(at, key=lambda e: (len(e), e)):
+            yield b, top, full.above(at[b])
 
 
 def iso_search_json(report: IsoSearchReport) -> dict:

@@ -164,6 +164,13 @@ def msis_fast_pattern(chain: MaximalChain) -> list[Span]:
     return _msis_fast(chain, _jump_pattern)
 
 
+def signed_count(rank_gap: int, dims) -> int:
+    """The Mobius value of the Morse route: the signed count of the
+    critical chains, of dimensions dims; [x, x] is a single element with
+    no machinery to run, and 1."""
+    return 1 if rank_gap == 0 else sum(-1 if d % 2 else 1 for d in dims)
+
+
 class ChainMorseData(NamedTuple):
     chain: MaximalChain
     msis: tuple[Span, ...]
@@ -189,11 +196,7 @@ class MorseReport(NamedTuple):
 
     @property
     def mobius(self) -> int:
-        """The signed count of critical chains; [x, x] is a single element
-        with no machinery to run, and 1."""
-        if self.rank_gap == 0:
-            return 1
-        return sum(-1 if d % 2 else 1 for d in self.critical_dims)
+        return signed_count(self.rank_gap, self.critical_dims)
 
     @property
     def homotopy(self) -> str | None:

@@ -203,6 +203,14 @@ class IntervalStructure(NamedTuple):
     def size(self) -> int:
         return len(self.elements)
 
+    def above(self, i: int) -> IntervalStructure:
+        """The structure of [elements[i], top], cut from this one: the
+        elements at or above element i, in their order, renumbered."""
+        keep = sorted(self.ups[i] | {i})
+        at = {j: k for k, j in enumerate(keep)}
+        return IntervalStructure(tuple(self.elements[j] for j in keep),
+                                 tuple(frozenset(at[z] for z in self.ups[j]) for j in keep))
+
 
 def interval_structure(poset, bottom, top) -> IntervalStructure:
     """Enumerate [bottom, top] once, with the elements above each element

@@ -66,18 +66,35 @@ def test_mobius_disagreement_exits_nonzero(capsys, monkeypatch):
     assert "mismatch: methods disagree" in out
 
 
+def faked_columns(monkeypatch, poset, bottom, top, column, value):
+    """Make top_routes read value in column at bottom, for evaluate (the
+    mobius command) and for the sweep's whole-top columns alike; returns
+    the faked columns of the top and bottom's index, check_interval's
+    arguments after the poset."""
+    real = crosscheck.top_routes
+
+    def faked(*args):
+        routes = real(*args)
+        cells = list(getattr(routes, column))
+        cells[routes.bottoms.index(bottom)] = value
+        return routes._replace(**{column: cells})
+
+    monkeypatch.setattr(crosscheck, "top_routes", faked)
+    routes = faked(poset, top)
+    return routes, routes.bottoms.index(bottom)
+
+
 def test_mobius_and_check_interval_judge_the_routes_by_one_rule(
         capsys, monkeypatch):
     # the Morse route alone parts from the other three, which agree on 1:
     # two critical chains of dimension 0 give a Morse sum of 2
     poset, bottom, top = PatternPoset(), (1,), (2, 1, 3, 5, 4, 6)
-    real = crosscheck.top_routes(poset, top)[bottom]
-    routes = real._replace(report=real.report._replace(critical_dims=(0, 0)))
+    columns = faked_columns(monkeypatch, poset, bottom, top, "dims", [0, 0])
+    routes = crosscheck.evaluate(poset, bottom, top)
     assert (routes.closed, routes.report.mobius, routes.brute, routes.euler) == (1, 2, 1, 1)
-    monkeypatch.setattr(cli, "evaluate", lambda *args: routes)
     code, out, _ = run_cli(capsys, "mobius", "1", "213546")
     assert code == 1 and out.endswith("mismatch: methods disagree\n")
-    problems = crosscheck.check_interval(poset, routes).problems
+    problems = crosscheck.check_interval(poset, *columns).problems
     assert [p for p in problems if p.startswith("mu-")] == [
         "mu-disagreement: closed=1 morse=2 brute=1"]
 
@@ -89,16 +106,16 @@ def test_the_euler_route_is_judged_from_rank_gap_two(capsys, monkeypatch,
                                                      bottom, top, gap):
     # at rank gap one the open interval is empty and Euler checks nothing
     poset = PatternPoset()
-    real = crosscheck.top_routes(poset, top)[bottom]
-    routes = real._replace(euler=real.brute + 2)
-    assert routes.report.rank_gap == gap
-    monkeypatch.setattr(cli, "evaluate", lambda *args: routes)
+    brute = crosscheck.evaluate(poset, bottom, top).brute
+    columns = faked_columns(monkeypatch, poset, bottom, top, "euler", brute + 2)
+    routes = crosscheck.evaluate(poset, bottom, top)
+    assert (routes.report.rank_gap, routes.euler) == (gap, brute + 2)
     code, out, _ = run_cli(capsys, "mobius", poset.format(bottom), poset.format(top))
-    problems = crosscheck.check_interval(poset, routes).problems
+    problems = crosscheck.check_interval(poset, *columns).problems
     lines = [p for p in problems if p.startswith("mu-")]
     if gap >= 2:
         assert code == 1 and out.endswith("mismatch: methods disagree\n")
-        assert lines == [f"mu-euler: euler={real.brute + 2} brute={real.brute}"]
+        assert lines == [f"mu-euler: euler={brute + 2} brute={brute}"]
     else:
         assert code == 0 and "mismatch" not in out
         assert lines == []
@@ -521,7 +538,7 @@ def test_crosscheck_cache_file_is_the_same_at_every_job_count(
     assert files["1"].count(b"\n") == intervals  # one record per interval
 
 
-def _boom(args):
+def _boom(*args):
     raise ValueError("boom")
 
 
@@ -530,6 +547,16 @@ def test_an_exception_in_a_worker_run_is_the_sweep_s_error(capsys, two_cpus, mon
     # raises it again: one error line and exit 3.  That no worker is left
     # behind is the check of conftest's guard, which sees every child
     monkeypatch.setattr(crosscheck, "_worker", _boom)
+    code, out, err = run_cli(capsys, "crosscheck", "--max-size", "4", "--jobs", "2")
+    assert (code, out, err) == (3, "", "error: boom\n")
+
+
+def test_the_workers_check_each_interval_through_check_interval(
+        capsys, two_cpus, monkeypatch):
+    # the parallel twin of the serial count in test_crosscheck: the guard
+    # tests that patch check_interval to raise would pass vacuously were
+    # it not on the workers' path
+    monkeypatch.setattr(crosscheck, "check_interval", _boom)
     code, out, err = run_cli(capsys, "crosscheck", "--max-size", "4", "--jobs", "2")
     assert (code, out, err) == (3, "", "error: boom\n")
 

@@ -132,10 +132,11 @@ def test_a_record_holds_only_what_the_sweep_reports():
     (morse.ChainMorseData, ("chain", "msis", "family", "critical", "dim")),
     (morse.MorseReport, ("bottom", "top", "rank_gap", "critical_dims", "chains")),
     (IntervalStructure, ("elements", "ups")),
-    (crosscheck.Routes, ("closed", "report", "brute", "euler", "laws")),
+    (crosscheck.Routes, ("closed", "report", "brute", "euler")),
     (crosscheck.IntervalRecord, ("bottom", "top", "mu_brute", "problems")),
     (crosscheck.CrosscheckReport, ("poset_tag", "max_size", "total", "mu_histogram",
-                                   "mismatches", "records"))])
+                                   "mismatches", "records")),
+    (crosscheck.TopRoutes, ("top", "bottoms", "gaps", "brute", "euler", "dims", "laws"))])
 def test_each_record_is_a_named_tuple_of_its_fields(record, fields):
     # fields in order: _replace and _asdict read them, and a record is
     # never handed to json whole, where it would serialise as a list
@@ -209,13 +210,24 @@ def _interval_param(poset, bottom, top, marks=()):
                         else f"{poset.kind}-{poset.format(bottom)}-{poset.format(top)}")
 
 
+def record_of(poset, bottom, top) -> crosscheck.IntervalRecord:
+    """The sweep's record of [bottom, top], read off its top's route columns."""
+    routes = crosscheck.top_routes(poset, top)
+    return crosscheck.check_interval(poset, routes, routes.bottoms.index(bottom))
+
+
+def laws_of(poset, bottom, top) -> tuple[str, ...]:
+    """The chain laws' lines of [bottom, top], from its top's whole walk."""
+    routes = crosscheck.top_routes(poset, top)
+    return routes.laws[routes.bottoms.index(bottom)]
+
+
 SEEDED = _seeded_intervals()
 
 
 @pytest.mark.parametrize("poset, bottom, top", SEEDED)
 def test_seeded_interval_passes_every_check(poset, bottom, top):
-    routes = crosscheck.top_routes(poset, top)[bottom]
-    assert crosscheck.check_interval(poset, routes).problems == ()
+    assert record_of(poset, bottom, top).problems == ()
 
 
 @pytest.mark.parametrize("poset, bottom, top", SEEDED)
@@ -322,6 +334,20 @@ def test_a_sweep_walks_each_top_once(monkeypatch):
     assert all(set(bottoms) == poset.down_set(top) for top, bottoms in walks)
 
 
+def test_a_serial_sweep_checks_each_interval_through_check_interval(monkeypatch):
+    # the hook the tracer roots each interval at, and the guard tests patch
+    calls = []
+    real = crosscheck.check_interval
+
+    def counting(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(crosscheck, "check_interval", counting)
+    report = crosscheck.run_crosscheck(PatternPoset(), 4)
+    assert report.ok and len(calls) == report.total == 167
+
+
 def assert_the_fold_matches_the_definitions(poset, top) -> int:
     """At every node of one walk for every bottom under the top, the
     folded fast-law spans, disjoint family, criticality and dimension
@@ -391,16 +417,37 @@ def test_a_sweep_builds_no_chain_object(monkeypatch):
     assert report.ok and report.total == 167
 
 
+def test_a_sweep_builds_no_route_record_per_interval(monkeypatch):
+    # each interval's record is read straight off its top's route columns;
+    # a Routes, with its MorseReport, is built only for evaluate's interval
+    def unbuilt(*args):
+        raise AssertionError("a route record was built")
+
+    for module, name in ((crosscheck, "Routes"), (crosscheck, "MorseReport"),
+                         (morse, "MorseReport")):
+        monkeypatch.setattr(module, name, unbuilt)
+    report = crosscheck.run_crosscheck(PatternPoset(), 4)
+    assert report.ok and report.total == 167
+
+
 def test_top_routes_of_every_bottom_equal_the_one_bottom_case():
-    # every b under every pattern and {a,b} top of length <= 5
+    # every b under every pattern and {a,b} top of length <= 5: the top's
+    # columns at b, and the route lines of b's record, are evaluate's
     for poset in (PatternPoset(), FactorPoset(("a", "b"))):
         for n in range(poset.min_rank, 6):
             for top in poset.elements_of_rank(n):
                 routes = crosscheck.top_routes(poset, top)
-                assert set(routes) == poset.down_set(top)
-                for b, r in routes.items():
-                    assert r.laws == ()
-                    assert r._replace(laws=None) == crosscheck.evaluate(poset, b, top)
+                assert sorted(routes.bottoms) == sorted(poset.down_set(top))
+                for i, b in enumerate(routes.bottoms):
+                    one = crosscheck.evaluate(poset, b, top)
+                    report = one.report
+                    assert routes.laws[i] == ()
+                    assert ((routes.gaps[i], routes.brute[i], routes.euler[i],
+                             tuple(routes.dims[i]))
+                            == (report.rank_gap, one.brute, one.euler, report.critical_dims))
+                    record = crosscheck.check_interval(poset, routes, i)
+                    assert record == (poset.format(b), poset.format(top), one.brute,
+                                      tuple(one.problems()))
 
 
 @pytest.mark.parametrize("route", [
@@ -576,16 +623,14 @@ def test_chain_count_catches_a_wrong_cover_rule(monotone_132):
     # treating 132 as monotone drops its cover 12 from the chain listing;
     # the count over the order relation still sees both chains
     poset, bottom, top = PatternPoset(), (1,), (1, 3, 2)
-    routes = crosscheck.top_routes(poset, top)[bottom]
-    problems = crosscheck.check_interval(poset, routes).problems
+    problems = record_of(poset, bottom, top).problems
     assert "chains: found 1, naive descent gives 2" in problems
 
 
 def test_a_cover_rule_that_lists_no_chain_is_reported(monotone_132):
     # treating 132 as monotone leaves [12, 132] without a chain
     poset, bottom, top = PatternPoset(), (1, 2), (1, 3, 2)
-    routes = crosscheck.top_routes(poset, top)[bottom]
-    problems = crosscheck.check_interval(poset, routes).problems
+    problems = record_of(poset, bottom, top).problems
     assert "chains: found 0, naive descent gives 1" in problems
 
 
@@ -668,10 +713,10 @@ def test_a_cover_listed_twice_gets_the_rise_line_then_the_count_line(
     ids = [c.labels for c in chains.maximal_chains(poset, bottom, top)]
     n = len(ids)
     with wrong_rule(monkeypatch, module, name, _first_cover_twice_at(top)):
-        routes = crosscheck.top_routes(poset, top)[bottom]
+        laws = laws_of(poset, bottom, top)
         found = len(chains.maximal_chains(poset, bottom, top))
     assert found > n
-    assert routes.laws[:2] == (f"chains: labels {ids[-1]} then {ids[0]} do not rise",
+    assert laws[:2] == (f"chains: labels {ids[-1]} then {ids[0]} do not rise",
                                f"chains: found {found}, naive descent gives {n}")
 
 
@@ -681,8 +726,8 @@ def test_a_cover_listed_twice_in_a_row_gets_the_rise_line(monkeypatch):
     poset, bottom, top = PatternPoset(), (1,), (2, 1, 3)
     twice = lambda real: lambda e: real(e)[:1] + real(e) if e == top else real(e)
     with wrong_rule(monkeypatch, perms, "down_covers", twice):
-        routes = crosscheck.top_routes(poset, top)[bottom]
-    assert routes.laws == ("chains: labels (3, 1) then (3, 1) do not rise",
+        laws = laws_of(poset, bottom, top)
+    assert laws == ("chains: labels (3, 1) then (3, 1) do not rise",
                            "chains: found 3, naive descent gives 2",
                            "critical: 2 critical chains")
 
@@ -691,9 +736,10 @@ def test_a_critical_chain_that_does_not_come_last_is_reported(monotone_132):
     # treating 132 as monotone drops two chains of [1, 21534] and leaves its
     # one critical chain before a last chain that is not critical
     poset, bottom, top = PatternPoset(), (1,), (2, 1, 5, 3, 4)
-    routes = crosscheck.top_routes(poset, top)[bottom]
-    assert routes.report.critical_count == 1
-    assert crosscheck.check_interval(poset, routes).problems[-1] == (
+    routes = crosscheck.top_routes(poset, top)
+    i = routes.bottoms.index(bottom)
+    assert len(routes.dims[i]) == 1
+    assert crosscheck.check_interval(poset, routes, i).problems[-1] == (
         "critical: the critical chain is not the lexicographically last")
 
 

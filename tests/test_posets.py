@@ -294,6 +294,18 @@ def test_top_columns_match_the_forward_oracles():
                 assert_columns_match_the_oracles(poset, top, elements)
 
 
+def test_a_structure_cut_from_the_top_s_down_set_is_the_interval_s_own():
+    # every b under every pattern top of length <= 5, {a,b} top of length
+    # <= 6 and {a,b,c} top of length <= 4, as iso-search cuts them
+    for poset, cap in ((PatternPoset(), 5), (FactorPoset(("a", "b")), 6),
+                       (FactorPoset(("a", "b", "c")), 4)):
+        for n in range(poset.min_rank, cap + 1):
+            for top in poset.elements_of_rank(n):
+                down = interval_structure(poset, poset.minimum, top)
+                for i, b in enumerate(down.elements):
+                    assert down.above(i) == interval_structure(poset, b, top)
+
+
 def test_euler_characteristic_matches_the_chain_walk():
     # every interval of rank gap at least one under pattern tops of length
     # <= 5 and factor {a,b} tops of length <= 5
