@@ -3,24 +3,24 @@ The exhaustive cross-check harness: every interval of a poset up to a size
 cap, every Mobius route, and every structural invariant the machinery is
 supposed to satisfy.
 
-evaluate runs every Mobius route on one interval for the mobius subcommand;
-it checks its pair with poset.check_pair, as morse_report and
-maximal_chains do, and is then the one-bottom case of top_routes, whose
-bottoms must lie under the top.  Brute force, the Euler characteristic and,
-for the chain laws, the chain count read only the order relation, so they
-are computed per top and read per bottom: top_routes enumerates a top's
-down-set once for a column of each, and one walk from the top folds the
-Morse route (morse.MorseFold) down the chains of every bottom into a
-column of critical dimensions.  One switch, laws on whole tops: given no
-bottoms, it takes all, and folds the chain laws (LawFold) too, as the
-sweep asks.  The sweep reads each interval's record straight off its
-top's columns (check_interval); only evaluate builds a Routes, with its
-MorseReport.  No route value is memoized across calls, so a check reads
-only values computed in its own call.  A cache file is only checked
-against the brute-force values and appended to, never read in their
-place.  A parallel sweep forks its own workers (_fork_runs) and folds
-their runs of consecutive tops into the report, and the cache, in sweep
-order as each arrives.
+evaluate runs every Mobius route on one interval for the mobius subcommand:
+the pruned Morse walk of morse.morse_summary, which checks the pair with
+poset.check_pair first, as morse_report and maximal_chains do, then brute
+force and the Euler characteristic on the interval's own structure, so a
+high bottom pays for its interval, not for its top's down-set.  A sweep
+reads per top instead.  Brute force, the Euler characteristic and, for the
+chain laws, the chain count read only the order relation: top_routes
+enumerates a top's down-set once for a column of each, and one full walk
+from the top folds the Morse route (morse.MorseFold) and the chain laws
+(LawFold) down the chains of every bottom, into a column of critical
+dimensions and one of law lines.  The sweep reads each interval's record
+straight off its top's columns (check_interval); only evaluate builds a
+Routes, with its MorseReport.  No route value is memoized across calls,
+so a check reads only values computed in its own call.  A cache file is
+only checked against the brute-force values and appended to, never read
+in their place.  A parallel sweep forks its own workers (_fork_runs) and
+folds their runs of consecutive tops into the report, and the cache, in
+sweep order as each arrives.
 
 Per interval the harness runs the route checks of route_problems, as the
 mobius subcommand does: the closed form, the critical-chain count and the
@@ -51,7 +51,7 @@ import os
 from typing import NamedTuple
 
 from .chains import walk
-from .morse import MorseFold, MorseReport, signed_count
+from .morse import MorseFold, MorseReport, morse_summary, signed_count
 from .posets import (IntervalStructure, MobiusCache, euler_characteristic,
                      interval_structure, mobius_bruteforce)
 
@@ -90,11 +90,10 @@ class Routes(NamedTuple):
 
 
 class TopRoutes(NamedTuple):
-    """The routes of [b, top] as columns aligned with bottoms: the rank
-    gap, brute force, Euler, the critical chains' dimensions
-    (MorseFold.tallies) and the chain laws' lines (LawFold.laws), None
-    where top_routes was given bottoms.  The closed form is computed per
-    interval."""
+    """The routes of [b, top] for every b under the top, as columns
+    aligned with bottoms: the rank gap, brute force, Euler, the critical
+    chains' dimensions (MorseFold.tallies) and the chain laws' lines
+    (LawFold.laws).  The closed form is computed per interval."""
 
     top: object
     bottoms: tuple
@@ -102,19 +101,16 @@ class TopRoutes(NamedTuple):
     brute: tuple[int, ...]
     euler: tuple
     dims: list[list[int]]
-    laws: list[tuple[str, ...]] | None
+    laws: list[tuple[str, ...]]
 
 
-def top_routes(poset, top, bottoms=None) -> TopRoutes:
+def top_routes(poset, top) -> TopRoutes:
     """
-    The route columns of [b, top] for every b in bottoms, which must lie
-    under the top.  One switch, laws on whole tops: no bottoms means every
-    element under the top, in the order of its interval structure, with
-    the chain laws folded down the full walk (the sweep); given bottoms
-    get the routes alone, on a walk that skips the subtrees of dead nodes
-    (MorseFold.pruning_visit).  One enumeration of the top's down-set
-    gives the columns of brute force, the Euler characteristic and, with
-    the laws, the chain count.
+    The route columns of [b, top] for every element b under the top, in
+    the order of its interval structure, with the chain laws folded down
+    the full walk: the sweep's columns of one top.  One enumeration of the
+    top's down-set gives the columns of brute force, the Euler
+    characteristic and the chain count.
 
     >>> from posetmorse.posets import PatternPoset
     >>> p, top = PatternPoset(), (2, 1, 3, 5, 4, 6)
@@ -129,31 +125,22 @@ def top_routes(poset, top, bottoms=None) -> TopRoutes:
     elements = interval.elements
     brute = mobius_bruteforce(poset, interval)
     euler = euler_characteristic(poset, interval)
-    if bottoms is None:
-        bottoms = elements
-        fold = MorseFold(poset, top, elements)
-        law_fold = LawFold(poset, fold, dict(zip(elements, naive_chain_count(poset, interval))))
-        walk(poset, fold.path, elements, law_fold.visit)
-        laws = law_fold.laws()
-    else:
-        bottoms = tuple(bottoms)
-        at = [elements.index(b) for b in bottoms]
-        brute, euler = tuple(brute[i] for i in at), tuple(euler[i] for i in at)
-        fold = MorseFold(poset, top, bottoms)
-        walk(poset, fold.path, bottoms, fold.pruning_visit)
-        laws = None
+    fold = MorseFold(poset, top, elements)
+    law_fold = LawFold(poset, fold, dict(zip(elements, naive_chain_count(poset, interval))))
+    walk(poset, fold.path, elements, law_fold.visit)
     rank, n = poset.rank, poset.rank(top)
-    return TopRoutes(top, bottoms, [n - rank(b) for b in bottoms], brute, euler,
-                     list(fold.tallies.values()), laws)
+    return TopRoutes(top, elements, [n - rank(b) for b in elements], brute, euler,
+                     list(fold.tallies.values()), law_fold.laws())
 
 
 def evaluate(poset, bottom, top) -> Routes:
-    """Every route on a checked pair: the one-bottom case of top_routes."""
-    poset.check_pair(bottom, top)
-    routes = top_routes(poset, top, (bottom,))
-    return Routes(poset.mobius_closed_form(bottom, top),
-                  MorseReport(bottom, top, routes.gaps[0], tuple(routes.dims[0])),
-                  routes.brute[0], routes.euler[0])
+    """Every route on one interval: the pruned Morse walk of
+    morse_summary, which checks the pair first, then brute force and
+    Euler on the structure of [bottom, top] itself."""
+    report = morse_summary(poset, bottom, top)
+    interval = interval_structure(poset, bottom, top)
+    return Routes(poset.mobius_closed_form(bottom, top), report,
+                  mobius_bruteforce(poset, interval)[0], euler_characteristic(poset, interval)[0])
 
 
 class LawFold:
@@ -289,13 +276,12 @@ def naive_chain_count(poset, interval: IntervalStructure) -> tuple[int, ...]:
 
 
 def check_interval(poset, routes: TopRoutes, i: int) -> IntervalRecord:
-    """The record of interval i of a top's route columns with the chain
-    laws, from top_routes(poset, top) (one switch, laws on whole tops):
-    the interval's texts, its brute-force value, which the histogram and
-    the cache check read, and its problem lines, the route checks' then
-    the laws'.  A route that disagrees with brute force is named in its
-    mu-disagreement or mu-euler line, and one that agrees holds the
-    brute-force value."""
+    """The record of interval i of a top's route columns, from
+    top_routes(poset, top): the interval's texts, its brute-force value,
+    which the histogram and the cache check read, and its problem lines,
+    the route checks' then the laws'.  A route that disagrees with brute
+    force is named in its mu-disagreement or mu-euler line, and one that
+    agrees holds the brute-force value."""
     bottom, top, gap, brute = routes.bottoms[i], routes.top, routes.gaps[i], routes.brute[i]
     problems = route_problems(poset.mobius_closed_form(bottom, top),
                               signed_count(gap, routes.dims[i]), brute, routes.euler[i], gap)

@@ -35,8 +35,8 @@ definitions the fold is tested against.
 
 A family only grows down the walk, each new member past the last, so a
 node with an uncovered index below its last member's end has no critical
-chain under it.  The routes alone (morse_summary, top_routes given
-bottoms) skip such a dead node's subtree; listings and laws walk it all.
+chain under it.  The routes alone (morse_summary) skip such a dead
+node's subtree; listings and laws walk it all.
 
 A chain interval (i, j) is stored by the closed index range of the chain
 elements it holds, 1 <= i <= j <= steps-1.
@@ -312,20 +312,21 @@ class MorseFold:
         return ChainMorseData(self.path.chain(d), self.msis[d], family,
                               critical, len(family) - 1 if critical else None)
 
-    def reports(self) -> dict:
-        """The MorseReport of every bottom, once the walk is done."""
+    def report(self, bottom) -> MorseReport:
+        """The MorseReport of one of bottoms, once the walk is done."""
         rank = self.poset.rank
-        return {b: MorseReport(b, self.top, rank(self.top) - rank(b), tuple(dims))
-                for b, dims in self.tallies.items()}
+        return MorseReport(bottom, self.top, rank(self.top) - rank(bottom),
+                           tuple(self.tallies[bottom]))
 
 
 def morse_summary(poset, bottom, top) -> MorseReport:
     """The Morse report of a checked pair, from one walk that lists no
-    chain and skips the subtrees of dead nodes."""
+    chain and skips the subtrees of dead nodes: the one pruned walk, which
+    every route command reads (crosscheck.evaluate for mobius)."""
     poset.check_pair(bottom, top)
     fold = MorseFold(poset, top, (bottom,))
     walk(poset, fold.path, (bottom,), fold.pruning_visit)
-    return fold.reports()[bottom]
+    return fold.report(bottom)
 
 
 def morse_report(poset, bottom, top) -> MorseReport:
@@ -348,7 +349,7 @@ def morse_report(poset, bottom, top) -> MorseReport:
             listed.append(fold.chain_data(d))
 
     walk(poset, fold.path, (bottom,), visit)
-    return fold.reports()[bottom]._replace(chains=tuple(listed))
+    return fold.report(bottom)._replace(chains=tuple(listed))
 
 
 def mobius_morse(poset, bottom, top) -> int:

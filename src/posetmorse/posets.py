@@ -10,17 +10,17 @@ serves both: an element inside a top is the poset's text form of its
 window of the top, padded with the poset's zero symbol (0 or "0").
 
 interval_structure enumerates an interval once, with the elements above
-each element read off the memoized down-sets of its elements.  The
-ground-truth routes are computed per top and read per bottom: each takes
-the structure of [bottom, top] and returns a column indexed like its
-elements, the value of [x, top] for every element x, by one backward pass
-from the top; entry 0 is the value of the interval itself.  Run on the
-down-set of a top, [minimum, top], one pass serves every bottom under it.
-No column is memoized across calls.  mobius_bruteforce recurses over that
-structure and is the reference implementation everything else is checked
-against; euler_characteristic counts the chains of each open interval by
-length without listing them, a second independent route to the same
-number at rank gap two or more.
+each element read off the memoized down-sets of its elements.  Each
+ground-truth route takes the structure of [bottom, top] and returns a
+column indexed like its elements, the value of [x, top] for every element
+x, by one backward pass from the top; entry 0 is the value of the
+interval itself.  A sweep runs them on the down-set of a top, [minimum,
+top], so one pass serves every bottom under it; mobius runs them on its
+own interval.  No column is memoized across calls.  mobius_bruteforce
+recurses over that structure and is the reference implementation
+everything else is checked against; euler_characteristic counts the
+chains of each open interval by length without listing them, a second
+independent route to the same number at rank gap two or more.
 """
 
 from __future__ import annotations

@@ -67,21 +67,25 @@ def test_mobius_disagreement_exits_nonzero(capsys, monkeypatch):
 
 
 def faked_columns(monkeypatch, poset, bottom, top, column, value):
-    """Make top_routes read value in column at bottom, for evaluate (the
-    mobius command) and for the sweep's whole-top columns alike; returns
-    the faked columns of the top and bottom's index, check_interval's
-    arguments after the poset."""
-    real = crosscheck.top_routes
-
-    def faked(*args):
-        routes = real(*args)
-        cells = list(getattr(routes, column))
-        cells[routes.bottoms.index(bottom)] = value
-        return routes._replace(**{column: cells})
-
-    monkeypatch.setattr(crosscheck, "top_routes", faked)
-    routes = faked(poset, top)
-    return routes, routes.bottoms.index(bottom)
+    """Make the route of column ("dims" or "euler") read value at [bottom,
+    top], for evaluate (the mobius command), through the Morse dims of
+    morse_summary or the Euler entry of euler_characteristic on the
+    interval's own structure, and in the sweep's whole-top columns alike;
+    returns the faked columns of the top and bottom's index,
+    check_interval's arguments after the poset."""
+    routes = crosscheck.top_routes(poset, top)
+    i = routes.bottoms.index(bottom)
+    cells = list(getattr(routes, column))
+    cells[i] = value
+    if column == "dims":
+        real = crosscheck.morse_summary
+        monkeypatch.setattr(crosscheck, "morse_summary",
+                            lambda *args: real(*args)._replace(critical_dims=tuple(value)))
+    else:
+        real = crosscheck.euler_characteristic
+        monkeypatch.setattr(crosscheck, "euler_characteristic",
+                            lambda p, interval: (value,) + real(p, interval)[1:])
+    return routes._replace(**{column: cells}), i
 
 
 def test_mobius_and_check_interval_judge_the_routes_by_one_rule(

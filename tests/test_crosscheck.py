@@ -22,7 +22,7 @@ import posetmorse.perms as perms
 import posetmorse.words as words
 from posetmorse.posets import (FactorPoset, IncomparableError, IntervalStructure,
                                PatternPoset, SizeLimitError, euler_characteristic,
-                               interval_structure)
+                               interval_elements, interval_structure)
 from test_morse import assert_walk_msis_match_the_oracle, msis_fast
 from test_posets import assert_columns_match_the_oracles, euler_by_walk
 
@@ -448,6 +448,22 @@ def test_top_routes_of_every_bottom_equal_the_one_bottom_case():
                     record = crosscheck.check_interval(poset, routes, i)
                     assert record == (poset.format(b), poset.format(top), one.brute,
                                       tuple(one.problems()))
+
+
+def test_evaluate_reads_the_structure_of_its_own_interval(monkeypatch):
+    # a high bottom: brute force and Euler run on [b, tau] alone, the bottom
+    # first, not on the down-set of tau
+    poset, seen = PatternPoset(max_top=None), []
+    top = poset.parse("10,7,2,12,1,5,6,4,8,11,9,3")
+    bottom = perms.standardize(top[3:9])
+    for name in ("mobius_bruteforce", "euler_characteristic"):
+        real = getattr(crosscheck, name)
+        monkeypatch.setattr(crosscheck, name,
+                            lambda p, interval, real=real: seen.append(interval) or real(p, interval))
+    routes = crosscheck.evaluate(poset, bottom, top)
+    size = len(interval_elements(poset, bottom, top))
+    assert [(s.elements[0], s.size) for s in seen] == [(bottom, size)] * 2
+    assert size < len(poset.down_set(top)) and routes.problems() == []
 
 
 @pytest.mark.parametrize("route", [

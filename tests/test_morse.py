@@ -98,7 +98,7 @@ def msis_fast(poset, chain) -> list:
 def fold_listing(poset, top, bottoms) -> dict:
     """Maps each of bottoms to its chains of [b, top] and the MSIs
     MorseFold found for them, from one walk for all of bottoms, as
-    top_routes makes it."""
+    top_routes makes it for every element under the top."""
     fold = MorseFold(poset, top, bottoms)
     path, found = fold.path, {b: ([], []) for b in bottoms}
 
@@ -189,8 +189,7 @@ def fold_walk(poset, top, bottoms, pruned=True):
         return dead
 
     walk(poset, fold.path, bottoms, record)
-    reports = fold.reports()
-    return {b: reports[b].critical_dims for b in bottoms}, nodes
+    return {b: tuple(fold.tallies[b]) for b in bottoms}, nodes
 
 
 def test_the_pruned_fold_equals_the_full_fold():
