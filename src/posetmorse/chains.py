@@ -16,8 +16,12 @@ Every node of the walk ends one chain, the path from the top to it, and a
 child's chain is its parent's plus one step.  The walk keeps only that
 path (Path, one slot per depth) and calls a visitor at every node in
 preorder, so a per-chain quantity is folded down the path as an update of
-the parent's value (morse.MorseFold, crosscheck.LawFold).  A chain object
-is built only where a listing asks for one (maximal_chains, Path.chain).
+the parent's value (morse.MorseFold, crosscheck.LawFold).  A node is an
+index into the walk's node table, the elements it can reach, and the
+table holds each element's covers, read from the cover rule once per
+element, so the walk and its folds keep their state in lists read by
+node index, not in dicts keyed by element.  A chain object is built only
+where a listing asks for one (maximal_chains, Path.chain).
 """
 
 from __future__ import annotations
@@ -56,44 +60,70 @@ def maximal_chains(poset, bottom, top) -> list[MaximalChain]:
     relation serves just to reject an incomparable pair.
     """
     poset.check_pair(bottom, top)
-    path, found = Path(poset, top), []
+    path, found = Path(poset, top, node_table(poset, bottom, top)), []
+    nodes, at = path.nodes, path.index[bottom]
 
     def visit(d) -> None:
-        if path.elements[d] == bottom:
+        if nodes[d] == at:
             found.append(path.chain(d))
 
-    walk(poset, path, (bottom,), visit)
+    walk(path, visit)
     return found
+
+
+def node_table(poset, bottom, top) -> tuple:
+    """The node table of a walk for [bottom, top] alone: the top's
+    down-set at ranks at or above the bottom's."""
+    floor, rank = poset.rank(bottom), poset.rank
+    return tuple(e for e in poset.down_set(top) if rank(e) >= floor)
 
 
 class Path:
     """
-    The walk's current path from the top, one slot per depth: after k
-    covers the path stands at elements[k] in windows[k], and labels[k - 1]
-    is the label of cover k.  The walk writes a child's slots over the
-    parent's next ones, so slots past the current depth are stale.
+    A walk's node table and its current path from the top.  The table
+    lists the elements the walk can reach, the top's down-set at ranks at
+    or above the lowest one it holds (the floor), and a node is an index
+    into it: index maps an element to its node, and covers[i] holds the
+    covers of element i as (child node, first) pairs, first when the
+    cover's position is one, read from poset.down_covers once for each
+    element above the floor and empty at the floor.  After k covers the
+    path stands at node nodes[k] in windows[k], and labels[k - 1] is the
+    label of cover k.  The walk writes a child's slots over the parent's
+    next ones, so slots past the current depth are stale.
     """
 
-    def __init__(self, poset, top):
+    def __init__(self, poset, top, table):
+        self.table = table
+        self.index = index = {e: i for i, e in enumerate(table)}
+        ranks = list(map(poset.rank, table))
+        floor, down_covers = min(ranks), poset.down_covers
+        self.covers = covers = []
+        for e, r in zip(table, ranks):
+            pairs = []
+            if r > floor:
+                for child, pos in down_covers(e):
+                    pairs.append((index[child], pos == 1))
+            covers.append(pairs)
         n = poset.rank(top)
-        self.elements = [top] * (n + 1)
+        self.nodes = [index[top]] * (n + 1)
         self.windows = [(0, n)] * (n + 1)
         self.labels = [0] * n
 
     def chain(self, d: int) -> MaximalChain:
         """The chain from the top to the path's element at depth d."""
-        return MaximalChain(tuple(self.elements[:d + 1]), tuple(self.windows[:d + 1]),
-                            tuple(self.labels[:d]))
+        table = self.table
+        return MaximalChain(tuple([table[i] for i in self.nodes[:d + 1]]),
+                            tuple(self.windows[:d + 1]), tuple(self.labels[:d]))
 
 
-def walk(poset, path: Path, bottoms, visit) -> None:
+def walk(path: Path, visit) -> None:
     """
-    One depth-first walk from the top down to the lowest rank of bottoms,
+    One depth-first walk from the top down to the floor of its node table,
     calling visit(d) at every node once the path's slots up to depth d
     hold it: every path from the top to x is a maximal chain of [x, top],
-    so every node ends one chain.  It reads only the cover rule, taking
-    poset.down_covers last first, and of a cover's position only whether it
-    is one: a cover at position one deletes the first letter of the window
+    so every node ends one chain.  It reads only the table's covers,
+    taking them last first, and of a cover's position only whether it is
+    one: a cover at position one deletes the first letter of the window
     and is labelled by that letter's top position, lo + 1; any other
     deletes the last, labelled hi.  Each label is thus the letter its
     window drops, labels rise and each bottom's chains arrive sorted by
@@ -105,21 +135,19 @@ def walk(poset, path: Path, bottoms, visit) -> None:
     its own.  A visitor that returns true skips the node's children
     (morse.MorseFold.pruning_visit).
     """
-    elements, windows, labels = path.elements, path.windows, path.labels
-    floor = min((poset.rank(b) for b in bottoms), default=poset.rank(elements[0]))
-    stack = [(0, elements[0], windows[0], 0)]  # not the call stack: tops of any length
+    nodes, windows, labels, covers = path.nodes, path.windows, path.labels, path.covers
+    stack = [(0, nodes[0], windows[0], 0)]  # not the call stack: tops of any length
     while stack:
-        d, element, window, label = stack.pop()
-        elements[d], windows[d] = element, window
+        d, node, window, label = stack.pop()
+        nodes[d], windows[d] = node, window
         if d:
             labels[d - 1] = label
         if visit(d):
             continue
         lo, hi = window
-        if hi - lo > floor:  # pushed in order, so the last cover pops first
-            for child, pos in poset.down_covers(element):
-                stack.append((d + 1, child, (lo + 1, hi), lo + 1) if pos == 1
-                             else (d + 1, child, (lo, hi - 1), hi))
+        for child, first in covers[node]:  # pushed in order, so the last cover pops first
+            stack.append((d + 1, child, (lo + 1, hi), lo + 1) if first
+                         else (d + 1, child, (lo, hi - 1), hi))
 
 
 def classify_steps(chain: MaximalChain) -> tuple[StepClass, ...]:

@@ -13,7 +13,9 @@ chain laws, the chain count read only the order relation: top_routes
 enumerates a top's down-set once for a column of each, and one full walk
 from the top folds the Morse route (morse.MorseFold) and the chain laws
 (LawFold) down the chains of every bottom, into a column of critical
-dimensions and one of law lines.  The sweep reads each interval's record
+dimensions and one of law lines.  The walk's node table is the down-set
+in the order of its interval structure, so the folds keep their tallies
+in lists by node that are already those columns.  The sweep reads each interval's record
 straight off its top's columns (check_interval); only evaluate builds a
 Routes, with its MorseReport.  No route value is memoized across calls,
 so a check reads only values computed in its own call.  A cache file is
@@ -126,11 +128,11 @@ def top_routes(poset, top) -> TopRoutes:
     brute = mobius_bruteforce(poset, interval)
     euler = euler_characteristic(poset, interval)
     fold = MorseFold(poset, top, elements)
-    law_fold = LawFold(poset, fold, dict(zip(elements, naive_chain_count(poset, interval))))
-    walk(poset, fold.path, elements, law_fold.visit)
+    law_fold = LawFold(poset, fold, naive_chain_count(poset, interval))
+    walk(fold.path, law_fold.visit)
     rank, n = poset.rank, poset.rank(top)
     return TopRoutes(top, elements, [n - rank(b) for b in elements], brute, euler,
-                     list(fold.tallies.values()), law_fold.laws())
+                     fold.tallies, law_fold.laws())
 
 
 def evaluate(poset, bottom, top) -> Routes:
@@ -172,12 +174,15 @@ class LawFold:
       one.
     No law reads the disjoint family: MorseFold.visit adds a member only
     with its new MSI, past the last member and inside that MSI.
-    A chain that ends at b adds to b's tally: one chain, its label tuple
-    as the last, the first two tuples in a row that do not rise, its
-    msi-fast line, and how many critical chains the fold held for b
-    before it.  laws() weighs the count against expect[b], b's chains by
-    the order relation, and the fold's critical tally of b against the law
-    that at most one chain, the last, is critical (Babson and Hersh).
+    Every tally is kept by node, as the fold's are.  A chain that ends at
+    node b adds to b's tally: one chain, its labels as the last, the first
+    two label lists in a row that do not rise, its msi-fast line, and how
+    many critical chains the fold held for b before it; a label list
+    becomes a tuple only in a problem line.  The fast law's jump of each
+    element is read once, into a list by node.  laws() weighs the count
+    against expect[b], the chains of [table[b], top] by the order
+    relation, and the fold's critical tally of b against the law that at
+    most one chain, the last, is critical (Babson and Hersh).
     fast[d], by depth as on the path, holds the fast law's spans of the
     chain at depth d, by end, and the chain breaks the fast law when it
     differs from msis[d]: at depth d both gain only spans that end at
@@ -185,51 +190,56 @@ class LawFold:
     depth's new MSI.
     """
 
-    def __init__(self, poset, fold: MorseFold, expect: dict):
+    def __init__(self, poset, fold: MorseFold, expect):
         path, msis, critical = fold.path, fold.msis, fold.tallies
-        elements, windows, labels = path.elements, path.windows, path.labels
-        morse_visit, jump = fold.visit, poset.jump
+        nodes, windows, labels, index = path.nodes, path.windows, path.labels, path.index
+        morse_visit = fold.visit
+        # node -> the fast law's jump of its element, to a node (-1 off the table)
+        jumps = [(index.get(x, -1), k) for x, k in map(poset.jump, path.table)]
         n = len(labels)
         self.fast = fast = [()] * (n + 1)
         self.expect, self.critical = expect, critical
-        # bottom -> [chains, last label tuple, first two not rising, lines, critical before]
-        self.tallies = tallies = {b: [0, None, None, [], 0] for b in expect}
+        # node -> [chains, last labels, first two not rising, lines, critical before]
+        self.tallies = tallies = [[0, None, None, [], 0] for _ in path.table]
 
         def visit(d) -> None:
-            e = elements[d]
-            at = tallies[e]
-            at[4] = len(critical[e])
+            node = nodes[d]
+            at = tallies[node]
+            at[4] = len(critical[node])
             morse_visit(d)
             if d > 1:
                 j = d - 1
                 spans = [(j, j)] if labels[j - 1] > labels[j] == windows[j][0] + 1 else []
                 i = j - 1
                 while i >= 0 and labels[i] > labels[i + 1]:  # the falling run
-                    x, k = jump(elements[i])
-                    if k == d - i and x == e and (i + 1, j) not in spans:
+                    x, k = jumps[nodes[i]]
+                    if k == d - i and x == node and (i + 1, j) not in spans:
                         spans.append((i + 1, j))
                     i -= 1
                 fast[d] = fast[d - 1] + tuple(spans) if spans else fast[d - 1]
-            ids = tuple(labels[:d])
+            ids = labels[:d]
             if at[0] and at[2] is None and ids <= at[1]:
                 at[2] = at[1], ids
             at[0] += 1
             at[1] = ids
             if fast[d] != msis[d]:
-                at[3].append(f"msi-fast: {sorted(fast[d])} != {list(msis[d])} on chain {ids}")
+                at[3].append(f"msi-fast: {sorted(fast[d])} != {list(msis[d])} "
+                             f"on chain {tuple(ids)}")
 
         self.visit = visit
 
     def laws(self) -> list[tuple[str, ...]]:
-        """The law lines of every bottom once the walk is done, in the
-        order of expect: the rise line, the count line, the msi-fast lines
-        in chain order, then the critical lines."""
+        """The law lines of every element of the table once the walk is
+        done, in table order: the rise line, the count line, the msi-fast
+        lines in chain order, then the critical lines."""
         found = []
-        for b, (count, _, fall, lines, before) in self.tallies.items():
-            head = [f"chains: labels {fall[0]} then {fall[1]} do not rise"] if fall else []
-            if count != self.expect[b]:
-                head.append(f"chains: found {count}, naive descent gives {self.expect[b]}")
-            critical = len(self.critical[b])
+        for expect, dims, (count, _, fall, lines, before) in zip(
+                self.expect, self.critical, self.tallies):
+            head = ([f"chains: labels {tuple(fall[0])} then {tuple(fall[1])} do not rise"]
+                    if fall else [])
+            if count != expect:
+                head.append(f"chains: found {count}, naive descent gives {expect}")
+            critical = len(dims)
             if critical > 1:
                 lines = lines + [f"critical: {critical} critical chains"]
             elif critical and before:

@@ -14,21 +14,22 @@ C are therefore its containment-minimal difference blocks.
 
 The chains of every bottom under a top come from one walk from the top
 (chains.walk), already in that order, and MorseFold finds their MSIs as
-the walk descends, without comparing chains pairwise, at one dict lookup
-and one bisection per walk node; a node's MSIs are its parent's plus at
-most one span.  The pairwise functions below are the definition the fold
-is tested against.  The MSIs are resolved into a disjoint family in one
-left-to-right pass that truncates each member's start past everything
-already chosen; C is critical when the family covers all of C's interior,
-and contributes (-1)^(size-1) to the Mobius function.  Zero critical
-chains mean a contractible complex, one critical chain a sphere of the
-matching dimension.
+the walk descends, without comparing chains pairwise, at one list read by
+node index and one bisection per walk node; a node's MSIs are its
+parent's plus at most one span.  The pairwise functions below are the
+definition the fold is tested against.  The MSIs are resolved into a
+disjoint family in one left-to-right pass that truncates each member's
+start past everything already chosen; C is critical when the family
+covers all of C's interior, and contributes (-1)^(size-1) to the Mobius
+function.  Zero critical chains mean a contractible complex, one critical
+chain a sphere of the matching dimension.
 
 Every walk node ends one chain, its parent's plus one step, so MorseFold
 also carries the family and its covered count down the path: the new
 span, if any, comes last in the pass and adds at most one member.  Each
-bottom keeps only the dimensions of its critical chains, which give the
-Mobius value and the homotopy type; no chain is held.  morse_report
+element of the walk's node table keeps only the dimensions of its
+critical chains, in a list by node, which give the Mobius value and the
+homotopy type; no chain is held.  morse_report
 alone lists the chains with their data, for the commands that print
 them.  disjoint_family and the fast laws below stay the per-chain
 definitions the fold is tested against.
@@ -49,7 +50,7 @@ from bisect import bisect_right
 from functools import lru_cache
 from typing import NamedTuple
 
-from .chains import MaximalChain, Path, walk
+from .chains import MaximalChain, Path, node_table, walk
 from .perms import exterior, interior, leq_consecutive
 from .words import inner_word, is_factor, outer_word
 
@@ -222,11 +223,12 @@ class MorseReport(NamedTuple):
 
 class MorseFold:
     """
-    The Morse route folded down one walk (chains.walk).  visit(d) finds
-    the MSIs and the disjoint family of the chain the node at depth d
-    ends from its parent's and the path's newest step, then, when its
-    element is one of bottoms and the chain is critical, tallies the
-    chain's dimension.
+    The Morse route folded down one walk (chains.walk) over the node
+    table it is given.  visit(d) finds the MSIs and the disjoint family of
+    the chain the node at depth d ends from its parent's and the path's
+    newest step, then, when the chain is critical, tallies its dimension
+    under its node: tallies[i] holds the dimensions of the critical chains
+    of [table[i], top], in chain order.
 
     The MSIs come from the walk's preorder.  For a path e[0..d], (i, j)
     with j = d - 1 is skipped iff the walk already reached e[d] inside the
@@ -254,28 +256,28 @@ class MorseFold:
     under it is critical.  Later nodes read only latest from the subtree,
     a run of preorder indices holding none of their ancestors, so every
     element under the node takes the node's index there: later bisections
-    answer as after the whole subtree.
+    answer as after the whole subtree.  The node's down-set is mapped
+    through the table, so the writes land only on its elements.
     """
 
-    def __init__(self, poset, top, bottoms):
+    def __init__(self, poset, top, table):
         self.poset, self.top = poset, top
-        self.path = path = Path(poset, top)
+        self.path = path = Path(poset, top, table)
         n = poset.rank(top)
         self.msis = msis = [()] * (n + 1)
         self.family = family = [()] * (n + 1)
         self.covered = covered = [0] * (n + 1)
-        # bottom -> the dims of its critical chains, in chain order
-        self.tallies = tallies = {b: [] for b in bottoms}
-        elements = path.elements
-        latest: dict = {}  # element -> preorder index of its latest visit
+        self.tallies = tallies = [[] for _ in table]
+        nodes, index = path.nodes, path.index
+        latest = [-1] * len(table)  # node -> preorder index of its latest visit
         seen = [0] * (n + 1)  # seen[k]: preorder index of the path's node at depth k
         order = itertools.count()
 
         def visit(d) -> None:
-            e = elements[d]
+            node = nodes[d]
             if d > 1:
                 m = msis[d - 1]
-                s = bisect_right(seen, latest.get(e, -1), 0, d - 1)
+                s = bisect_right(seen, latest[node], 0, d - 1)
                 if s > (m[-1][0] if m else 0):
                     j = d - 1
                     msis[d] = m + ((s, j),)
@@ -289,18 +291,20 @@ class MorseFold:
                     family[d], covered[d] = fam, count
                 else:
                     msis[d], family[d], covered[d] = m, family[d - 1], covered[d - 1]
-            latest[e] = seen[d] = next(order)
-            if covered[d] == d - 1 and e in tallies:
-                tallies[e].append(len(family[d]) - 1)
+            latest[node] = seen[d] = next(order)
+            if covered[d] == d - 1:
+                tallies[node].append(len(family[d]) - 1)
 
         def pruning_visit(d) -> bool:
             visit(d)
             fam = family[d]
             if not fam or covered[d] >= fam[-1][1]:
                 return False
-            index = seen[d]
-            for z in poset.down_set(elements[d]):
-                latest[z] = index
+            at = seen[d]
+            for z in poset.down_set(table[nodes[d]]):
+                i = index.get(z)  # None below the floor
+                if i is not None:
+                    latest[i] = at
             return True
 
         self.visit, self.pruning_visit = visit, pruning_visit
@@ -313,10 +317,10 @@ class MorseFold:
                               critical, len(family) - 1 if critical else None)
 
     def report(self, bottom) -> MorseReport:
-        """The MorseReport of one of bottoms, once the walk is done."""
+        """The MorseReport of an element of the table, once the walk is done."""
         rank = self.poset.rank
         return MorseReport(bottom, self.top, rank(self.top) - rank(bottom),
-                           tuple(self.tallies[bottom]))
+                           tuple(self.tallies[self.path.index[bottom]]))
 
 
 def morse_summary(poset, bottom, top) -> MorseReport:
@@ -324,8 +328,8 @@ def morse_summary(poset, bottom, top) -> MorseReport:
     chain and skips the subtrees of dead nodes: the one pruned walk, which
     every route command reads (crosscheck.evaluate for mobius)."""
     poset.check_pair(bottom, top)
-    fold = MorseFold(poset, top, (bottom,))
-    walk(poset, fold.path, (bottom,), fold.pruning_visit)
+    fold = MorseFold(poset, top, node_table(poset, bottom, top))
+    walk(fold.path, fold.pruning_visit)
     return fold.report(bottom)
 
 
@@ -340,15 +344,15 @@ def morse_report(poset, bottom, top) -> MorseReport:
     [[], [(3, 3)], [(2, 2)], [(1, 1)], [(2, 2)], [(1, 2), (3, 3)]]
     """
     poset.check_pair(bottom, top)
-    fold = MorseFold(poset, top, (bottom,))
-    elements, listed = fold.path.elements, []
+    fold = MorseFold(poset, top, node_table(poset, bottom, top))
+    nodes, at, listed = fold.path.nodes, fold.path.index[bottom], []
 
     def visit(d) -> None:
         fold.visit(d)
-        if elements[d] == bottom:
+        if nodes[d] == at:
             listed.append(fold.chain_data(d))
 
-    walk(poset, fold.path, (bottom,), visit)
+    walk(fold.path, visit)
     return fold.report(bottom)._replace(chains=tuple(listed))
 
 

@@ -29,7 +29,6 @@ import collections
 import itertools
 import math
 import os
-import threading
 from typing import Iterator, NamedTuple
 
 from . import closed_form, morse, perms, words
@@ -279,8 +278,9 @@ class MobiusCache:
     mu.  check compares a computed value with the record, one lookup, and
     appends it when there is none; a held record is never rewritten.
     Opening it only reads the file; the first put opens it for appending.
-    Reads are lock-free; writes serialize behind a lock and go to the
-    buffered handle, each record in one write call, and close flushes them.
+    Writes go to the buffered handle, each record in one write call, and
+    close flushes them; one thread holds the cache, as a sweep folds its
+    records in one.
     A final line without its newline is a record torn by an interrupted
     append: loading skips it, and the first append cuts it off so that the
     new record starts on a line of its own.  A path that cannot serve as
@@ -294,7 +294,6 @@ class MobiusCache:
             raise ValueError("cache file path is empty")
         self.path = path
         self._data: dict[tuple[str, str, str], int] = {}
-        self._lock = threading.Lock()
         self._handle = None
         self._clean_size: int | None = None
         parent = os.path.dirname(os.path.abspath(path))
@@ -332,15 +331,14 @@ class MobiusCache:
 
     def put(self, tag: str, bottom: str, top: str, value: int) -> None:
         key = (tag, bottom, top)
-        with self._lock:
-            if key in self._data:
-                return
-            self._data[key] = value
-            if self._handle is None:
-                if self._clean_size is not None:
-                    os.truncate(self.path, self._clean_size)
-                self._handle = open(self.path, "a", encoding="utf-8")
-            self._handle.write(f"{tag}\t{bottom}\t{top}\t{value}\n")
+        if key in self._data:
+            return
+        self._data[key] = value
+        if self._handle is None:
+            if self._clean_size is not None:
+                os.truncate(self.path, self._clean_size)
+            self._handle = open(self.path, "a", encoding="utf-8")
+        self._handle.write(f"{tag}\t{bottom}\t{top}\t{value}\n")
 
     def check(self, tag: str, bottom: str, top: str, value: int) -> str | None:
         """Append value unless a record is held; name a held record that
@@ -353,7 +351,6 @@ class MobiusCache:
         return None
 
     def close(self) -> None:
-        with self._lock:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None

@@ -322,16 +322,43 @@ def test_a_sweep_walks_each_top_once(monkeypatch):
     walks = []
     real = crosscheck.walk
 
-    def counting(poset, path, bottoms, visit):
-        walks.append((path.elements[0], tuple(bottoms)))
-        return real(poset, path, bottoms, visit)
+    def counting(path, visit):
+        walks.append((path.table[path.nodes[0]], path.table))
+        return real(path, visit)
 
     monkeypatch.setattr(crosscheck, "walk", counting)
     poset = PatternPoset()
     report = crosscheck.run_crosscheck(poset, 4)
     assert report.ok and report.total == 167
     assert len(walks) == len({top for top, _ in walks}) == 1 + 2 + 6 + 24
-    assert all(set(bottoms) == poset.down_set(top) for top, bottoms in walks)
+    assert all(set(table) == poset.down_set(top) for top, table in walks)
+
+
+def test_a_top_s_covers_and_jumps_are_read_once_per_element(monkeypatch):
+    # the walk reads covers from its node table, not from the cover rule
+    # at every node, and the chain laws read the fast law's jump from a
+    # list by node: top_routes asks the rule once per element above the
+    # floor (28 internal nodes walk 11 such elements) and the jump at most
+    # once per element, and the pruned walk asks the rule at most once per
+    # element of its own table
+    covers, jumps = [], []
+    real_covers, real_jump = PatternPoset.down_covers, PatternPoset.jump
+    monkeypatch.setattr(PatternPoset, "down_covers",
+                        lambda self, e: covers.append(e) or real_covers(self, e))
+    monkeypatch.setattr(PatternPoset, "jump",
+                        staticmethod(lambda e: jumps.append(e) or real_jump(e)))
+    p, top = PatternPoset(), (2, 1, 3, 5, 4, 6)
+    routes = crosscheck.top_routes(p, top)
+    assert sorted(covers) == sorted(e for e in routes.bottoms if len(e) > 1)
+    assert len(covers) == 11
+    assert len(jumps) == len(set(jumps)) <= len(routes.bottoms)
+    p = PatternPoset(max_top=None)
+    top = p.parse("10,7,2,12,1,5,6,4,8,11,9,3")
+    for bottom in ((1,), (1, 2), perms.standardize(top[3:9])):
+        covers.clear()
+        assert morse.morse_summary(p, bottom, top).rank_gap == 12 - len(bottom)
+        table = chains.node_table(p, bottom, top)
+        assert len(covers) == len(set(covers)) and set(covers) <= set(table)
 
 
 def test_a_serial_sweep_checks_each_interval_through_check_interval(monkeypatch):
@@ -356,7 +383,7 @@ def assert_the_fold_matches_the_definitions(poset, top) -> int:
     set-cover rule.  Returns the number of nodes."""
     bottoms = sorted(poset.down_set(top))
     fold = morse.MorseFold(poset, top, bottoms)
-    laws = crosscheck.LawFold(poset, fold, dict.fromkeys(bottoms, 0))  # counts unread
+    laws = crosscheck.LawFold(poset, fold, [0] * len(bottoms))  # counts unread
     path, nodes = fold.path, []
 
     def visit(d):
@@ -376,7 +403,7 @@ def assert_the_fold_matches_the_definitions(poset, top) -> int:
             family, critical, len(family) - 1 if critical else None)
         nodes.append(d)
 
-    chains.walk(poset, path, bottoms, visit)
+    chains.walk(path, visit)
     return len(nodes)
 
 
@@ -587,8 +614,8 @@ def test_each_walk_label_is_the_letter_its_window_drops(monkeypatch, poset, n, w
     with (wrong_rule(monkeypatch, perms, "down_covers", wrong) if wrong
           else contextlib.nullcontext()):
         for top in (e for r in range(poset.min_rank, n + 1) for e in poset.elements_of_rank(r)):
-            path = chains.Path(poset, top)
-            chains.walk(poset, path, (poset.minimum,), visit)
+            path = chains.Path(poset, top, chains.node_table(poset, poset.minimum, top))
+            chains.walk(path, visit)
     assert True in steps and False in steps
 
 

@@ -11,7 +11,7 @@ import posetmorse.cli as cli
 import posetmorse.crosscheck as crosscheck
 import posetmorse.morse as morse
 from posetmorse import render
-from posetmorse.chains import maximal_chains, walk
+from posetmorse.chains import maximal_chains, node_table, walk
 from posetmorse.morse import (MorseFold, disjoint_family, homotopy_type,
                               minimal_skipped_intervals, mobius_morse,
                               morse_report, skipped_intervals)
@@ -95,21 +95,27 @@ def msis_fast(poset, chain) -> list:
     return morse._msis_fast(chain, poset.jump)
 
 
+def fold_of(poset, top, bottoms) -> MorseFold:
+    """A MorseFold whose node table reaches down to the lowest of bottoms."""
+    return MorseFold(poset, top, node_table(poset, min(bottoms, key=poset.rank), top))
+
+
 def fold_listing(poset, top, bottoms) -> dict:
     """Maps each of bottoms to its chains of [b, top] and the MSIs
     MorseFold found for them, from one walk for all of bottoms, as
     top_routes makes it for every element under the top."""
-    fold = MorseFold(poset, top, bottoms)
+    fold = fold_of(poset, top, bottoms)
     path, found = fold.path, {b: ([], []) for b in bottoms}
+    by_node = {path.index[b]: found[b] for b in bottoms if b in path.index}
 
     def visit(d) -> None:
         fold.visit(d)
-        at = found.get(path.elements[d])
+        at = by_node.get(path.nodes[d])
         if at is not None:
             at[0].append(path.chain(d))
             at[1].append(fold.msis[d])
 
-    walk(poset, path, bottoms, visit)
+    walk(path, visit)
     return found
 
 
@@ -179,7 +185,7 @@ def fold_walk(poset, top, bottoms, pruned=True):
     """Each bottom's critical dimensions from one fold walk, pruned or
     full, and the MSIs and disjoint family of every node it visited, by
     the node's label path."""
-    fold = MorseFold(poset, top, bottoms)
+    fold = fold_of(poset, top, bottoms)
     visit, nodes = fold.pruning_visit if pruned else fold.visit, {}
     labels, msis, family = fold.path.labels, fold.msis, fold.family
 
@@ -188,8 +194,8 @@ def fold_walk(poset, top, bottoms, pruned=True):
         nodes[tuple(labels[:d])] = msis[d], family[d]
         return dead
 
-    walk(poset, fold.path, bottoms, record)
-    return {b: tuple(fold.tallies[b]) for b in bottoms}, nodes
+    walk(fold.path, record)
+    return {b: tuple(fold.tallies[fold.path.index[b]]) for b in bottoms}, nodes
 
 
 def test_the_pruned_fold_equals_the_full_fold():
