@@ -15,10 +15,14 @@ from the top folds the Morse route (morse.MorseFold) and the chain laws
 (LawFold) down the chains of every bottom, into a column of critical
 dimensions and one of law lines.  The walk's node table is the down-set
 in the order of its interval structure, so the folds keep their tallies
-in lists by node that are already those columns.  The sweep reads each interval's record
-straight off its top's columns (check_interval); only evaluate builds a
-Routes, with its MorseReport.  No route value is memoized across calls,
-so a check reads only values computed in its own call.  A cache file is
+in lists by node that are already those columns.  The closed form walks
+down the top's exterior chain, which depends on the top alone, so one
+pass down it gives the closed form's column too
+(poset.closed_form_column).  The sweep reads each interval's record
+straight off its top's columns (check_interval), every route's value
+included; only evaluate builds a Routes, with its MorseReport, and runs
+the closed form on its one interval.  No route value is memoized across
+calls, so a check reads only values computed in its own call.  A cache file is
 only checked against the brute-force values and appended to, never read
 in their place.  A parallel sweep forks its own workers (_fork_runs) and
 folds their runs of consecutive tops into the report, and the cache, in
@@ -93,13 +97,14 @@ class Routes(NamedTuple):
 
 class TopRoutes(NamedTuple):
     """The routes of [b, top] for every b under the top, as columns
-    aligned with bottoms: the rank gap, brute force, Euler, the critical
-    chains' dimensions (MorseFold.tallies) and the chain laws' lines
-    (LawFold.laws).  The closed form is computed per interval."""
+    aligned with bottoms: the rank gap, the closed form, brute force,
+    Euler, the critical chains' dimensions (MorseFold.tallies) and the
+    chain laws' lines (LawFold.laws)."""
 
     top: object
     bottoms: tuple
     gaps: list[int]
+    closed: list[int]
     brute: tuple[int, ...]
     euler: tuple
     dims: list[list[int]]
@@ -112,14 +117,16 @@ def top_routes(poset, top) -> TopRoutes:
     the order of its interval structure, with the chain laws folded down
     the full walk: the sweep's columns of one top.  One enumeration of the
     top's down-set gives the columns of brute force, the Euler
-    characteristic and the chain count.
+    characteristic and the chain count, and one pass down the top's
+    exterior chain the closed form's (poset.closed_form_column).
 
     >>> from posetmorse.posets import PatternPoset
     >>> p, top = PatternPoset(), (2, 1, 3, 5, 4, 6)
     >>> routes = top_routes(p, top)
     >>> i = routes.bottoms.index((1,))
-    >>> routes.gaps[i], routes.brute[i], routes.euler[i], routes.dims[i], routes.laws[i]
-    (5, 1, 1, [2], ())
+    >>> (routes.gaps[i], routes.closed[i], routes.brute[i], routes.euler[i],
+    ...  routes.dims[i], routes.laws[i])
+    (5, 1, 1, 1, [2], ())
     >>> evaluate(p, (1,), top).report.critical_dims
     (2,)
     """
@@ -131,7 +138,8 @@ def top_routes(poset, top) -> TopRoutes:
     law_fold = LawFold(poset, fold, naive_chain_count(poset, interval))
     walk(fold.path, law_fold.visit)
     rank, n = poset.rank, poset.rank(top)
-    return TopRoutes(top, elements, [n - rank(b) for b in elements], brute, euler,
+    return TopRoutes(top, elements, [n - rank(b) for b in elements],
+                     poset.closed_form_column(top, elements), brute, euler,
                      fold.tallies, law_fold.laws())
 
 
@@ -289,13 +297,15 @@ def check_interval(poset, routes: TopRoutes, i: int) -> IntervalRecord:
     """The record of interval i of a top's route columns, from
     top_routes(poset, top): the interval's texts, its brute-force value,
     which the histogram and the cache check read, and its problem lines,
-    the route checks' then the laws'.  A route that disagrees with brute
-    force is named in its mu-disagreement or mu-euler line, and one that
-    agrees holds the brute-force value."""
-    bottom, top, gap, brute = routes.bottoms[i], routes.top, routes.gaps[i], routes.brute[i]
-    problems = route_problems(poset.mobius_closed_form(bottom, top),
-                              signed_count(gap, routes.dims[i]), brute, routes.euler[i], gap)
-    return IntervalRecord(poset.format(bottom), poset.format(top), brute,
+    the route checks' then the laws'.  Every route's value, the closed
+    form's included, is read off its column; no route runs here.  A
+    route that disagrees with brute force is named in its
+    mu-disagreement or mu-euler line, and one that agrees holds the
+    brute-force value."""
+    gap, brute = routes.gaps[i], routes.brute[i]
+    problems = route_problems(routes.closed[i], signed_count(gap, routes.dims[i]), brute,
+                              routes.euler[i], gap)
+    return IntervalRecord(poset.format(routes.bottoms[i]), poset.format(routes.top), brute,
                           tuple(problems) + routes.laws[i])
 
 

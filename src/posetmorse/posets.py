@@ -21,6 +21,13 @@ recurses over that structure and is the reference implementation
 everything else is checked against; euler_characteristic counts the
 chains of each open interval by length without listing them, a second
 independent route to the same number at rank gap two or more.
+
+Each poset reaches the closed form through its own entry points in
+closed_form, which hand over its operators: for one interval
+(mobius_closed_form) or as the column of every bottom under a top
+(closed_form_column).  Rank is len itself and a permutation's text form
+the memoized formatter itself, so the per-element reads of a sweep make
+no method frame.
 """
 
 from __future__ import annotations
@@ -64,8 +71,7 @@ class _LengthGraded:
 
     __delattr__ = __setattr__
 
-    def rank(self, e) -> int:
-        return len(e)
+    rank = staticmethod(len)
 
     def check_pair(self, bottom, top) -> None:
         """Reject a top above the guardrail, then a bottom not below it."""
@@ -110,11 +116,13 @@ class PatternPoset(_LengthGraded):
     def parse(self, text: str):
         return perms.parse_permutation(text)
 
-    def format(self, e) -> str:
-        return perms.format_permutation(e)
+    format = staticmethod(perms.format_permutation)
 
     def mobius_closed_form(self, bottom, top) -> int:
         return closed_form.mobius_pattern(bottom, top)
+
+    def closed_form_column(self, top, bottoms) -> list[int]:
+        return closed_form.pattern_column(top, bottoms)
 
     jump = staticmethod(morse._jump_pattern)  # the fast law's exterior jump
 
@@ -174,6 +182,9 @@ class FactorPoset(_LengthGraded):
 
     def mobius_closed_form(self, bottom, top) -> int:
         return closed_form.mobius_factor(bottom, top)
+
+    def closed_form_column(self, top, bottoms) -> list[int]:
+        return closed_form.factor_column(top, bottoms)
 
     jump = staticmethod(morse._jump_factor)  # the fast law's exterior jump
 
@@ -236,8 +247,9 @@ def mobius_bruteforce(poset, interval: IntervalStructure) -> tuple[int, ...]:
     """
     top = interval.size - 1
     mu = [0] * top + [1]
+    read, ups = mu.__getitem__, interval.ups
     for x in range(top - 1, -1, -1):
-        mu[x] = -sum(mu[z] for z in interval.ups[x])
+        mu[x] = -sum(map(read, ups[x]))
     return tuple(mu)
 
 
@@ -264,8 +276,9 @@ def euler_characteristic(poset, interval: IntervalStructure) -> tuple:
     mod, top = (1 << bits) + 1, interval.size - 1
     packed = [0] * interval.size  # the top's entry stays 0, so it adds nothing
     chi: list[int | None] = [None] * interval.size
+    read, ups = packed.__getitem__, interval.ups
     for x in range(top - 1, -1, -1):
-        packed[x] = row = 1 + (sum(packed[z] for z in interval.ups[x]) << bits)
+        packed[x] = row = 1 + (sum(map(read, ups[x])) << bits)
         alternating = row % mod
         chi[x] = mod - alternating if alternating > mod >> 1 else -alternating
     return tuple(chi)

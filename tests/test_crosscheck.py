@@ -136,7 +136,8 @@ def test_a_record_holds_only_what_the_sweep_reports():
     (crosscheck.IntervalRecord, ("bottom", "top", "mu_brute", "problems")),
     (crosscheck.CrosscheckReport, ("poset_tag", "max_size", "total", "mu_histogram",
                                    "mismatches", "records")),
-    (crosscheck.TopRoutes, ("top", "bottoms", "gaps", "brute", "euler", "dims", "laws"))])
+    (crosscheck.TopRoutes, ("top", "bottoms", "gaps", "closed", "brute", "euler", "dims",
+                            "laws"))])
 def test_each_record_is_a_named_tuple_of_its_fields(record, fields):
     # fields in order: _replace and _asdict read them, and a record is
     # never handed to json whole, where it would serialise as a list
@@ -274,6 +275,55 @@ def assert_the_routes_find_a_sphere(poset, bottom, top):
 def test_large_seeded_intervals_above_the_minimum_agree_on_every_route(poset, bottom, top):
     # beyond the exhaustive range, the routes alone: SEEDED runs the full walk
     assert_the_routes_find_a_sphere(poset, bottom, top)
+
+
+def assert_the_closed_form_column_matches_each_bottom(poset, top):
+    """The top's closed-form column equals poset.mobius_closed_form(b, top)
+    for every b under the top, taken in the sweep's order and reversed:
+    the column must not depend on which bottom first reads a step of the
+    top's exterior chain."""
+    bottoms = sorted(poset.down_set(top), key=lambda e: (poset.rank(e), poset.format(e)))
+    want = [poset.mobius_closed_form(b, top) for b in bottoms]
+    assert poset.closed_form_column(top, bottoms) == want
+    assert poset.closed_form_column(top, bottoms[::-1]) == want[::-1]
+
+
+@pytest.mark.parametrize("poset, n", [
+    (PatternPoset(), 6), (FactorPoset(("a", "b")), 6), (FactorPoset(("a", "b", "c")), 5)],
+    ids=["pattern", "factor-ab", "factor-abc"])
+def test_the_closed_form_column_matches_each_bottom_in_the_acceptance_ranges(poset, n):
+    for top in (e for r in range(poset.min_rank, n + 1) for e in poset.elements_of_rank(r)):
+        assert_the_closed_form_column_matches_each_bottom(poset, top)
+
+
+@pytest.mark.parametrize("poset, top", [
+    (poset, _draw(random.Random(1240 + n), poset, n))
+    for n in (12, 16, 20, 24, 30, 40)
+    for poset in (PatternPoset(max_top=None), FactorPoset(max_top=None))] + [
+    (poset, top) for poset, _, top in _seeded_above_the_minimum(LARGE_LENGTHS)],
+    ids=lambda v: v.kind if hasattr(v, "kind") else str(len(v)))
+def test_the_closed_form_column_matches_each_bottom_of_seeded_tops(poset, top):
+    # seeded tops of length 12 to 40, then the high-bottom draws above,
+    # whose bottoms of rank at least two include one with a nonzero value
+    assert_the_closed_form_column_matches_each_bottom(poset, top)
+
+
+def test_a_sweep_never_runs_the_closed_form_per_interval(monkeypatch):
+    def unreached(*args):
+        raise AssertionError("the closed form ran per interval")
+
+    monkeypatch.setattr(closed_form, "mobius_pattern", unreached)
+    assert crosscheck.run_crosscheck(PatternPoset(), 5).ok
+
+
+def test_a_sweep_reads_the_closed_form_once_per_top(monkeypatch):
+    # one pass down each top's exterior chain serves every bottom under it
+    columns = []
+    real = closed_form.pattern_column
+    monkeypatch.setattr(closed_form, "pattern_column",
+                        lambda top, bottoms: columns.append(top) or real(top, bottoms))
+    assert crosscheck.run_crosscheck(PatternPoset(), 5).ok
+    assert len(columns) == len(set(columns)) == 1 + 2 + 6 + 24 + 120
 
 
 @pytest.mark.slow
