@@ -26,7 +26,8 @@ calls, so a check reads only values computed in its own call.  A cache file is
 only checked against the brute-force values and appended to, never read
 in their place.  A parallel sweep forks its own workers (_fork_runs) and
 folds their runs of consecutive tops into the report, and the cache, in
-sweep order as each arrives.
+sweep order, each run read in its turn as one pickle from its worker's
+pipe.
 
 Per interval the harness runs the route checks of route_problems, as the
 mobius subcommand does: the closed form, the critical-chain count and the
@@ -366,7 +367,9 @@ def run_crosscheck(poset, max_size: int, cache: MobiusCache | None = None,
             records.append(rec)
 
     if jobs > 1 and len(tops) > 1:
-        # about four runs per worker, so one that draws cheap tops takes another
+        # about four runs per worker, dealt round-robin: the dearer runs of
+        # the longest tops, at the end, are shared among the workers, and
+        # the parent folds each run while the workers compute later ones
         size = -(-len(tops) // (4 * jobs))
         chunks = [tops[i:i + size] for i in range(0, len(tops), size)]
         _fork_runs(poset, chunks, min(jobs, len(chunks)), fold)
@@ -377,19 +380,19 @@ def run_crosscheck(poset, max_size: int, cache: MobiusCache | None = None,
 
 def _fork_runs(poset, chunks, jobs, fold) -> None:
     """Fold the runs in sweep order, run k from worker k % jobs of the jobs
-    forked ones.  Each worker pickles its runs down its own pipe, each
-    after its length, and the parent reads every pipe as data comes, so a
-    worker that dies is seen at once: its pipe ends before its last run,
-    which raises WorkerDied, named from the wait status.  An exception in
-    a run is raised in its turn.  However this ends, the workers are killed
-    and reaped, so RUSAGE_CHILDREN counts them.  The caller holds no other
-    thread: a fork copies only the calling one."""
+    forked ones.  Each worker pickles its runs down its own pipe, and the
+    parent loads run k from worker k % jobs's pipe in its turn, so a
+    worker that dies is seen when the parent reaches that worker's next
+    run: its pipe ends before the run is whole, which makes pickle.load
+    raise EOFError or UnpicklingError, and that raises WorkerDied, named
+    from the wait status.  An exception in a run is raised in its turn.
+    However this ends, the workers are killed and reaped, so
+    RUSAGE_CHILDREN counts them.  The caller holds no other thread: a fork
+    copies only the calling one."""
     import pickle
-    import select
     import signal
 
-    workers = {}  # read end of a pipe -> [pid, bytes read, the runs still owed]
-    runs = {}  # run index -> the run, read ahead of its turn
+    workers = []  # by worker: its pid and the read end of its pipe
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
     try:
         for w in range(jobs):  # SIGINT stays blocked until the worker ignores it
@@ -405,38 +408,31 @@ def _fork_runs(poset, chunks, jobs, fold) -> None:
                             data = pickle.dumps(_worker((poset, tops)))
                         except Exception as exc:
                             data = pickle.dumps(exc)
-                        out.write(len(data).to_bytes(8, "big") + data)
+                        out.write(data)
                         out.flush()
                     os._exit(0)
                 finally:
                     os._exit(1)
             os.close(write)
-            workers[read] = [pid, bytearray(), list(range(w, len(chunks), jobs))]
+            workers.append((pid, open(read, "rb")))
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         for k in range(len(chunks)):
-            while k not in runs:
-                waiting = [fd for fd, (_, _, owed) in workers.items() if owed]
-                for fd in select.select(waiting, [], [])[0]:
-                    pid, buf, owed = workers[fd]
-                    data = os.read(fd, 1 << 16)
-                    if not data:  # the pipe ended early: the worker died
-                        del workers[fd]
-                        os.close(fd)
-                        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                        raise WorkerDied(f"crosscheck worker {pid} " + (
-                            f"was killed by {signal.Signals(-code).name}" if code < 0
-                            else f"exited with code {code}"))
-                    buf += data
-                    while len(buf) >= 8 + (n := int.from_bytes(buf[:8], "big")):
-                        runs[owed.pop(0)] = pickle.loads(buf[8:8 + n])
-                        del buf[:8 + n]
-            run = runs.pop(k)
+            pid, pipe = workers[k % jobs]
+            try:
+                run = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):  # the pipe ended early: the worker died
+                del workers[k % jobs]
+                pipe.close()
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                raise WorkerDied(f"crosscheck worker {pid} " + (
+                    f"was killed by {signal.Signals(-code).name}" if code < 0
+                    else f"exited with code {code}")) from None
             if isinstance(run, Exception):
                 raise run
             fold(map(IntervalRecord._make, run))
     finally:
-        for fd, (pid, _, _) in workers.items():
-            os.close(fd)
+        for pid, pipe in workers:
+            pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)  # had a fork failed

@@ -327,13 +327,12 @@ class MobiusCache:
                 if not raw.endswith(b"\n"):
                     break
                 clean += len(raw)
-                line = raw.decode("utf-8").rstrip("\n")
-                if not line:
-                    continue
-                try:
-                    tag, bottom, top, mu = line.split("\t")
-                    self._data[(tag, bottom, top)] = int(mu)
+                try:  # a line that is not UTF-8 is a bad record too
+                    if line := raw.decode("utf-8").rstrip("\n"):
+                        tag, bottom, top, mu = line.split("\t")
+                        self._data[(tag, bottom, top)] = int(mu)
                 except ValueError:
+                    line = raw.decode("utf-8", "backslashreplace").rstrip("\n")
                     raise ValueError(
                         f"{path}:{lineno}: bad cache record {line!r}") from None
             if clean < fh.tell():

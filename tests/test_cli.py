@@ -342,6 +342,14 @@ def test_cache_record_with_a_bad_value_names_its_line(capsys, tmp_path):
     assert f"{path}:2: bad cache record" in err
 
 
+def test_cache_record_that_is_not_utf8_names_its_line(capsys, tmp_path):
+    path = tmp_path / "mu.cache"
+    path.write_bytes(b"pattern\t1\t12\t-1\n\xff\xfe\t1\t1\n")
+    code, out, err = run_cli(capsys, *CACHED_SWEEP, str(path))
+    assert (code, out) == (3, "")
+    assert err == f"error: {path}:2: bad cache record '\\\\xff\\\\xfe\\t1\\t1'\n"
+
+
 def test_cache_in_a_missing_directory_exits_three(capsys, tmp_path):
     path = tmp_path / "missing" / "mu.cache"
     code, out, err = run_cli(capsys, *CACHED_SWEEP, str(path))
@@ -732,12 +740,14 @@ def test_start_up_loads_only_what_the_command_runs():
 
 def test_a_parallel_sweep_loads_no_process_pool_framework():
     # the sweep forks its two workers itself: neither concurrent.futures
-    # nor multiprocessing loads, nor the logging they import
+    # nor multiprocessing loads, nor the logging they import, and it reads
+    # each run in its turn, with no select
     script = ("import os, sys\nfrom posetmorse import cli\n"
               "os.cpu_count = lambda: 2\nforks, fork = [], os.fork\n"
               "os.fork = lambda: forks.append(0) or fork()\n"
               "code = cli.main(['crosscheck', '--max-size', '4', '--jobs', '2'])\n"
-              "framework = {'concurrent.futures', 'multiprocessing', 'logging'}\n"
+              "framework = {'concurrent.futures', 'multiprocessing', 'logging',\n"
+              "             'select'}\n"
               "print(code, len(forks), sorted(framework & set(sys.modules)),\n"
               "      file=sys.stderr)\n")
     proc = _in_a_fresh_interpreter(script)

@@ -6,10 +6,13 @@ from __future__ import annotations
 import collections
 import contextlib
 import hashlib
+import io
 import json
 import os
+import pickle
 import random
 import signal
+import time
 
 import pytest
 
@@ -120,6 +123,66 @@ def test_a_real_pool_returns_named_records(monkeypatch):
             == (serial.records, serial.mu_histogram, serial.mismatches))
 
 
+@pytest.mark.parametrize("run", [
+    crosscheck._worker((poset, list(poset.elements_of_rank(4))))
+    for poset in (PatternPoset(), FactorPoset(("a", "b")))] + [
+    ValueError("a run's exception")], ids=["pattern", "factor", "exception"])
+def test_every_proper_prefix_of_a_pickled_run_fails_to_load(run):
+    # the parent's only sign that a worker died mid-run: its pipe ends
+    # before the run is whole, and pickle.load raises
+    data = pickle.dumps(run)
+    for n in range(len(data)):
+        with pytest.raises((EOFError, pickle.UnpicklingError)):
+            pickle.load(io.BufferedReader(io.BytesIO(data[:n])))
+    assert repr(pickle.load(io.BufferedReader(io.BytesIO(data)))) == repr(run)
+
+
+def test_a_worker_killed_mid_run_ends_the_sweep_when_its_run_comes_up(
+        forks, monkeypatch, tmp_path):
+    # worker 1's first run is larger than its pipe holds, and worker 0
+    # kills it while it waits on the full pipe; the parent, once it has
+    # folded run 0, reads run 1 cut short, which pickle.load cannot finish
+    marker = tmp_path / "pid"
+    real = crosscheck._worker
+
+    def paced(args):
+        first = args[1][0]
+        if first == (2, 1):  # run 1, from worker 1
+            (tmp_path / "tmp").write_text(str(os.getpid()))
+            os.replace(tmp_path / "tmp", marker)
+            return [("1" * (1 << 17), "", 0, ())]
+        if first == (1,):  # run 0, from worker 0
+            for _ in range(3000):
+                if marker.exists():
+                    time.sleep(0.5)  # worker 1 is blocked on its full pipe
+                    os.kill(int(marker.read_text()), signal.SIGKILL)
+                    break
+                time.sleep(0.01)
+        return real(args)
+
+    monkeypatch.setattr(crosscheck, "_worker", paced)
+    with pytest.raises(crosscheck.WorkerDied) as died:
+        crosscheck.run_crosscheck(PatternPoset(), 3, jobs=2)
+    assert str(died.value) == f"crosscheck worker {forks[1]} was killed by SIGKILL"
+
+
+@pytest.mark.slow
+def test_a_parallel_sweep_whose_runs_fill_a_pipe_reports_as_a_serial_one(monkeypatch):
+    # each run of the length-7 sweep pickles to more than a pipe holds
+    # (64 KiB), so a worker that runs ahead waits on the parent
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    serial = crosscheck.run_crosscheck(PatternPoset(), 7, jobs=1)
+    parallel = crosscheck.run_crosscheck(PatternPoset(), 7, jobs=2)
+    assert ((parallel.records, parallel.mu_histogram, parallel.mismatches)
+            == (serial.records, serial.mu_histogram, serial.mismatches))
+    tops = [r.top for r in serial.records]  # cut into runs as the sweep cuts them
+    order = list(dict.fromkeys(tops))
+    size = -(-len(order) // 8)
+    starts = [tops.index(top) for top in order[::size]] + [len(tops)]
+    assert min(len(pickle.dumps([tuple(r) for r in serial.records[i:j]]))
+               for i, j in zip(starts, starts[1:])) > 1 << 16
+
+
 def test_a_record_holds_only_what_the_sweep_reports():
     # a route value that agrees equals mu_brute, and one that disagrees is
     # named in its own problem line
@@ -171,11 +234,13 @@ def _first_nonzero_above_the_minimum(poset, rng, n):
     """The first drawn top of length n under which some b has rank at
     least two, rank gap at least three and a nonzero closed-form Mobius
     value, with b drawn from every such bottom in the top's down-set: a
-    random bottom almost always gives 0."""
+    random bottom almost always gives 0.  The values are read as the
+    top's closed-form column, one pass down its exterior chain."""
     while True:
         top = _draw(rng, poset, n)
-        bottoms = sorted(b for b in poset.down_set(top)
-                         if 2 <= poset.rank(b) <= n - 3 and poset.mobius_closed_form(b, top))
+        candidates = sorted(b for b in poset.down_set(top) if 2 <= poset.rank(b) <= n - 3)
+        bottoms = [b for b, mu in zip(candidates, poset.closed_form_column(top, candidates))
+                   if mu]
         if bottoms:
             return poset, rng.choice(bottoms), top
 
@@ -258,6 +323,15 @@ def _seeded_above_the_minimum(lengths):
 
 
 LARGE_LENGTHS = (14, 16, 18, 20, 24)
+
+
+def test_the_draws_above_the_minimum_are_pinned():
+    # the intervals the per-bottom closed form drew, by digest: reading
+    # each top's column instead must draw the same ones
+    drawn = [(poset.kind, bottom, top)
+             for poset, bottom, top in _seeded_above_the_minimum(LARGE_LENGTHS)]
+    assert hashlib.sha256(repr(drawn).encode()).hexdigest() == (
+        "4099836296302ca83afcc10cdc975fa3791ecd658a37cdbb14da08a68acb5c12")
 
 
 def assert_the_routes_find_a_sphere(poset, bottom, top):
